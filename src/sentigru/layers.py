@@ -2,6 +2,7 @@
 
 Layers cache whatever the backward pass needs on ``self`` during forward and
 accumulate parameter gradients in place; callers own zeroing between steps.
+The GRU layers keep their per-step caches only in a train-mode forward.
 The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
@@ -119,28 +120,36 @@ class GruCell(Layer):
         self.db_x = np.zeros_like(self.b_x)
         self.db_h = np.zeros_like(self.b_h)
 
+    def input_projection(self, x: np.ndarray) -> np.ndarray:
+        """x W + b_x for (rows, x_dim) input: the gate pre-activations that do
+        not depend on the recurrent state, so all timesteps can share one call."""
+        gx = matmul(x, self.W)
+        gx += self.b_x
+        return gx
+
     def step(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
         """Advance one timestep; returns the new hidden state."""
-        h, _ = self._step(x, h_prev)
+        h, _ = self._step(self.input_projection(x), h_prev)
         return h
 
-    def _step(self, x, h_prev):
+    def _step(self, gx, h_prev):
+        """One timestep from the input projection ``gx`` of this step."""
         h = self.hidden_size
-        if x.shape[1] != self.input_dim or h_prev.shape[1] != h:
-            raise ValueError(f"shape mismatch: x {x.shape}, h_prev {h_prev.shape}")
-        gx = matmul(x, self.W) + self.b_x
         gh = matmul(h_prev, self.U) + self.b_h
-        z = sigmoid(gx[:, :h] + gh[:, :h])
-        r = sigmoid(gx[:, h:2 * h] + gh[:, h:2 * h])
+        zr = sigmoid(gx[:, :2 * h] + gh[:, :2 * h])
+        z, r = zr[:, :h], zr[:, h:]
         hc = gh[:, 2 * h:]                       # recurrent candidate, pre reset
         c = np.tanh(gx[:, 2 * h:] + r * hc)
         h_t = z * h_prev + (1.0 - z) * c
-        return h_t, (x, h_prev, z, r, c, hc)
+        return h_t, (h_prev, z, r, c, hc)
 
-    def step_backward(self, dh, cache):
-        """Backprop one timestep; returns (dx, dh_prev), accumulating grads."""
-        h = self.hidden_size
-        x, h_prev, z, r, c, hc = cache
+    def step_backward(self, dh, x, cache):
+        """Backprop one timestep whose input was ``x``; returns (d_gx, dh_prev).
+
+        Accumulates every parameter gradient. d_gx is the gradient at the
+        input projection; the caller turns it into dx = d_gx W^T.
+        """
+        h_prev, z, r, c, hc = cache
         dz = dh * (h_prev - c)
         dc = dh * (1.0 - z)
         ds_c = dc * (1.0 - c * c)                # at tanh input
@@ -154,9 +163,8 @@ class GruCell(Layer):
         self.db_x += d_gx.sum(axis=0)
         self.dU += matmul(h_prev.T, d_gh)
         self.db_h += d_gh.sum(axis=0)
-        dx = matmul(d_gx, self.W.T)
         dh_prev = matmul(d_gh, self.U.T) + dh * z
-        return dx, dh_prev
+        return d_gx, dh_prev
 
     def params(self):
         return {"W": self.W, "U": self.U, "b_x": self.b_x, "b_h": self.b_h}
@@ -169,44 +177,66 @@ class GruCell(Layer):
 
 
 class GruSequence(Layer):
-    """Unrolls a GruCell over time, with full backpropagation through time."""
+    """Unrolls a GruCell over time, with full backpropagation through time.
+
+    ``x W + b_x`` for all timesteps is one matmul before the time loop, and
+    ``dx`` one after the backward loop; matmul rows do not depend on which
+    rows share the call, so this gives the same bits as a per-step product.
+    Only a train-mode forward keeps the per-step caches that backward needs.
+    """
 
     def __init__(self, cell: GruCell, return_sequences: bool):
         self.cell = cell
         self.return_sequences = return_sequences
+        self._mode = None
+        self._x = None
+        self._caches = None
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-        B, T, _ = x.shape
+    def forward(self, x: np.ndarray, mode: str = "train",
+                h0: np.ndarray | None = None) -> np.ndarray:
+        if mode not in ("train", "infer"):
+            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+        B, T, x_dim = x.shape
         if T == 0:
             raise ValueError("sequence length must be >= 1")
         h = self.cell.hidden_size
+        gx = self.cell.input_projection(x.reshape(B * T, x_dim)).reshape(B, T, 3 * h)
         if h0 is None:
             h0 = np.zeros((B, h), dtype=x.dtype)
-        self._caches = []
+        train = mode == "train"
+        self._mode = mode
+        self._x = x if train else None
+        self._caches = [] if train else None
         states = np.empty((B, T, h), dtype=x.dtype)
         ht = h0
         for t in range(T):
-            ht, cache = self.cell._step(x[:, t, :], ht)
-            self._caches.append(cache)
+            ht, cache = self.cell._step(gx[:, t, :], ht)
+            if train:
+                self._caches.append(cache)
             states[:, t, :] = ht
-        self._x_shape = x.shape
         if self.return_sequences:
             return states
         return states[:, -1, :]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """grad is (B, T, h) when returning sequences, else (B, h)."""
-        B, T, x_dim = self._x_shape
+        if self._mode is None:
+            raise ValueError("GruSequence.backward called before any forward")
+        if self._mode != "train":
+            raise ValueError("GruSequence.backward needs a train-mode forward; "
+                             "the last forward ran in infer mode and kept no caches")
+        B, T, x_dim = self._x.shape
         h = self.cell.hidden_size
-        dx = np.empty((B, T, x_dim), dtype=grad.dtype)
+        d_gx = np.empty((B, T, 3 * h), dtype=grad.dtype)
         carry = np.zeros((B, h), dtype=grad.dtype)
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
                 dh = carry + grad[:, t, :]
             else:
                 dh = (carry + grad) if t == T - 1 else carry
-            dx[:, t, :], carry = self.cell.step_backward(dh, self._caches[t])
-        return dx
+            d_gx[:, t, :], carry = self.cell.step_backward(
+                dh, self._x[:, t, :], self._caches[t])
+        return matmul(d_gx.reshape(B * T, 3 * h), self.cell.W.T).reshape(B, T, x_dim)
 
     def params(self):
         return self.cell.params()
@@ -221,7 +251,7 @@ class GruSequence(Layer):
 def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = True,
                          h0: np.ndarray | None = None) -> np.ndarray:
     """Forward-only unroll of a cell over a (B, T, x_dim) input."""
-    return GruSequence(cell, return_sequences).forward(x, h0)
+    return GruSequence(cell, return_sequences).forward(x, "infer", h0)
 
 
 class BidirectionalGru(Layer):
@@ -241,9 +271,9 @@ class BidirectionalGru(Layer):
         self.return_sequences = return_sequences
         self.hidden_size = forward_cell.hidden_size
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        hf = self.fwd.forward(x)
-        hb = self.bwd.forward(np.ascontiguousarray(x[:, ::-1, :]))
+    def forward(self, x: np.ndarray, mode: str = "train") -> np.ndarray:
+        hf = self.fwd.forward(x, mode)
+        hb = self.bwd.forward(np.ascontiguousarray(x[:, ::-1, :]), mode)
         if self.return_sequences:
             return np.concatenate([hf, hb[:, ::-1, :]], axis=2)
         return np.concatenate([hf, hb], axis=1)

@@ -84,10 +84,10 @@ class Model:
             rng = self._rng
         x = self._layers["embedding"].forward(ids)
         x = self._layers["dropout"].forward(x, mode, rng)
-        x = self._layers["bidirectional_gru_1"].forward(x)
-        x = self._layers["bidirectional_gru_2"].forward(x)
+        x = self._layers["bidirectional_gru_1"].forward(x, mode)
+        x = self._layers["bidirectional_gru_2"].forward(x, mode)
         x = self._layers["batch_norm"].forward(x, mode)
-        x = self._layers["bidirectional_gru_3"].forward(x)
+        x = self._layers["bidirectional_gru_3"].forward(x, mode)
         return self._layers["dense"].forward(x)
 
     def backward(self, dlogits: np.ndarray) -> None:

@@ -1,9 +1,13 @@
 """Dense tensor primitives: matmul, activations, and a finite-difference oracle.
 
-All layer math funnels through :func:`matmul`, which uses a fixed row-major
-accumulation order (no BLAS dispatch). That makes results bitwise reproducible
-run-to-run, independent of batch composition, and exactly equal to a naive
-triple loop evaluated in the same precision.
+All layer math funnels through :func:`matmul`, an ``einsum`` kernel with no
+BLAS dispatch. Its results are bitwise reproducible run to run, and for every
+operand layout a row of the product does not depend on which other rows share
+the call. When ``b`` is C-contiguous the product also equals a naive
+left-to-right triple loop in the same precision. A transposed view such as
+``W.T`` makes einsum pick another reduction order: still row-invariant, but not
+equal to that loop. The backward passes multiply by ``W.T`` and ``U.T`` and
+rely only on row invariance.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,8 @@ import numpy as np
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation and fixed summation order."""
+    """Matrix product with shape validation; each row's bits depend only on
+    that row of ``a`` and on ``b`` (see the module docstring)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -21,13 +26,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x), evaluated without overflow on either tail."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x), evaluated without overflow on either tail.
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    otherwise. ``minimum(x, -x)`` is -|x| that passes a NaN through with its
+    own sign and payload, so every output bit, NaN included, equals the
+    per-branch evaluation.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is written as plain scalar loops, deliberately sharing no
 code with the package, so agreement between the two is evidence rather
-than tautology.
+than tautology. The one vectorized reference, :func:`sigmoid_mask_scatter`,
+is the package's earlier sigmoid, kept as the bit-exact reference for the
+current one.
 """
 
 import math
@@ -15,6 +17,17 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid_mask_scatter(x: np.ndarray) -> np.ndarray:
+    """Elementwise sigmoid by boolean-mask scatter: 1 / (1 + e^-x) where
+    x >= 0, e^x / (1 + e^x) elsewhere (NaN included)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def scalar_gru_step(x, h_prev, W, U, b_x, b_h):

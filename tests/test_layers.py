@@ -209,6 +209,25 @@ class TestGruSequence:
         out = gru_sequence_forward(cell, x, return_sequences=False, h0=h0)
         assert np.allclose(out, manual, atol=1e-12)
 
+    def test_backward_before_forward_rejected(self):
+        seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
+        with pytest.raises(ValueError, match="before any forward"):
+            seq.backward(np.zeros((2, 5, 4)))
+
+    def test_backward_after_infer_forward_rejected(self):
+        rng = np.random.default_rng(13)
+        seq = GruSequence(GruCell(3, 4, rng, F64), True)
+        x = rng.standard_normal((2, 5, 3))
+        seq.forward(x, "train")
+        seq.forward(x, "infer")
+        with pytest.raises(ValueError, match="infer mode"):
+            seq.backward(np.zeros((2, 5, 4)))
+
+    def test_unknown_mode_rejected(self):
+        seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
+        with pytest.raises(ValueError, match="mode"):
+            seq.forward(np.zeros((2, 5, 3)), "test")
+
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_bptt_gradient(self, return_sequences):
         rng = np.random.default_rng(7)
@@ -259,6 +278,20 @@ class TestBidirectionalGru:
             np.ascontiguousarray(x[:, ::-1, :]))
         assert np.array_equal(out[:, :4], fwd_final)
         assert np.array_equal(out[:, 4:], bwd_final)
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_equals_train_and_keeps_no_caches(self, return_sequences, dtype):
+        rng = np.random.default_rng(14)
+        bi = BidirectionalGru(GruCell(5, 6, rng, dtype), GruCell(5, 6, rng, dtype),
+                              return_sequences)
+        x = rng.standard_normal((3, 7, 5)).astype(dtype)
+        train = bi.forward(x, "train")
+        infer = bi.forward(x, "infer")
+        assert infer.dtype == dtype
+        assert infer.tobytes() == train.tobytes()
+        for seq in (bi.fwd, bi.bwd):
+            assert seq._caches is None and seq._x is None
 
     def test_param_count_doubles(self):
         bi = self.make(True)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from sentigru.numerics import (GradCheckReport, activation, grad_check, matmul,
@@ -29,6 +32,19 @@ class TestMatmul:
             alone = matmul(a[i:i + 1], b)
             assert np.array_equal(full[i:i + 1], alone)
 
+    def test_transposed_operand_is_row_invariant(self):
+        # the hoisted GRU input gradient: all 79 steps of a 64-row batch times
+        # the transposed (50, 360) input kernel, against one call per step;
+        # a transposed b is not loop-equal, but its rows must still not depend
+        # on the rows that share the call
+        rng = np.random.default_rng(2)
+        d_gx = rng.standard_normal((79 * 64, 360)).astype(np.float32)
+        w = rng.standard_normal((50, 360)).astype(np.float32)
+        full = matmul(d_gx, w.T)
+        for t in range(79):
+            rows = slice(64 * t, 64 * (t + 1))
+            assert np.array_equal(full[rows], matmul(d_gx[rows], w.T))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             matmul(np.zeros((2, 3)), np.zeros((4, 2)))
@@ -53,6 +69,29 @@ class TestActivations:
         for v in (-3.7, -0.2, 0.0, 1.1, 8.5):
             assert sigmoid(np.array([v]))[0] == pytest.approx(
                 oracles.sigmoid(v), abs=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_mask_scatter(self, dtype):
+        info = np.finfo(dtype)
+        uint = np.dtype(f"u{info.bits // 8}")
+        log_max = float(np.log(info.max))
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny, -info.tiny, info.max, -info.max,
+                            log_max, -log_max, np.nextafter(log_max, np.inf),
+                            -np.nextafter(log_max, np.inf)], dtype=dtype)
+
+        @given(hnp.arrays(dtype, hnp.array_shapes(max_dims=2, max_side=9),
+                          elements=st.floats(width=info.bits)))
+        @example(special)
+        def check(x):
+            with np.errstate(all="ignore"):
+                want = oracles.sigmoid_mask_scatter(x)
+                got = sigmoid(x)
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(uint), want.view(uint))
+
+        check()
 
     def test_tanh(self):
         x = np.array([-2.0, 0.0, 2.0])
