@@ -18,9 +18,8 @@ from .metrics import (ClassMetrics, ConfusionMatrix, EvalReport,
 from .model import (Model, ModelConfig, SummaryRow, build_model, paper_config,
                     predict, summary)
 from .serialize import ModelFormatError, load, save
-from .trainer import (Adam, EpochRecord, OptimizerState, TrainConfig,
-                      TrainingError, adam_step, evaluate, fit, predict_codes,
-                      train_epoch)
+from .trainer import (Adam, EpochRecord, TrainConfig, TrainingError, evaluate,
+                      fit, predict_codes, train_epoch)
 from .wordstats import FrequencyTable, frequency_by_label, table_to_dict, top_k
 
 __version__ = "0.1.0"
@@ -34,8 +33,8 @@ __all__ = [
     "Model", "ModelConfig", "SummaryRow", "build_model", "paper_config",
     "summary", "predict",
     "ModelFormatError", "save", "load",
-    "TrainConfig", "EpochRecord", "OptimizerState", "TrainingError",
-    "Adam", "adam_step", "train_epoch", "evaluate", "fit", "predict_codes",
+    "TrainConfig", "EpochRecord", "TrainingError",
+    "Adam", "train_epoch", "evaluate", "fit", "predict_codes",
     "ConfusionMatrix", "ClassMetrics", "EvalReport", "confusion_matrix",
     "classification_metrics", "report_from_predictions", "history_report",
     "FrequencyTable", "frequency_by_label", "top_k", "table_to_dict",

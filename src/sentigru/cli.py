@@ -28,43 +28,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-_DEFAULTS = {
-    "data": None, "stopwords": None, "model": None, "out": None,
-    "history": None, "text": None,
-    "epochs": 5, "batch_size": 64, "lr": 1e-3, "seed": 0,
-    "seq_len": 79, "vocab_size": 50_000, "embed_dim": 50,
-    "gru_units": "120,64,64", "dropout": 0.3, "split": 0.8,
-    "stratify": False, "deterministic": False, "keep_stopwords": False,
-    "precision": "f32", "delimiter": ",", "top": 50,
-}
+_PRECISIONS = {"f32": "float32", "f64": "float64"}
+_MODEL = model_mod.ModelConfig()
+_TRAIN = trainer.TrainConfig()
 
-# pins the reference hyperparameters even if the defaults above drift
-_PAPER_PRESET = {
-    "seq_len": 79, "vocab_size": 50_000, "embed_dim": 50,
-    "gru_units": "120,64,64", "dropout": 0.3, "precision": "f32",
-    "epochs": 5, "batch_size": 64, "lr": 1e-3, "split": 0.8,
+# key -> (type, default, help): the one source of the defaults, the
+# config-file value types and the flags. Model and training defaults are the
+# ModelConfig and TrainConfig defaults, which are the paper's hyperparameters.
+_OPTIONS = {
+    "data": (str, None, "labeled CSV/TSV input"),
+    "stopwords": (str, None, "custom stopword file, one per line"),
+    "keep_stopwords": (bool, False, "skip stopword filtering"),
+    "model": (str, None, "saved model file"),
+    "out": (str, None, "output path (directory for stats)"),
+    "history": (str, None, "write per-epoch history JSON here"),
+    "text": (str, None, "text to classify (predict)"),
+    "epochs": (int, _TRAIN.epochs, None),
+    "batch_size": (int, _TRAIN.batch_size, None),
+    "lr": (float, _TRAIN.learning_rate, None),
+    "seed": (int, _TRAIN.seed, None),
+    "seq_len": (int, _MODEL.seq_len, None),
+    "vocab_size": (int, _MODEL.vocab_size, None),
+    "embed_dim": (int, _MODEL.embed_dim, None),
+    "gru_units": (str, ",".join(map(str, _MODEL.gru_units)),
+                  "three comma-separated unit counts"),
+    "dropout": (float, _MODEL.dropout_rate, None),
+    "split": (float, _TRAIN.train_fraction, "train fraction, e.g. 0.8"),
+    "stratify": (bool, _TRAIN.stratify, None),
+    "deterministic": (bool, False, None),
+    "precision": (str, {v: k for k, v in _PRECISIONS.items()}[_MODEL.dtype],
+                  "f32 or f64"),
+    "delimiter": (str, ",", None),
+    "top": (int, 50, "entries per stats table"),
 }
-
-_BOOL_KEYS = {"stratify", "deterministic", "keep_stopwords"}
-_INT_KEYS = {"epochs", "batch_size", "seed", "seq_len", "vocab_size",
-             "embed_dim", "top"}
-_FLOAT_KEYS = {"lr", "dropout", "split"}
 
 
 def _coerce(key: str, value: str):
+    kind = _OPTIONS[key][0]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = value.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        return kind(value)
     except ValueError as exc:
         raise UsageError(f"bad value for config key {key!r}: {exc}") from exc
 
@@ -80,18 +89,18 @@ def _read_config_file(path) -> dict:
             key = key.strip().replace("-", "_")
             if not sep:
                 raise UsageError(f"expected key=value at line {lineno}: {line!r}")
-            if key not in _DEFAULTS:
+            if key not in _OPTIONS:
                 raise UsageError(f"unknown config key {key!r} at line {lineno}")
             out[key] = _coerce(key, value.strip())
     return out
 
 
 def _settings(args) -> dict:
-    s = dict(_DEFAULTS)
-    if args.config:
-        s.update(_PAPER_PRESET if args.config == "paper"
-                 else _read_config_file(args.config))
-    for key in _DEFAULTS:
+    s = {key: default for key, (_, default, _) in _OPTIONS.items()}
+    # the "paper" preset is the defaults themselves
+    if args.config and args.config != "paper":
+        s.update(_read_config_file(args.config))
+    for key in _OPTIONS:
         value = getattr(args, key, None)
         if value is not None:
             s[key] = value
@@ -113,7 +122,7 @@ def _parse_units(value) -> tuple:
 
 
 def _model_config(s: dict) -> model_mod.ModelConfig:
-    dtype = {"f32": "float32", "f64": "float64"}.get(s["precision"])
+    dtype = _PRECISIONS.get(s["precision"])
     if dtype is None:
         raise UsageError(f"precision must be f32 or f64, got {s['precision']!r}")
     try:
@@ -225,13 +234,14 @@ def _cmd_preprocess(args) -> int:
 def _cmd_train(args) -> int:
     s = _settings(args)
     _require(s, "data", "out")
+    model_config, train_config = _model_config(s), _train_config(s)
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
                    for r in corpus.records]
     vocab = corpus_mod.build_vocabulary(token_lists, max_size=s["vocab_size"])
-    model = model_mod.build_model(_model_config(s), seed=s["seed"])
-    history = trainer.fit(model, corpus, _train_config(s), vocab, stoplist)
+    model = model_mod.build_model(model_config, seed=s["seed"])
+    history = trainer.fit(model, corpus, train_config, vocab, stoplist)
     serialize.save(model, vocab, s["out"])
     if s["deterministic"]:
         # wall time is the one non-reproducible field; zero it so identical
@@ -298,29 +308,13 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="'paper' preset or key=value file")
-        p.add_argument("--data", help="labeled CSV/TSV input")
-        p.add_argument("--stopwords", help="custom stopword file, one per line")
-        p.add_argument("--keep-stopwords", action="store_true", default=None,
-                       help="skip stopword filtering")
-        p.add_argument("--model", help="saved model file")
-        p.add_argument("--out", help="output path (directory for stats)")
-        p.add_argument("--history", help="write per-epoch history JSON here")
-        p.add_argument("--text", help="text to classify (predict)")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--seq-len", type=int)
-        p.add_argument("--vocab-size", type=int)
-        p.add_argument("--embed-dim", type=int)
-        p.add_argument("--gru-units", help="three comma-separated unit counts")
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--split", type=float, help="train fraction, e.g. 0.8")
-        p.add_argument("--stratify", action="store_true", default=None)
-        p.add_argument("--deterministic", action="store_true", default=None)
-        p.add_argument("--precision", choices=["f32", "f64"])
-        p.add_argument("--delimiter")
-        p.add_argument("--top", type=int, help="entries per stats table")
+        for key, (kind, _, help_text) in _OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None,
+                               help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
     return parser
 
 

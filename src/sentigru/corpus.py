@@ -163,15 +163,6 @@ class Vocabulary:
             raise DatasetError("vocabulary ids must be dense starting at 2")
         return cls(token_to_id=token_to_id, max_size=max_size)
 
-    def to_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_tsv(cls, path, max_size: int = 50_000) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), max_size=max_size)
-
 
 def build_vocabulary(token_sequences, max_size: int = 50_000) -> Vocabulary:
     """Assign ids 2.. to the most frequent tokens, ties broken alphabetically.

@@ -1,5 +1,12 @@
 """Forward and backward passes for every layer in the classifier stack.
 
+Every stack layer has ``forward(x, mode="train", rng=None)`` with mode
+"train" or "infer" (only dropout draws from ``rng``), ``backward(grad)``
+returning the gradient at the layer input (None for the embedding), and
+``output_shape(shape)`` mapping a per-sample input shape to the output's,
+unchanged unless a layer overrides it. The model runs the stack as one loop
+over these. ``param_count`` is generic: the sizes of params() and buffers().
+
 Layers cache whatever the backward pass needs on ``self`` during forward and
 accumulate parameter gradients in place; callers own zeroing between steps.
 The GRU layers keep their per-step caches only in a train-mode forward.
@@ -28,6 +35,10 @@ def orthogonal(rng, n: int, dtype) -> np.ndarray:
 
 
 class Layer:
+    def output_shape(self, shape: tuple) -> tuple:
+        """Per-sample output shape for a per-sample input ``shape``."""
+        return shape
+
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -42,6 +53,11 @@ class Layer:
         for g in self.grads().values():
             g.fill(0)
 
+    def param_count(self) -> int:
+        """Parameter and buffer sizes: BatchNorm counts its moving stats too."""
+        arrays = [*self.params().values(), *self.buffers().values()]
+        return sum(a.size for a in arrays)
+
 
 class Embedding(Layer):
     """Token-id lookup table of shape (vocab_size, embed_dim)."""
@@ -52,7 +68,7 @@ class Embedding(Layer):
         self.weight = rng.uniform(-0.05, 0.05, (vocab_size, embed_dim)).astype(dtype)
         self.d_weight = np.zeros_like(self.weight)
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def forward(self, ids: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValueError(f"token id out of range for vocab of {self.vocab_size}")
         self._ids = ids
@@ -64,14 +80,14 @@ class Embedding(Layer):
                   grad.reshape(-1, self.embed_dim))
         return None
 
+    def output_shape(self, shape):
+        return (*shape, self.embed_dim)
+
     def params(self):
         return {"weight": self.weight}
 
     def grads(self):
         return {"weight": self.d_weight}
-
-    def param_count(self) -> int:
-        return self.weight.size
 
 
 class Dropout(Layer):
@@ -83,7 +99,7 @@ class Dropout(Layer):
         self.rate = rate
         self._mask = None
 
-    def forward(self, x: np.ndarray, mode: str, rng=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if mode == "infer" or self.rate == 0.0:
             self._mask = None
             return x
@@ -95,9 +111,6 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-    def param_count(self) -> int:
-        return 0
 
 
 class GruCell(Layer):
@@ -126,11 +139,6 @@ class GruCell(Layer):
         gx = matmul(x, self.W)
         gx += self.b_x
         return gx
-
-    def step(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-        """Advance one timestep; returns the new hidden state."""
-        h, _ = self._step(self.input_projection(x), h_prev)
-        return h
 
     def _step(self, gx, h_prev):
         """One timestep from the input projection ``gx`` of this step."""
@@ -171,9 +179,6 @@ class GruCell(Layer):
 
     def grads(self):
         return {"W": self.dW, "U": self.dU, "b_x": self.db_x, "b_h": self.db_h}
-
-    def param_count(self) -> int:
-        return 3 * self.hidden_size * (self.input_dim + self.hidden_size + 2)
 
 
 class GruSequence(Layer):
@@ -244,9 +249,6 @@ class GruSequence(Layer):
     def grads(self):
         return self.cell.grads()
 
-    def param_count(self) -> int:
-        return self.cell.param_count()
-
 
 def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = True,
                          h0: np.ndarray | None = None) -> np.ndarray:
@@ -271,7 +273,7 @@ class BidirectionalGru(Layer):
         self.return_sequences = return_sequences
         self.hidden_size = forward_cell.hidden_size
 
-    def forward(self, x: np.ndarray, mode: str = "train") -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         hf = self.fwd.forward(x, mode)
         hb = self.bwd.forward(np.ascontiguousarray(x[:, ::-1, :]), mode)
         if self.return_sequences:
@@ -289,6 +291,11 @@ class BidirectionalGru(Layer):
         dx += self.bwd.backward(db)[:, ::-1, :]
         return dx
 
+    def output_shape(self, shape):
+        if self.return_sequences:
+            return (*shape[:-1], 2 * self.hidden_size)
+        return (2 * self.hidden_size,)
+
     def params(self):
         out = {f"fwd.{k}": v for k, v in self.fwd.params().items()}
         out.update({f"bwd.{k}": v for k, v in self.bwd.params().items()})
@@ -298,9 +305,6 @@ class BidirectionalGru(Layer):
         out = {f"fwd.{k}": v for k, v in self.fwd.grads().items()}
         out.update({f"bwd.{k}": v for k, v in self.bwd.grads().items()})
         return out
-
-    def param_count(self) -> int:
-        return self.fwd.param_count() + self.bwd.param_count()
 
 
 class BatchNorm(Layer):
@@ -317,7 +321,7 @@ class BatchNorm(Layer):
         self.d_gamma = np.zeros_like(self.gamma)
         self.d_beta = np.zeros_like(self.beta)
 
-    def forward(self, x: np.ndarray, mode: str) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
         shape = x.shape
@@ -364,10 +368,6 @@ class BatchNorm(Layer):
     def buffers(self):
         return {"moving_mean": self.moving_mean, "moving_var": self.moving_var}
 
-    def param_count(self) -> int:
-        # counts moving stats too, matching framework summary conventions
-        return 4 * self.channels
-
 
 class Dense(Layer):
     """Affine map x W + b with no activation; softmax lives in the loss head."""
@@ -380,7 +380,7 @@ class Dense(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         self._x = x
         return matmul(x, self.W) + self.b
 
@@ -389,14 +389,14 @@ class Dense(Layer):
         self.db += grad.sum(axis=0)
         return matmul(grad, self.W.T)
 
+    def output_shape(self, shape):
+        return (*shape[:-1], self.out_dim)
+
     def params(self):
         return {"W": self.W, "b": self.b}
 
     def grads(self):
         return {"W": self.dW, "b": self.db}
-
-    def param_count(self) -> int:
-        return self.W.size + self.b.size
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -417,8 +417,3 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
     return loss, dlogits
-
-
-def param_count(layer: Layer) -> int:
-    """Total parameters of a layer, matching the closed-form counts."""
-    return layer.param_count()

@@ -27,8 +27,11 @@ class ModelConfig:
             raise ValueError("gru_units must have exactly 3 entries")
         if self.seq_len < 1:
             raise ValueError("seq_len must be >= 1")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must cover the reserved pad/oov ids")
+        if self.vocab_size < 3:
+            raise ValueError("vocab_size must be >= 3: the reserved pad/oov ids "
+                             "and at least one token")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.dtype not in _DTYPES:
@@ -46,8 +49,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["gru_units"] = tuple(d["gru_units"])
         return cls(**d)
 
 
@@ -69,7 +70,6 @@ class Model:
     def __init__(self, config: ModelConfig, named_layers, rng):
         self.config = config
         self.named_layers = named_layers
-        self._layers = dict(named_layers)
         self._rng = rng
 
     def forward(self, ids: np.ndarray, mode: str = "infer", rng=None) -> np.ndarray:
@@ -82,22 +82,15 @@ class Model:
                 f"expected ids of shape (B, {self.config.seq_len}), got {ids.shape}")
         if rng is None:
             rng = self._rng
-        x = self._layers["embedding"].forward(ids)
-        x = self._layers["dropout"].forward(x, mode, rng)
-        x = self._layers["bidirectional_gru_1"].forward(x, mode)
-        x = self._layers["bidirectional_gru_2"].forward(x, mode)
-        x = self._layers["batch_norm"].forward(x, mode)
-        x = self._layers["bidirectional_gru_3"].forward(x, mode)
-        return self._layers["dense"].forward(x)
+        x = ids
+        for _, layer in self.named_layers:
+            x = layer.forward(x, mode, rng)
+        return x
 
     def backward(self, dlogits: np.ndarray) -> None:
-        g = self._layers["dense"].backward(dlogits)
-        g = self._layers["bidirectional_gru_3"].backward(g)
-        g = self._layers["batch_norm"].backward(g)
-        g = self._layers["bidirectional_gru_2"].backward(g)
-        g = self._layers["bidirectional_gru_1"].backward(g)
-        g = self._layers["dropout"].backward(g)
-        self._layers["embedding"].backward(g)
+        g = dlogits
+        for _, layer in reversed(self.named_layers):
+            g = layer.backward(g)
 
     def trainable(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(name, value, gradient) triples in fixed stack order."""
@@ -154,20 +147,12 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 def summary(model: Model) -> list[SummaryRow]:
     """One row per layer: name, batch-agnostic output shape, parameter count."""
-    c = model.config
-    t = c.seq_len
-    u1, u2, u3 = c.gru_units
-    shapes = {
-        "embedding": (t, c.embed_dim),
-        "dropout": (t, c.embed_dim),
-        "bidirectional_gru_1": (t, 2 * u1),
-        "bidirectional_gru_2": (t, 2 * u2),
-        "batch_norm": (t, 2 * u2),
-        "bidirectional_gru_3": (2 * u3,),
-        "dense": (c.num_classes,),
-    }
-    return [SummaryRow(name, shapes[name], layer.param_count())
-            for name, layer in model.named_layers]
+    rows = []
+    shape = (model.config.seq_len,)
+    for name, layer in model.named_layers:
+        shape = layer.output_shape(shape)
+        rows.append(SummaryRow(name, shape, layer.param_count()))
+    return rows
 
 
 def predict(model: Model, vocab: corpus_mod.Vocabulary, raw_text: str,

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: matmul, activations, and a finite-difference oracle.
+"""Dense primitives: matmul, sigmoid, softmax, a finite-difference oracle.
 
 All layer math funnels through :func:`matmul`, an ``einsum`` kernel with no
 BLAS dispatch. Its results are bitwise reproducible run to run, and for every
@@ -37,10 +37,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, e) / (1 + e)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax along ``axis`` with max-subtraction for stability."""
     if x.shape[axis] < 1:
@@ -48,17 +44,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply one of the supported nonlinearities by name."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "softmax":
-        return softmax(x, axis=-1)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ fixed seed.
 """
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -69,52 +69,12 @@ class EpochRecord:
         return asdict(self)
 
 
-@dataclass
-class OptimizerState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
-
-
-def adam_step(params: dict, grads: dict, state: OptimizerState, config) -> OptimizerState:
-    """One adaptive-moment update, in place on the parameter arrays.
+class Adam:
+    """Adaptive-moment optimizer keyed by parameter name.
 
     m and v track decaying first and second gradient moments; both are
-    bias-corrected before the step. ``config`` needs learning_rate, beta1,
-    beta2, epsilon, and clip_norm attributes (TrainConfig or Adam works).
+    bias-corrected before the step. t counts the steps taken.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
-    clip = getattr(config, "clip_norm", None)
-    if clip is not None:
-        sq = 0.0
-        for g in grads.values():
-            sq += float(np.sum(np.square(g, dtype=np.float64)))
-        norm = sq ** 0.5
-        if norm > clip:
-            for g in grads.values():
-                g *= g.dtype.type(clip / norm)
-    state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.epsilon)
-    return state
-
-
-class Adam:
-    """Stateful wrapper around :func:`adam_step` keyed by parameter name."""
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8, clip_norm=None):
@@ -123,7 +83,9 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.clip_norm = clip_norm
-        self.state = OptimizerState()
+        self.m = {}
+        self.v = {}
+        self.t = 0
 
     @classmethod
     def from_config(cls, config: TrainConfig) -> "Adam":
@@ -131,10 +93,37 @@ class Adam:
                    config.epsilon, config.clip_norm)
 
     def step(self, triples) -> None:
-        """Apply one update to model.trainable() (name, param, grad) triples."""
-        params = {name: p for name, p, _ in triples}
-        grads = {name: g for name, _, g in triples}
-        adam_step(params, grads, self.state, self)
+        """One update, in place, on model.trainable() (name, param, grad) triples.
+
+        A non-finite gradient raises before any parameter moves. With
+        clip_norm set, gradients whose global norm exceeds it are rescaled in
+        place to that norm.
+        """
+        for name, _, g in triples:
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient in parameter {name!r}")
+        if self.clip_norm is not None:
+            sq = 0.0
+            for _, _, g in triples:
+                sq += float(np.sum(np.square(g, dtype=np.float64)))
+            norm = sq ** 0.5
+            if norm > self.clip_norm:
+                for _, _, g in triples:
+                    g *= g.dtype.type(self.clip_norm / norm)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for name, p, g in triples:
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
 
 
 def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,

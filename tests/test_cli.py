@@ -77,6 +77,20 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert main(["summary", "--gru-units", "1,2"]) == 1
 
+    def test_out_of_range_dropout(self, capsys):
+        assert main(["summary", "--dropout", "2.0"]) == 1
+        assert "dropout_rate must be in [0, 1)" in capsys.readouterr().err
+
+    def test_vocab_size_below_reserved_ids(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "m.bin"
+        code = main(["train", "--data", str(data_csv), "--out", str(out),
+                     "--vocab-size", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: vocab_size must be >= 3")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp-speed=9\n")

@@ -130,12 +130,6 @@ class TestVocabulary:
         with pytest.raises(DatasetError):
             Vocabulary.from_text("a\t2\nb\t4\n")
 
-    def test_tsv_round_trip(self, tmp_path):
-        vocab = build_vocabulary([["b", "a"]])
-        path = tmp_path / "vocab.tsv"
-        vocab.to_tsv(path)
-        assert Vocabulary.from_tsv(path).token_to_id == vocab.token_to_id
-
 
 class TestEncode:
     @pytest.fixture()

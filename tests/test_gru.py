@@ -99,7 +99,7 @@ class TestBidirectionalOracle:
         bi = BidirectionalGru(fwd, bwd, return_sequences=False)
         x = rng.standard_normal((2, 1, 3))
         out = bi.forward(x)
-        f = fwd.step(x[:, 0, :], np.zeros((2, 4)))
-        b = bwd.step(x[:, 0, :], np.zeros((2, 4)))
+        f = gru_sequence_forward(fwd, x[:, 0, :][:, None, :], False, np.zeros((2, 4)))
+        b = gru_sequence_forward(bwd, x[:, 0, :][:, None, :], False, np.zeros((2, 4)))
         assert np.allclose(out[:, :4], f, atol=1e-15)
         assert np.allclose(out[:, 4:], b, atol=1e-15)

@@ -3,7 +3,7 @@ import pytest
 
 from sentigru.layers import (BatchNorm, BidirectionalGru, Dense, Dropout,
                              Embedding, GruCell, GruSequence, glorot_uniform,
-                             gru_sequence_forward, orthogonal, param_count,
+                             gru_sequence_forward, orthogonal,
                              softmax_cross_entropy)
 from sentigru.numerics import grad_check
 
@@ -92,7 +92,7 @@ class TestEmbedding:
 
     def test_param_count(self):
         emb = Embedding(50_000, 50, np.random.default_rng(0))
-        assert param_count(emb) == 2_500_000
+        assert emb.param_count() == 2_500_000
 
 
 class TestDropout:
@@ -147,27 +147,30 @@ class TestGruCell:
         rng = np.random.default_rng(0)
         for x_dim, h in [(50, 120), (240, 64), (128, 64), (3, 5)]:
             cell = GruCell(x_dim, h, rng)
-            assert param_count(cell) == 3 * h * (x_dim + h + 2)
+            assert cell.param_count() == 3 * h * (x_dim + h + 2)
             assert sum(p.size for p in cell.params().values()) == \
-                param_count(cell)
+                cell.param_count()
 
     def test_zero_input_zero_state_stays_zero(self):
         cell = GruCell(3, 4, np.random.default_rng(0), F64)
-        h = cell.step(np.zeros((2, 3)), np.zeros((2, 4)))
+        h = gru_sequence_forward(cell, np.zeros((2, 3))[:, None, :], False,
+                                 np.zeros((2, 4)))
         assert np.array_equal(h, np.zeros((2, 4)))
 
     def test_shape_validation(self):
         cell = GruCell(3, 4, np.random.default_rng(0))
+        x = np.zeros((2, 5), dtype=np.float32)
         with pytest.raises(ValueError):
-            cell.step(np.zeros((2, 5), dtype=np.float32),
-                      np.zeros((2, 4), dtype=np.float32))
+            gru_sequence_forward(cell, x[:, None, :], False,
+                                 np.zeros((2, 4), dtype=np.float32))
 
     def test_update_gate_interpolates(self):
         # saturate z high via huge input bias: state barely moves
         cell = GruCell(2, 3, np.random.default_rng(1), F64)
         cell.b_x[:3] = 50.0
         h_prev = np.array([[0.3, -0.2, 0.8]])
-        h = cell.step(np.array([[0.1, 0.2]]), h_prev)
+        x = np.array([[0.1, 0.2]])
+        h = gru_sequence_forward(cell, x[:, None, :], False, h_prev)
         assert np.allclose(h, h_prev, atol=1e-6)
 
     def test_single_step_gradient(self):
@@ -205,7 +208,7 @@ class TestGruSequence:
         h0 = rng.standard_normal((2, 4))
         manual = h0
         for t in range(3):
-            manual = cell.step(x[:, t, :], manual)
+            manual = gru_sequence_forward(cell, x[:, t, :][:, None, :], False, manual)
         out = gru_sequence_forward(cell, x, return_sequences=False, h0=h0)
         assert np.allclose(out, manual, atol=1e-12)
 
@@ -295,7 +298,7 @@ class TestBidirectionalGru:
 
     def test_param_count_doubles(self):
         bi = self.make(True)
-        assert param_count(bi) == 2 * 3 * 4 * (3 + 4 + 2)
+        assert bi.param_count() == 2 * 3 * 4 * (3 + 4 + 2)
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_gradient(self, return_sequences):
@@ -358,7 +361,7 @@ class TestBatchNorm:
         bn.forward(np.zeros((1, 4, 3), dtype=np.float32), "train")
 
     def test_param_count_includes_moving_stats(self):
-        assert param_count(BatchNorm(128)) == 512
+        assert BatchNorm(128).param_count() == 512
         assert set(BatchNorm(4).buffers()) == {"moving_mean", "moving_var"}
 
     def test_train_gradient(self):
@@ -396,7 +399,7 @@ class TestDense:
         assert np.allclose(dense.forward(x), x @ dense.W + dense.b, atol=1e-12)
 
     def test_param_count(self):
-        assert param_count(Dense(128, 6, np.random.default_rng(0))) == 774
+        assert Dense(128, 6, np.random.default_rng(0)).param_count() == 774
 
     def test_gradient(self):
         rng = np.random.default_rng(18)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentigru import (LABEL_NAMES, Model, ModelConfig, build_model,
                       build_vocabulary, paper_config, predict, summary)
@@ -37,6 +39,11 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=1)
         with pytest.raises(ValueError):
+            ModelConfig(vocab_size=2)   # only the reserved pad/oov ids
+        for rate in (-0.1, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                ModelConfig(dropout_rate=rate)
+        with pytest.raises(ValueError):
             ModelConfig(num_classes=1)
         with pytest.raises(ValueError):
             ModelConfig(dtype="float16")
@@ -63,6 +70,32 @@ class TestBuildAndSummary:
             "embedding", "dropout", "bidirectional_gru_1",
             "bidirectional_gru_2", "batch_norm", "bidirectional_gru_3",
             "dense"]
+
+    @given(st.builds(
+        ModelConfig, vocab_size=st.integers(3, 40), embed_dim=st.integers(1, 6),
+        seq_len=st.integers(1, 6),
+        gru_units=st.tuples(*[st.integers(1, 5)] * 3),
+        num_classes=st.integers(2, 8),
+        dtype=st.sampled_from(["float32", "float64"])))
+    @settings(deadline=None, max_examples=50)
+    def test_rows_match_real_shapes_and_closed_forms(self, cfg):
+        model = build_model(cfg, seed=0)
+        rows = model.summary()
+        e, (u1, u2, u3), k = cfg.embed_dim, cfg.gru_units, cfg.num_classes
+
+        def bigru(x_dim, h):
+            return 2 * 3 * h * (x_dim + h + 2)
+
+        closed = [cfg.vocab_size * e, 0, bigru(e, u1), bigru(2 * u1, u2),
+                  4 * 2 * u2, bigru(2 * u2, u3), 2 * u3 * k + k]
+        assert len(rows) == len(model.named_layers) == len(closed)
+        x = np.arange(2 * cfg.seq_len).reshape(2, cfg.seq_len) % cfg.vocab_size
+        for (name, layer), row, count in zip(model.named_layers, rows, closed):
+            x = layer.forward(x, "infer")
+            assert row.name == name
+            assert row.output_shape == x.shape[1:], name
+            assert row.param_count == count, name
+        assert x.dtype == cfg.np_dtype
 
     def test_seq_len_changes_shapes_not_params(self):
         rows = build_model(paper_config(seq_len=10), seed=0).summary()

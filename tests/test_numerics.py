@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from sentigru.numerics import (GradCheckReport, activation, grad_check, matmul,
-                               sigmoid, softmax, tanh)
+from sentigru.numerics import GradCheckReport, grad_check, matmul, sigmoid, softmax
 
 
 class TestMatmul:
@@ -93,10 +92,6 @@ class TestActivations:
 
         check()
 
-    def test_tanh(self):
-        x = np.array([-2.0, 0.0, 2.0])
-        assert np.allclose(tanh(x), np.tanh(x))
-
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 7))
@@ -120,14 +115,6 @@ class TestActivations:
     def test_softmax_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             softmax(np.zeros((2, 0)))
-
-    def test_activation_dispatch(self):
-        x = np.array([[0.5, -0.5]])
-        assert np.array_equal(activation(x, "sigmoid"), sigmoid(x))
-        assert np.array_equal(activation(x, "tanh"), tanh(x))
-        assert np.array_equal(activation(x, "softmax"), softmax(x))
-        with pytest.raises(ValueError):
-            activation(x, "relu")
 
 
 class TestGradCheck:

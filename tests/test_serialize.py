@@ -128,6 +128,15 @@ class TestCorruptionDetection:
         with pytest.raises(ModelFormatError, match="header"):
             load(path)
 
+    def test_out_of_range_dropout_in_header(self, trained):
+        _, _, path = trained
+        raw = path.read_bytes()
+        # same length, so the stored header length still holds
+        assert raw.count(b'"dropout_rate": 0.2') == 1
+        path.write_bytes(raw.replace(b'"dropout_rate": 0.2', b'"dropout_rate": 2.0'))
+        with pytest.raises(ModelFormatError, match="dropout_rate"):
+            load(path)
+
 
 class TestIncompleteFiles:
     def test_missing_vocabulary_section(self, trained, tmp_path):

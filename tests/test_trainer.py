@@ -23,7 +23,6 @@ from sentigru.corpus import (
     split,
     text_to_tokens,
 )
-from sentigru.trainer import OptimizerState, adam_step
 from synth import keyword_corpus
 
 SMALL = ModelConfig(vocab_size=30, embed_dim=8, seq_len=6,
@@ -79,10 +78,9 @@ class TestAdamStep:
         grads_seq = rng.standard_normal((10, 4))
         initial = rng.standard_normal(4)
         params = {"w": initial.copy()}
-        state = OptimizerState()
-        cfg = TrainConfig(learning_rate=0.05)
+        opt = Adam(learning_rate=0.05)
         for g in grads_seq:
-            adam_step(params, {"w": g.copy()}, state, cfg)
+            opt.step([("w", params["w"], g.copy())])
         for j in range(4):
             want = scalar_adam(initial[j], grads_seq[:, j], lr=0.05)
             assert abs(params["w"][j] - want) <= 1e-12
@@ -90,44 +88,43 @@ class TestAdamStep:
     def test_first_step_moves_by_signed_rate(self):
         params = {"w": np.zeros(3)}
         g = np.array([4.0, -2.0, 0.5])
-        adam_step(params, {"w": g.copy()}, OptimizerState(), TrainConfig())
+        Adam().step([("w", params["w"], g.copy())])
         # with bias correction the first update is lr * g / (|g| + eps)
         assert params["w"] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
     def test_zero_gradient_leaves_parameter_untouched(self):
         w = np.array([1.0, -2.0, 3.0])
         params = {"w": w.copy()}
-        adam_step(params, {"w": np.zeros(3)}, OptimizerState(), TrainConfig())
+        Adam().step([("w", params["w"], np.zeros(3))])
         assert np.array_equal(params["w"], w)
 
     def test_non_finite_gradient_names_the_parameter(self):
         params = {"w": np.ones(2), "dense.b": np.ones(2)}
         grads = {"w": np.ones(2), "dense.b": np.array([1.0, np.nan])}
         with pytest.raises(TrainingError, match="dense.b"):
-            adam_step(params, grads, OptimizerState(), TrainConfig())
+            Adam().step([(k, params[k], grads[k]) for k in params])
         # the failure must abort before any parameter moves
         assert np.array_equal(params["w"], np.ones(2))
 
     def test_clip_rescales_large_gradients(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # norm 5
         params = {k: np.zeros(1) for k in grads}
-        cfg = TrainConfig(clip_norm=1.0)
-        adam_step(params, grads, OptimizerState(), cfg)
+        Adam(clip_norm=1.0).step([(k, params[k], grads[k]) for k in grads])
         assert grads["a"][0] == pytest.approx(0.6)
         assert grads["b"][0] == pytest.approx(0.8)
 
     def test_clip_ignores_small_gradients(self):
         grads = {"a": np.array([0.3])}
         params = {"a": np.zeros(1)}
-        adam_step(params, grads, OptimizerState(), TrainConfig(clip_norm=1.0))
+        Adam(clip_norm=1.0).step([(k, params[k], grads[k]) for k in grads])
         assert grads["a"][0] == pytest.approx(0.3)
 
     def test_step_counter_advances(self):
-        state = OptimizerState()
+        opt = Adam()
         params = {"w": np.zeros(1)}
         for expected in (1, 2, 3):
-            adam_step(params, {"w": np.ones(1)}, state, TrainConfig())
-            assert state.t == expected
+            opt.step([("w", params["w"], np.ones(1))])
+            assert opt.t == expected
 
 
 class TestTrainEpoch:
@@ -138,7 +135,7 @@ class TestTrainEpoch:
         labels = rng.integers(0, 6, 10)
         optimizer = Adam()
         train_epoch(model, ids, labels, optimizer, rng, batch_size=4)
-        assert optimizer.state.t == 3  # batches of 4, 4, 2
+        assert optimizer.t == 3  # batches of 4, 4, 2
 
     def test_empty_dataset_raises(self):
         model = build_model(SMALL, seed=0)
