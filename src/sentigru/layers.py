@@ -13,6 +13,15 @@ The GRU layers keep their per-step caches only in a train-mode forward.
 The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
+
+:class:`GruSequence` is the one recurrence: a single time loop that steps D
+stacked directions in lockstep, so a bidirectional layer makes one gate
+operation per step for both directions instead of one each. At batch 1 the
+per-call overhead of numpy outweighs the arithmetic, so halving the calls is
+what speeds up inference; the bits stay those of one direction at a time.
+Input projections are computed in time chunks of about ``ROWS`` rows into
+one reused buffer rather than for the whole sequence at once, so holding
+both directions does not raise peak memory at large batches.
 """
 
 import numpy as np
@@ -103,6 +112,9 @@ class Dropout(Layer):
         if mode == "infer" or self.rate == 0.0:
             self._mask = None
             return x
+        if rng is None:
+            raise ValueError("Dropout.forward in train mode needs an rng to draw "
+                             "its mask")
         keep = rng.random(x.shape) >= self.rate
         self._mask = keep.astype(x.dtype) / (1.0 - self.rate)
         return x * self._mask
@@ -113,11 +125,18 @@ class Dropout(Layer):
         return grad * self._mask
 
 
+# Input rows projected per time chunk: the projection buffer holds about
+# ROWS * D * 3h values at any batch size, and batch 1 still projects a
+# whole sequence in one call per direction.
+ROWS = 1024
+
+
 class GruCell(Layer):
-    """One direction's recurrent cell (reset-after, separate biases).
+    """One direction's parameters (reset-after, separate biases).
 
     W: (x_dim, 3h) input kernel, U: (h, 3h) recurrent kernel,
-    b_x / b_h: (3h,) input and recurrent biases.
+    b_x / b_h: (3h,) input and recurrent biases. :class:`GruSequence` runs
+    the recurrence over one or more cells.
     """
 
     def __init__(self, input_dim, hidden_size, rng, dtype=np.float32):
@@ -135,27 +154,117 @@ class GruCell(Layer):
 
     def input_projection(self, x: np.ndarray) -> np.ndarray:
         """x W + b_x for (rows, x_dim) input: the gate pre-activations that do
-        not depend on the recurrent state, so all timesteps can share one call."""
+        not depend on the recurrent state, so many timesteps can share one call."""
         gx = matmul(x, self.W)
         gx += self.b_x
         return gx
 
-    def _step(self, gx, h_prev):
-        """One timestep from the input projection ``gx`` of this step."""
-        h = self.hidden_size
-        gh = matmul(h_prev, self.U) + self.b_h
-        zr = sigmoid(gx[:, :2 * h] + gh[:, :2 * h])
-        z, r = zr[:, :h], zr[:, h:]
-        hc = gh[:, 2 * h:]                       # recurrent candidate, pre reset
-        c = np.tanh(gx[:, 2 * h:] + r * hc)
+    def params(self):
+        return {"W": self.W, "U": self.U, "b_x": self.b_x, "b_h": self.b_h}
+
+    def grads(self):
+        return {"W": self.dW, "U": self.dU, "b_x": self.db_x, "b_h": self.db_h}
+
+
+def _prefixed(names, cells, arrays) -> dict[str, np.ndarray]:
+    """``arrays(cell)`` of every cell, each key prefixed with its cell's name."""
+    return {f"{name}.{k}": v for name, cell in zip(names, cells)
+            for k, v in arrays(cell).items()}
+
+
+class GruSequence(Layer):
+    """Unrolls D GruCells in lockstep over time, with full backpropagation
+    through time.
+
+    One cell maps a (B, T, x_dim) input to (B, T, h), or to its final (B, h)
+    state. D cells take a sequence of D such inputs, each in its own cell's
+    time order, and return the outputs stacked on a leading D axis;
+    ``backward`` then takes that stacked gradient and returns D input
+    gradients. Each step runs every gate operation once over (D, B, .)
+    arrays; the recurrent product is one stacked matmul, whose [d] slices
+    equal the per-cell products bit for bit.
+
+    ``x W + b_x`` is projected before the steps that use it, in time chunks
+    of C = ROWS // B steps into one reused (D, B, C, 3h) buffer, so peak
+    memory does not grow with T or D; ``dx`` is one matmul per cell after the
+    backward loop. matmul rows do not depend on which rows share the call, so
+    both give the same bits as a per-step product. Parameter gradients
+    accumulate per cell in step order. Only a train-mode forward keeps the
+    per-step caches that backward needs.
+    """
+
+    def __init__(self, cells, return_sequences: bool):
+        self.cells = (cells,) if isinstance(cells, GruCell) else tuple(cells)
+        if len({cell.hidden_size for cell in self.cells}) != 1:
+            raise ValueError("all cells must share the hidden size")
+        self.hidden_size = self.cells[0].hidden_size
+        self.return_sequences = return_sequences
+        self._mode = None
+        self._xs = None
+        self._caches = None
+
+    def forward(self, x, mode: str = "train",
+                h0: np.ndarray | None = None) -> np.ndarray:
+        if mode not in ("train", "infer"):
+            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+        single = len(self.cells) == 1
+        xs = (x,) if single else tuple(x)
+        if len(xs) != len(self.cells) or any(xd.shape != xs[0].shape for xd in xs):
+            raise ValueError(f"expected {len(self.cells)} inputs of one shape")
+        B, T, x_dim = xs[0].shape
+        if T == 0:
+            raise ValueError("sequence length must be >= 1")
+        D, h = len(self.cells), self.hidden_size
+        U = np.stack([cell.U for cell in self.cells])
+        b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
+        if h0 is None:
+            ht = np.zeros((D, B, h), dtype=xs[0].dtype)
+        else:
+            ht = h0[None] if single else h0
+        train = mode == "train"
+        self._mode = mode
+        self._xs = xs if train else None
+        self._caches = [] if train else None
+        states = (np.empty((D, B, T, h), dtype=xs[0].dtype)
+                  if self.return_sequences else None)
+        C = max(1, min(T, ROWS // B))
+        gx = None
+        for t0 in range(0, T, C):
+            c = min(C, T - t0)
+            for d, (cell, xd) in enumerate(zip(self.cells, xs)):
+                rows = xd[:, t0:t0 + c].reshape(B * c, x_dim)
+                proj = cell.input_projection(rows)
+                if gx is None:
+                    gx = np.empty((D, B, C, 3 * h), dtype=proj.dtype)
+                gx[d, :, :c] = proj.reshape(B, c, 3 * h)
+            for k in range(c):
+                ht, cache = self._step(gx[:, :, k], ht, U, b_h)
+                if train:
+                    self._caches.append(cache)
+                if self.return_sequences:
+                    states[:, :, t0 + k] = ht
+        out = states if self.return_sequences else ht
+        return out[0] if single else out
+
+    @staticmethod
+    def _step(gx, h_prev, U, b_h):
+        """One timestep of every direction from its input projection ``gx``;
+        all arrays are stacked (D, B, .), ``U`` is (D, h, 3h)."""
+        h = h_prev.shape[-1]
+        gh = matmul(h_prev, U) + b_h
+        zr = sigmoid(gx[..., :2 * h] + gh[..., :2 * h])
+        z, r = zr[..., :h], zr[..., h:]
+        hc = gh[..., 2 * h:]                     # recurrent candidate, pre reset
+        c = np.tanh(gx[..., 2 * h:] + r * hc)
         h_t = z * h_prev + (1.0 - z) * c
         return h_t, (h_prev, z, r, c, hc)
 
-    def step_backward(self, dh, x, cache):
-        """Backprop one timestep whose input was ``x``; returns (d_gx, dh_prev).
+    def _step_backward(self, dh, t, cache):
+        """Backprop step ``t`` of every direction; returns (d_gx, dh_prev).
 
-        Accumulates every parameter gradient. d_gx is the gradient at the
-        input projection; the caller turns it into dx = d_gx W^T.
+        The gate algebra runs once over the stack. Each cell's parameter
+        gradients and its share of dh_prev are 2-d matmuls. d_gx is the
+        gradient at the input projection; backward turns it into dx = d_gx W^T.
         """
         h_prev, z, r, c, hc = cache
         dz = dh * (h_prev - c)
@@ -165,89 +274,51 @@ class GruCell(Layer):
         dhc = ds_c * r
         ds_z = dz * z * (1.0 - z)
         ds_r = dr * r * (1.0 - r)
-        d_gx = np.concatenate([ds_z, ds_r, ds_c], axis=1)
-        d_gh = np.concatenate([ds_z, ds_r, dhc], axis=1)
-        self.dW += matmul(x.T, d_gx)
-        self.db_x += d_gx.sum(axis=0)
-        self.dU += matmul(h_prev.T, d_gh)
-        self.db_h += d_gh.sum(axis=0)
-        dh_prev = matmul(d_gh, self.U.T) + dh * z
+        d_gx = np.concatenate([ds_z, ds_r, ds_c], axis=-1)
+        d_gh = np.concatenate([ds_z, ds_r, dhc], axis=-1)
+        dh_prev = dh * z
+        for d, (cell, xd) in enumerate(zip(self.cells, self._xs)):
+            cell.dW += matmul(xd[:, t].T, d_gx[d])
+            cell.db_x += d_gx[d].sum(axis=0)
+            cell.dU += matmul(h_prev[d].T, d_gh[d])
+            cell.db_h += d_gh[d].sum(axis=0)
+            dh_prev[d] += matmul(d_gh[d], cell.U.T)
         return d_gx, dh_prev
 
-    def params(self):
-        return {"W": self.W, "U": self.U, "b_x": self.b_x, "b_h": self.b_h}
-
-    def grads(self):
-        return {"W": self.dW, "U": self.dU, "b_x": self.db_x, "b_h": self.db_h}
-
-
-class GruSequence(Layer):
-    """Unrolls a GruCell over time, with full backpropagation through time.
-
-    ``x W + b_x`` for all timesteps is one matmul before the time loop, and
-    ``dx`` one after the backward loop; matmul rows do not depend on which
-    rows share the call, so this gives the same bits as a per-step product.
-    Only a train-mode forward keeps the per-step caches that backward needs.
-    """
-
-    def __init__(self, cell: GruCell, return_sequences: bool):
-        self.cell = cell
-        self.return_sequences = return_sequences
-        self._mode = None
-        self._x = None
-        self._caches = None
-
-    def forward(self, x: np.ndarray, mode: str = "train",
-                h0: np.ndarray | None = None) -> np.ndarray:
-        if mode not in ("train", "infer"):
-            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-        B, T, x_dim = x.shape
-        if T == 0:
-            raise ValueError("sequence length must be >= 1")
-        h = self.cell.hidden_size
-        gx = self.cell.input_projection(x.reshape(B * T, x_dim)).reshape(B, T, 3 * h)
-        if h0 is None:
-            h0 = np.zeros((B, h), dtype=x.dtype)
-        train = mode == "train"
-        self._mode = mode
-        self._x = x if train else None
-        self._caches = [] if train else None
-        states = np.empty((B, T, h), dtype=x.dtype)
-        ht = h0
-        for t in range(T):
-            ht, cache = self.cell._step(gx[:, t, :], ht)
-            if train:
-                self._caches.append(cache)
-            states[:, t, :] = ht
-        if self.return_sequences:
-            return states
-        return states[:, -1, :]
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad is (B, T, h) when returning sequences, else (B, h)."""
+    def backward(self, grad: np.ndarray):
+        """grad is shaped like the forward output: (B, T, h) when returning
+        sequences, else (B, h), behind a leading D axis for D cells."""
         if self._mode is None:
             raise ValueError("GruSequence.backward called before any forward")
         if self._mode != "train":
             raise ValueError("GruSequence.backward needs a train-mode forward; "
                              "the last forward ran in infer mode and kept no caches")
-        B, T, x_dim = self._x.shape
-        h = self.cell.hidden_size
-        d_gx = np.empty((B, T, 3 * h), dtype=grad.dtype)
-        carry = np.zeros((B, h), dtype=grad.dtype)
+        single = len(self.cells) == 1
+        if single:
+            grad = grad[None]
+        D, h = len(self.cells), self.hidden_size
+        B, T, x_dim = self._xs[0].shape
+        d_gx = np.empty((D, B, T, 3 * h), dtype=grad.dtype)
+        carry = np.zeros((D, B, h), dtype=grad.dtype)
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
-                dh = carry + grad[:, t, :]
+                dh = carry + grad[:, :, t]
             else:
                 dh = (carry + grad) if t == T - 1 else carry
-            d_gx[:, t, :], carry = self.cell.step_backward(
-                dh, self._x[:, t, :], self._caches[t])
-        return matmul(d_gx.reshape(B * T, 3 * h), self.cell.W.T).reshape(B, T, x_dim)
+            d_gx[:, :, t], carry = self._step_backward(dh, t, self._caches[t])
+        dxs = [matmul(d_gx[d].reshape(B * T, 3 * h), cell.W.T).reshape(B, T, x_dim)
+               for d, cell in enumerate(self.cells)]
+        return dxs[0] if single else dxs
 
     def params(self):
-        return self.cell.params()
+        if len(self.cells) == 1:
+            return self.cells[0].params()
+        return _prefixed(range(len(self.cells)), self.cells, GruCell.params)
 
     def grads(self):
-        return self.cell.grads()
+        if len(self.cells) == 1:
+            return self.cells[0].grads()
+        return _prefixed(range(len(self.cells)), self.cells, GruCell.grads)
 
 
 def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = True,
@@ -259,23 +330,23 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = 
 class BidirectionalGru(Layer):
     """Two cells over opposite time directions, concatenated on features.
 
-    The backward cell consumes t = T-1..0; with ``return_sequences`` its
-    per-step outputs are re-reversed to align with time, otherwise its final
-    state (aligned with t = 0) is concatenated with the forward final state.
+    One two-cell :class:`GruSequence` runs both directions in a single time
+    loop. The backward cell consumes t = T-1..0 (its input is ``x`` reversed
+    in time); with ``return_sequences`` its per-step outputs are re-reversed
+    to align with time, otherwise its final state (aligned with t = 0) is
+    concatenated with the forward final state.
     """
+
+    DIRECTIONS = ("fwd", "bwd")
 
     def __init__(self, forward_cell: GruCell, backward_cell: GruCell,
                  return_sequences: bool):
-        if forward_cell.hidden_size != backward_cell.hidden_size:
-            raise ValueError("both cells must share the hidden size")
-        self.fwd = GruSequence(forward_cell, return_sequences)
-        self.bwd = GruSequence(backward_cell, return_sequences)
+        self.seq = GruSequence((forward_cell, backward_cell), return_sequences)
         self.return_sequences = return_sequences
         self.hidden_size = forward_cell.hidden_size
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        hf = self.fwd.forward(x, mode)
-        hb = self.bwd.forward(np.ascontiguousarray(x[:, ::-1, :]), mode)
+        hf, hb = self.seq.forward((x, x[:, ::-1, :]), mode)
         if self.return_sequences:
             return np.concatenate([hf, hb[:, ::-1, :]], axis=2)
         return np.concatenate([hf, hb], axis=1)
@@ -283,12 +354,11 @@ class BidirectionalGru(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         h = self.hidden_size
         if self.return_sequences:
-            df = np.ascontiguousarray(grad[:, :, :h])
-            db = np.ascontiguousarray(grad[:, ::-1, h:])
+            g = np.stack([grad[:, :, :h], grad[:, ::-1, h:]])
         else:
-            df, db = grad[:, :h], grad[:, h:]
-        dx = self.fwd.backward(df)
-        dx += self.bwd.backward(db)[:, ::-1, :]
+            g = np.stack([grad[:, :h], grad[:, h:]])
+        dx, dx_b = self.seq.backward(g)
+        dx += dx_b[:, ::-1, :]
         return dx
 
     def output_shape(self, shape):
@@ -297,14 +367,10 @@ class BidirectionalGru(Layer):
         return (2 * self.hidden_size,)
 
     def params(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.params().items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.params().items()})
-        return out
+        return _prefixed(self.DIRECTIONS, self.seq.cells, GruCell.params)
 
     def grads(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.grads().items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.grads().items()})
-        return out
+        return _prefixed(self.DIRECTIONS, self.seq.cells, GruCell.grads)
 
 
 class BatchNorm(Layer):

@@ -8,6 +8,12 @@ left-to-right triple loop in the same precision. A transposed view such as
 ``W.T`` makes einsum pick another reduction order: still row-invariant, but not
 equal to that loop. The backward passes multiply by ``W.T`` and ``U.T`` and
 rely only on row invariance.
+
+Operands may also carry one leading stack axis, ``(D, m, k) x (D, k, n)``:
+one call computes D independent products. Each ``[d]`` slice of a stacked
+product of C-contiguous operands equals ``matmul(a[d], b[d])`` bit for bit,
+so the GRU steps both directions of a layer with one call and keeps the bits
+of two separate calls.
 """
 
 from dataclasses import dataclass
@@ -17,12 +23,14 @@ import numpy as np
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with shape validation; each row's bits depend only on
-    that row of ``a`` and on ``b`` (see the module docstring)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    that row of ``a`` and on ``b`` (see the module docstring). Both operands
+    are 2-d, or both 3-d with the same leading stack size."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ValueError("matmul expects two 2-d or two 3-d operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-    return np.einsum("ik,kj->ij", a, b)
+    return np.einsum("...ik,...kj->...ij", a, b)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

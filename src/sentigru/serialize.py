@@ -108,6 +108,8 @@ def load(path) -> tuple[Model, Vocabulary]:
             raise ModelFormatError("incomplete model: no vocabulary section")
         vocab_text = _read_block(fh, "vocabulary").decode("utf-8")
         blobs = {e["name"]: (_read_block(fh, e["name"]), e) for e in table}
+        if fh.read(1):
+            raise ModelFormatError("trailing bytes after the last block")
 
     vocab = Vocabulary.from_text(vocab_text, max_size=config.vocab_size)
     model = build_model(config, seed=0)

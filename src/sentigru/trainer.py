@@ -194,6 +194,13 @@ def fit(model, corpus: corpus_mod.LabeledCorpus, config: TrainConfig,
             f"train_fraction {config.train_fraction} left an empty split "
             f"({len(train_c)} train / {len(val_c)} validation)")
     seq_len = model.config.seq_len
+    # batch norm needs 2 values per channel; the last partial batch is kept
+    smallest = len(train_c) % config.batch_size or config.batch_size
+    if smallest * seq_len < 2:
+        raise TrainingError(
+            f"batch size {config.batch_size} with seq_len {seq_len} on a train "
+            f"split of {len(train_c)} records gives a batch of {smallest} x "
+            f"{seq_len} token; batch norm needs at least 2")
     train_ids, train_y = corpus_mod.encode_corpus(train_c, vocab, seq_len, stopwords)
     val_ids, val_y = corpus_mod.encode_corpus(val_c, vocab, seq_len, stopwords)
     rng = np.random.default_rng(config.seed)

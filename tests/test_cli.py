@@ -91,6 +91,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch_size", ["1", "37"])
+    def test_batch_norm_batch_of_one_value(self, tmp_path, data_csv, capsys,
+                                           batch_size):
+        # 48 records split into 38 train rows: batch size 1 and the last
+        # partial batch of 38 % 37 both leave one row of one token
+        out = tmp_path / "m.bin"
+        code = main(["train", "--data", str(data_csv), "--out", str(out),
+                     "--batch-size", batch_size, "--seq-len", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: batch size {batch_size} with seq_len 1 "
+                              "on a train split of 38 records")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp-speed=9\n")

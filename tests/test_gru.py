@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from sentigru.layers import BidirectionalGru, GruCell, gru_sequence_forward
+from sentigru.layers import (BidirectionalGru, GruCell, GruSequence,
+                             gru_sequence_forward)
 
 
 def random_cell(rng, x_dim, h, dtype):
@@ -103,3 +108,44 @@ class TestBidirectionalOracle:
         b = gru_sequence_forward(bwd, x[:, 0, :][:, None, :], False, np.zeros((2, 4)))
         assert np.allclose(out[:, :4], f, atol=1e-15)
         assert np.allclose(out[:, 4:], b, atol=1e-15)
+
+
+class TestStackedDirections:
+    """A two-cell GruSequence against each cell run alone, bit for bit."""
+
+    # B up to 70 makes the projection chunk C = ROWS // B shorter than T, with
+    # a ragged last chunk, at T = 20 and T = 79
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.integers(1, 70),
+           T=st.one_of(st.integers(1, 20), st.just(79)),
+           x_dim=st.integers(1, 6), h=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           return_sequences=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(B=70, T=79, x_dim=3, h=4, dtype=np.float32, return_sequences=True,
+             seed=0)
+    @example(B=52, T=20, x_dim=2, h=3, dtype=np.float64, return_sequences=False,
+             seed=1)
+    def test_equals_single_cells(self, B, T, x_dim, h, dtype, return_sequences,
+                                 seed):
+        rng = np.random.default_rng(seed)
+        cells = (random_cell(rng, x_dim, h, dtype), random_cell(rng, x_dim, h, dtype))
+        alone = [GruSequence(copy.deepcopy(cell), return_sequences) for cell in cells]
+        stacked = GruSequence(cells, return_sequences)
+        x = rng.standard_normal((B, T, x_dim)).astype(dtype)
+        inputs = (x, np.ascontiguousarray(x[:, ::-1, :]))
+
+        for mode in ("infer", "train"):
+            out = stacked.forward((x, x[:, ::-1, :]), mode)
+            for d in range(2):
+                want = alone[d].forward(inputs[d], mode)
+                assert out[d].dtype == dtype
+                assert out[d].tobytes() == want.tobytes()
+
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        dxs = stacked.backward(grad)
+        for d in range(2):
+            assert dxs[d].tobytes() == alone[d].backward(grad[d]).tobytes()
+            want = alone[d].grads()
+            for name, g in cells[d].grads().items():
+                assert g.tobytes() == want[name].tobytes(), name

@@ -123,6 +123,10 @@ class TestDropout:
         g = d.backward(np.ones_like(x))
         assert np.array_equal(g == 0, out == 0)
 
+    def test_train_mode_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="rng"):
+            Dropout(0.3).forward(np.ones(3))
+
     def test_invalid_rate(self):
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
@@ -264,8 +268,8 @@ class TestBidirectionalGru:
         x = rng.standard_normal((2, 5, 3))
         out = bi.forward(x)
         assert out.shape == (2, 5, 8)
-        fwd_states = GruSequence(bi.fwd.cell, True).forward(x)
-        bwd_states = GruSequence(bi.bwd.cell, True).forward(
+        fwd_states = GruSequence(bi.seq.cells[0], True).forward(x)
+        bwd_states = GruSequence(bi.seq.cells[1], True).forward(
             np.ascontiguousarray(x[:, ::-1, :]))
         assert np.array_equal(out[:, :, :4], fwd_states)
         assert np.array_equal(out[:, :, 4:], bwd_states[:, ::-1, :])
@@ -276,8 +280,8 @@ class TestBidirectionalGru:
         x = rng.standard_normal((3, 4, 3))
         out = bi.forward(x)
         assert out.shape == (3, 8)
-        fwd_final = GruSequence(bi.fwd.cell, False).forward(x)
-        bwd_final = GruSequence(bi.bwd.cell, False).forward(
+        fwd_final = GruSequence(bi.seq.cells[0], False).forward(x)
+        bwd_final = GruSequence(bi.seq.cells[1], False).forward(
             np.ascontiguousarray(x[:, ::-1, :]))
         assert np.array_equal(out[:, :4], fwd_final)
         assert np.array_equal(out[:, 4:], bwd_final)
@@ -293,8 +297,20 @@ class TestBidirectionalGru:
         infer = bi.forward(x, "infer")
         assert infer.dtype == dtype
         assert infer.tobytes() == train.tobytes()
-        for seq in (bi.fwd, bi.bwd):
-            assert seq._caches is None and seq._x is None
+        assert bi.seq._caches is None and bi.seq._xs is None
+
+    def test_backward_before_forward_rejected(self):
+        with pytest.raises(ValueError, match="before any forward"):
+            self.make(True).backward(np.zeros((2, 5, 8)))
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_backward_after_infer_forward_rejected(self, return_sequences):
+        bi = self.make(return_sequences)
+        x = np.random.default_rng(15).standard_normal((2, 5, 3))
+        bi.forward(x, "train")
+        out = bi.forward(x, "infer")
+        with pytest.raises(ValueError, match="infer mode"):
+            bi.backward(np.zeros_like(out))
 
     def test_param_count_doubles(self):
         bi = self.make(True)

@@ -95,6 +95,12 @@ class TestCorruptionDetection:
         with pytest.raises(ModelFormatError, match="truncated"):
             load(path)
 
+    def test_trailing_bytes(self, trained):
+        _, _, path = trained
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ModelFormatError, match="trailing bytes"):
+            load(path)
+
     def test_truncated_header(self, trained):
         _, _, path = trained
         raw = path.read_bytes()
