@@ -154,6 +154,8 @@ def _stoplist(s: dict) -> frozenset:
 
 def _load_corpus(s: dict) -> corpus_mod.LabeledCorpus:
     _require(s, "data")
+    if len(s["delimiter"]) != 1:
+        raise UsageError(f"--delimiter must be one character, got {s['delimiter']!r}")
     return corpus_mod.load_dataset(s["data"], delimiter=s["delimiter"])
 
 

@@ -16,6 +16,7 @@ PAD_ID = 0
 OOV_ID = 1
 
 _NON_LETTER = re.compile(r"[^a-z]+")
+_LINE = re.compile(r"[^\n]+")
 
 
 class DatasetError(ValueError):
@@ -48,13 +49,15 @@ def load_dataset(path, delimiter: str = ",", header: bool | None = None) -> Labe
     """Read a delimited text file with columns (text, label) into a corpus.
 
     ``header=None`` auto-detects a header row: the first row is skipped when
-    its label column does not parse as an integer.
+    its label column does not parse as an integer. Bytes that are not UTF-8,
+    and rows the csv module rejects (a field over its 128 KiB limit, say),
+    raise :class:`DatasetError` naming the row.
     """
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         first = True
-        for row in reader:
+        for row in _rows(reader, path):
             lineno = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -73,6 +76,28 @@ def load_dataset(path, delimiter: str = ",", header: bool | None = None) -> Labe
                 raise DatasetError(f"label out of range at row {lineno}")
             records.append(LabeledRecord(text=text, label=label))
     return LabeledCorpus(records=tuple(records))
+
+
+def _rows(reader, path):
+    """The rows of ``reader``, with its decoding and csv faults as DatasetError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"{exc} at row {reader.line_num}") from None
+    except UnicodeDecodeError:
+        # the decoder reads ahead in chunks, so find the line itself
+        raise DatasetError(f"invalid UTF-8 at row {_undecodable_line(path)}") from None
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return lineno
 
 
 def _is_int(s: str) -> bool:
@@ -152,15 +177,21 @@ class Vocabulary:
 
     @classmethod
     def from_text(cls, text: str, max_size: int = 50_000) -> "Vocabulary":
+        """Parse :meth:`to_text` output. Lines are matched one at a time, not
+        split into a list, so parsing holds little beyond the map itself."""
         token_to_id = {}
-        for line in text.splitlines():
+        for match in _LINE.finditer(text):
+            line = match.group()
             if not line.strip():
                 continue
             token, idx = line.split("\t")
             token_to_id[token] = int(idx)
-        ids = sorted(token_to_id.values())
-        if ids != list(range(2, len(ids) + 2)):
-            raise DatasetError("vocabulary ids must be dense starting at 2")
+        n = len(token_to_id)
+        seen = bytearray(n + 2)
+        for idx in token_to_id.values():
+            if not 2 <= idx < n + 2 or seen[idx]:
+                raise DatasetError("vocabulary ids must be dense starting at 2")
+            seen[idx] = 1
         return cls(token_to_id=token_to_id, max_size=max_size)
 
 

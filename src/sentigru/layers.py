@@ -7,6 +7,12 @@ returning the gradient at the layer input (None for the embedding), and
 unchanged unless a layer overrides it. The model runs the stack as one loop
 over these. ``param_count`` is generic: the sizes of params() and buffers().
 
+Constructors draw initial weights from ``rng``. With ``rng=None`` they draw
+nothing and every weight starts at zero: that is how a model is built to be
+loaded. Such parameters, and every gradient buffer, come from ``np.zeros``,
+whose pages stay untouched until written: a model that only infers never
+makes its gradients resident.
+
 Layers cache whatever the backward pass needs on ``self`` during forward and
 accumulate parameter gradients in place; callers own zeroing between steps.
 The GRU layers keep their per-step caches only in a train-mode forward.
@@ -29,14 +35,23 @@ import numpy as np
 from .numerics import matmul, sigmoid
 
 
-def glorot_uniform(rng, shape, dtype) -> np.ndarray:
-    fan_in, fan_out = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def uniform(rng, limit, shape, dtype) -> np.ndarray:
+    """U(-limit, limit) draws cast to ``dtype``; zeros when ``rng`` is None."""
+    if rng is None:
+        return np.zeros(shape, dtype)
     return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
+def glorot_uniform(rng, shape, dtype) -> np.ndarray:
+    fan_in, fan_out = shape
+    return uniform(rng, np.sqrt(6.0 / (fan_in + fan_out)), shape, dtype)
+
+
 def orthogonal(rng, n: int, dtype) -> np.ndarray:
-    """Orthogonal n x n matrix from QR of a gaussian draw, sign-fixed."""
+    """Orthogonal n x n matrix from QR of a gaussian draw, sign-fixed; zeros
+    when ``rng`` is None."""
+    if rng is None:
+        return np.zeros((n, n), dtype)
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
@@ -74,8 +89,8 @@ class Embedding(Layer):
     def __init__(self, vocab_size, embed_dim, rng, dtype=np.float32):
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
-        self.weight = rng.uniform(-0.05, 0.05, (vocab_size, embed_dim)).astype(dtype)
-        self.d_weight = np.zeros_like(self.weight)
+        self.weight = uniform(rng, 0.05, (vocab_size, embed_dim), dtype)
+        self.d_weight = np.zeros(self.weight.shape, dtype)
 
     def forward(self, ids: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
@@ -147,10 +162,10 @@ class GruCell(Layer):
         self.U = np.hstack([orthogonal(rng, h, dtype) for _ in range(3)])
         self.b_x = np.zeros(3 * h, dtype=dtype)
         self.b_h = np.zeros(3 * h, dtype=dtype)
-        self.dW = np.zeros_like(self.W)
-        self.dU = np.zeros_like(self.U)
-        self.db_x = np.zeros_like(self.b_x)
-        self.db_h = np.zeros_like(self.b_h)
+        self.dW = np.zeros(self.W.shape, dtype)
+        self.dU = np.zeros(self.U.shape, dtype)
+        self.db_x = np.zeros(3 * h, dtype)
+        self.db_h = np.zeros(3 * h, dtype)
 
     def input_projection(self, x: np.ndarray) -> np.ndarray:
         """x W + b_x for (rows, x_dim) input: the gate pre-activations that do
@@ -191,6 +206,13 @@ class GruSequence(Layer):
     both give the same bits as a per-step product. Parameter gradients
     accumulate per cell in step order. Only a train-mode forward keeps the
     per-step caches that backward needs.
+
+    The stacked U is copied into one buffer the sequence owns, and an
+    infer-mode forward that projects the whole sequence in one chunk (a
+    batch of at most ROWS // T rows) keeps its projection buffer for the
+    next call. At batch 1 these are the largest temporaries of a forward;
+    allocated afresh each call, they can lead the C allocator to return the
+    pages after every call and fault them in again on the next.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -202,6 +224,10 @@ class GruSequence(Layer):
         self._mode = None
         self._xs = None
         self._caches = None
+        h = self.hidden_size
+        self._U = np.empty((len(self.cells), h, 3 * h),
+                           np.result_type(*[cell.U for cell in self.cells]))
+        self._gx = None
 
     def forward(self, x, mode: str = "train",
                 h0: np.ndarray | None = None) -> np.ndarray:
@@ -215,7 +241,7 @@ class GruSequence(Layer):
         if T == 0:
             raise ValueError("sequence length must be >= 1")
         D, h = len(self.cells), self.hidden_size
-        U = np.stack([cell.U for cell in self.cells])
+        U = np.stack([cell.U for cell in self.cells], out=self._U)
         b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
         if h0 is None:
             ht = np.zeros((D, B, h), dtype=xs[0].dtype)
@@ -228,13 +254,13 @@ class GruSequence(Layer):
         states = (np.empty((D, B, T, h), dtype=xs[0].dtype)
                   if self.return_sequences else None)
         C = max(1, min(T, ROWS // B))
-        gx = None
+        gx = self._gx
         for t0 in range(0, T, C):
             c = min(C, T - t0)
             for d, (cell, xd) in enumerate(zip(self.cells, xs)):
                 rows = xd[:, t0:t0 + c].reshape(B * c, x_dim)
                 proj = cell.input_projection(rows)
-                if gx is None:
+                if gx is None or gx.shape != (D, B, C, 3 * h) or gx.dtype != proj.dtype:
                     gx = np.empty((D, B, C, 3 * h), dtype=proj.dtype)
                 gx[d, :, :c] = proj.reshape(B, c, 3 * h)
             for k in range(c):
@@ -243,6 +269,11 @@ class GruSequence(Layer):
                     self._caches.append(cache)
                 if self.return_sequences:
                     states[:, :, t0 + k] = ht
+        # keep the buffer only where it is small and the forward short: an
+        # infer forward that projected the whole sequence in one chunk. A
+        # chunked buffer is ROWS-sized, and after a train forward backward
+        # needs the memory more.
+        self._gx = gx if not train and C == T else None
         out = states if self.return_sequences else ht
         return out[0] if single else out
 
@@ -384,8 +415,8 @@ class BatchNorm(Layer):
         self.beta = np.zeros(channels, dtype=dtype)
         self.moving_mean = np.zeros(channels, dtype=dtype)
         self.moving_var = np.ones(channels, dtype=dtype)
-        self.d_gamma = np.zeros_like(self.gamma)
-        self.d_beta = np.zeros_like(self.beta)
+        self.d_gamma = np.zeros(channels, dtype)
+        self.d_beta = np.zeros(channels, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if x.shape[-1] != self.channels:
@@ -443,8 +474,8 @@ class Dense(Layer):
         self.out_dim = out_dim
         self.W = glorot_uniform(rng, (in_dim, out_dim), dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        self.dW = np.zeros(self.W.shape, dtype)
+        self.db = np.zeros(out_dim, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         self._x = x

@@ -25,8 +25,12 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.gru_units) != 3:
             raise ValueError("gru_units must have exactly 3 entries")
-        if self.seq_len < 1:
-            raise ValueError("seq_len must be >= 1")
+        sizes = {"vocab_size": self.vocab_size, "embed_dim": self.embed_dim,
+                 "seq_len": self.seq_len, "num_classes": self.num_classes,
+                 **{f"gru_units[{i}]": u for i, u in enumerate(self.gru_units)}}
+        for name, value in sizes.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.vocab_size < 3:
             raise ValueError("vocab_size must be >= 3: the reserved pad/oov ids "
                              "and at least one token")
@@ -122,9 +126,14 @@ class Model:
         return summary(self)
 
 
-def build_model(config: ModelConfig, seed: int) -> Model:
-    """Instantiate the stack with deterministic initialization from ``seed``."""
-    rng = np.random.default_rng(seed)
+def build_model(config: ModelConfig, seed: int | None = None) -> Model:
+    """Instantiate the stack with deterministic initialization from ``seed``.
+
+    Without a seed no random number is drawn: every weight is zero, ready to
+    be overwritten by a loaded file, and the model's default dropout rng is
+    ``default_rng(0)``.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
     dt = config.np_dtype
     u1, u2, u3 = config.gru_units
     named = [
@@ -142,7 +151,22 @@ def build_model(config: ModelConfig, seed: int) -> Model:
             GruCell(2 * u2, u3, rng, dt), return_sequences=False)),
         ("dense", Dense(2 * u3, config.num_classes, rng, dt)),
     ]
-    return Model(config, named, rng)
+    return Model(config, named, np.random.default_rng(0) if rng is None else rng)
+
+
+def state_size(config: ModelConfig) -> int:
+    """Values in ``build_model(config).state_items()``, counted from the config
+    alone so a model file's header can be checked before anything is built.
+    Each GRU direction carries 3h(x + h + 2) values and BatchNorm 4 per channel;
+    a test pins this count to the stack above."""
+    u1, u2, u3 = config.gru_units
+
+    def bigru(x, h):
+        return 2 * 3 * h * (x + h + 2)
+
+    return (config.vocab_size * config.embed_dim + bigru(config.embed_dim, u1)
+            + bigru(2 * u1, u2) + 4 * 2 * u2 + bigru(2 * u2, u3)
+            + (2 * u3 + 1) * config.num_classes)
 
 
 def summary(model: Model) -> list[SummaryRow]:

@@ -67,6 +67,15 @@ class TestExitCodes:
         assert main(["predict", "--model", str(bad), "--text", "hi"]) == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_flipped_byte_in_model_file(self, trained_model, tmp_path, capsys):
+        raw = bytearray(trained_model.read_bytes())
+        raw[-20] ^= 0x01
+        bad = tmp_path / "flipped.bin"
+        bad.write_bytes(bytes(raw))
+        assert main(["predict", "--model", str(bad), "--text", "hi"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checksum mismatch") and err.count("\n") == 1
+
     def test_malformed_dataset(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("text,label\nonly-one-field\n")
@@ -105,6 +114,23 @@ class TestExitCodes:
                               "on a train split of 38 records")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"text,label\nfine,1\ncaf\xe9,2\n", "invalid UTF-8 at row 3"),
+        (b"text,label\n" + b"a" * (128 * 1024 + 1) + b",2\n",
+         "field larger than field limit (131072) at row 2"),
+    ])
+    def test_unreadable_dataset_is_one_line(self, tmp_path, capsys, content,
+                                            message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main(["stats", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_multi_character_delimiter(self, data_csv, capsys):
+        assert main(["stats", "--data", str(data_csv), "--delimiter", "ab"]) == 1
+        assert "--delimiter must be one character" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

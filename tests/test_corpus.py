@@ -130,6 +130,16 @@ class TestVocabulary:
         with pytest.raises(DatasetError):
             Vocabulary.from_text("a\t2\nb\t4\n")
 
+    @pytest.mark.parametrize("text", ["a\t2\nb\t2\n", "a\t3\nb\t4\n",
+                                      "a\t1\nb\t2\n", "a\t2\na\t3\n"])
+    def test_from_text_rejects_duplicate_or_reserved_ids(self, text):
+        with pytest.raises(DatasetError):
+            Vocabulary.from_text(text)
+
+    def test_from_text_accepts_any_line_order_and_blank_lines(self):
+        vocab = Vocabulary.from_text("b\t3\n\n  \na\t2\r\n")
+        assert vocab.token_to_id == {"a": 2, "b": 3}
+
 
 class TestEncode:
     @pytest.fixture()
@@ -230,6 +240,33 @@ class TestLoadDataset:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent.csv")
+
+    def test_non_utf8_reports_row(self, tmp_path):
+        # far enough in that the decoder's read-ahead has passed the bad line
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"text,label\n" + b"fine,1\n" * 3000 + b"caf\xe9,2\nok,3\n")
+        with pytest.raises(DatasetError, match="invalid UTF-8 at row 3002"):
+            load_dataset(p)
+
+    def test_oversized_field_reports_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("text,label\nok,1\n" + "a" * (128 * 1024 + 1) + ",2\n")
+        with pytest.raises(DatasetError, match="field larger than field limit.*row 3"):
+            load_dataset(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=200) | st.lists(
+        st.sampled_from([b"a", b",", b"\n", b"\r", b'"', b"3", b"9", b"-",
+                         b"\xe9", b"\xc3\xa9", b"\x00", b" ", b"\t"]),
+        max_size=60).map(b"".join))
+    def test_arbitrary_bytes_load_or_raise_dataset_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("csv") / "d.csv"
+        p.write_bytes(raw)
+        try:
+            corpus = load_dataset(p)
+        except DatasetError:
+            return
+        assert all(0 <= r.label < len(LABEL_NAMES) for r in corpus.records)
 
 
 class TestLabels:

@@ -200,6 +200,25 @@ class TestGruSequence:
         final = GruSequence(cell, return_sequences=False).forward(x)
         assert np.array_equal(final, states[:, -1, :])
 
+    def test_buffers_kept_between_calls_do_not_leak(self):
+        """Outputs depend only on the inputs and the current weights, whatever
+        the earlier calls' shapes and modes, and an in-place weight update
+        reaches the next forward."""
+        rng = np.random.default_rng(8)
+        cells = (GruCell(3, 4, rng, F64), GruCell(3, 4, rng, F64))
+        seq = GruSequence(cells, True)
+        xa = [rng.standard_normal((2, 5, 3)) for _ in cells]
+        xb = [rng.standard_normal((3, 4, 3)) for _ in cells]
+        first = seq.forward(xa, "infer")
+        seq.forward(xb, "infer")
+        assert np.array_equal(seq.forward(xa, "infer"), first)
+        assert np.array_equal(seq.forward(xa, "train"), first)
+        for cell in cells:
+            cell.U += 0.25
+        fresh = GruSequence(cells, True).forward(xa, "infer")
+        assert not np.array_equal(fresh, first)
+        assert np.array_equal(seq.forward(xa, "infer"), fresh)
+
     def test_empty_sequence_rejected(self):
         cell = GruCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):

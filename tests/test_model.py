@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sentigru import (LABEL_NAMES, Model, ModelConfig, build_model,
                       build_vocabulary, paper_config, predict, summary)
 from sentigru.layers import softmax_cross_entropy
+from sentigru.model import state_size
 from sentigru.numerics import grad_check, softmax
 
 REFERENCE_COUNTS = [2_500_000, 0, 123_840, 117_504, 512, 74_496, 774]
@@ -47,6 +48,14 @@ class TestModelConfig:
             ModelConfig(num_classes=1)
         with pytest.raises(ValueError):
             ModelConfig(dtype="float16")
+
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 1e12), ("vocab_size", "50"), ("embed_dim", 0),
+        ("embed_dim", True), ("seq_len", 7.0), ("num_classes", None),
+        ("gru_units", (120, 0, 64)), ("gru_units", (120, 64.0, 64))])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match="positive integer"):
+            ModelConfig(**{field: value})
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(seq_len=12, gru_units=(3, 2, 2))
@@ -181,6 +190,38 @@ class TestForward:
         ids[0, 0] = model.config.vocab_size
         with pytest.raises(ValueError):
             model.forward(ids, "infer")
+
+
+class TestUnseededBuild:
+    def test_draws_nothing_and_starts_at_zero(self):
+        model = build_model(SMALL)
+        for name, value in model.state_items():
+            fill = 1 if name in ("batch_norm.gamma", "batch_norm.moving_var") else 0
+            assert np.all(value == fill), name
+            assert value.dtype == SMALL.np_dtype, name
+        for name, _, grad in model.trainable():
+            assert not grad.any(), name
+        # the default dropout rng is a fresh default_rng(0)
+        assert (model._rng.bit_generator.state
+                == np.random.default_rng(0).bit_generator.state)
+
+    def test_same_layout_as_a_seeded_build(self):
+        seeded, unseeded = build_model(SMALL, seed=3), build_model(SMALL)
+        assert ([(n, a.shape, a.dtype) for n, a in seeded.state_items()]
+                == [(n, a.shape, a.dtype) for n, a in unseeded.state_items()])
+
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=st.integers(3, 40), embed=st.integers(1, 6),
+           units=st.tuples(*[st.integers(1, 6)] * 3), classes=st.integers(2, 7))
+    def test_state_size_counts_the_built_stack(self, vocab, embed, units, classes):
+        cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, seq_len=4,
+                          gru_units=units, num_classes=classes)
+        model = build_model(cfg)
+        assert state_size(cfg) == sum(a.size for _, a in model.state_items())
+
+    def test_state_size_of_the_paper_model(self):
+        # the reference count, which includes BatchNorm's moving statistics
+        assert state_size(paper_config()) == 2_817_126
 
 
 class TestFullModelGradient:

@@ -1,7 +1,15 @@
+import gc
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentigru import ModelConfig, build_model, build_vocabulary, load, save
+from sentigru.corpus import Vocabulary
 from sentigru.layers import softmax_cross_entropy
 from sentigru.serialize import FORMAT_VERSION, MAGIC, ModelFormatError, _write_file
 from sentigru.trainer import Adam
@@ -163,3 +171,198 @@ class TestIncompleteFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load(tmp_path / "absent.bin")
+
+
+def _split(raw: bytes):
+    """A model file's header as a dict, and every byte after the header."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def _join(header: dict, rest: bytes) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(text)) + text + rest
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    header, rest = _split(raw)
+    edit(header)
+    return _join(header, rest)
+
+
+def _set_block_length(raw: bytes, block: int, length: int) -> bytes:
+    """Overwrite the u64 length of block ``block`` (0 is the vocabulary)."""
+    pos = 16 + int.from_bytes(raw[8:16], "little")
+    for _ in range(block):
+        pos += 8 + int.from_bytes(raw[pos:pos + 8], "little") + 4
+    return raw[:pos] + struct.pack("<Q", length) + raw[pos + 8:]
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """Bytes of a small saved model and a directory to write variants to."""
+    cfg = ModelConfig(vocab_size=20, embed_dim=6, seq_len=5,
+                      gru_units=(4, 3, 3), dropout_rate=0.2)
+    vocab = build_vocabulary([[f"tok{c}" for c in "abcdefghij"]])
+    out = tmp_path_factory.mktemp("variants")
+    save(build_model(cfg, seed=11), vocab, out / "model.bin")
+    return (out / "model.bin").read_bytes(), out
+
+
+def _load_bytes(directory, raw: bytes):
+    path = directory / "variant.bin"
+    path.write_bytes(raw)
+    return load(path)
+
+
+def _append_array(h):
+    h["arrays"].append({"name": "extra", "dtype": "<f4", "shape": [2]})
+    h["sections"].append("extra")
+
+
+def _drop_array(h):
+    h["arrays"].pop()
+    h["sections"].pop()
+
+
+HEADER_EDITS = {
+    "vocab_size_1e12_int": (lambda h: h["config"].update(vocab_size=10**12),
+                            "parameter bytes"),
+    "vocab_size_1e12_float": (lambda h: h["config"].update(vocab_size=1e12),
+                              "positive integer"),
+    "gru_units_huge": (lambda h: h["config"].update(gru_units=[10**9, 3, 3]),
+                       "parameter bytes"),
+    "dtype_object": (lambda h: h["arrays"][0].update(dtype="|O"), "match"),
+    "dtype_int32": (lambda h: h["arrays"][0].update(dtype="<i4"), "match"),
+    "dtype_other_float": (lambda h: h["arrays"][0].update(dtype="<f8"), "match"),
+    "shape_off_by_one": (lambda h: h["arrays"][0]["shape"].__setitem__(0, 21),
+                         "match"),
+    "shape_short": (lambda h: h["arrays"][2]["shape"].pop(), "match"),
+    "extra_array": (_append_array, "match"),
+    "missing_array": (_drop_array, "match"),
+    "sections_reordered": (lambda h: h["sections"].reverse(), "sections"),
+    "arrays_not_a_list": (lambda h: h.update(arrays=7), "header"),
+    "config_not_a_dict": (lambda h: h.update(config=[1, 2]), "header"),
+    "unknown_config_key": (lambda h: h["config"].update(warp=9), "header"),
+}
+
+
+class TestHeaderChecks:
+    @pytest.mark.parametrize("name", sorted(HEADER_EDITS))
+    def test_edit_raises_format_error(self, small_file, name):
+        raw, out = small_file
+        edit, match = HEADER_EDITS[name]
+        with pytest.raises(ModelFormatError, match=match):
+            _load_bytes(out, _edit_header(raw, edit))
+
+    @pytest.mark.parametrize("block", [0, 1, 5])
+    def test_block_length_of_2_pow_62(self, small_file, block):
+        raw, out = small_file
+        with pytest.raises(ModelFormatError, match="truncated"):
+            _load_bytes(out, _set_block_length(raw, block, 2**62))
+
+    def test_block_length_that_fits_but_is_wrong(self, small_file):
+        raw, out = small_file
+        pos = 16 + int.from_bytes(raw[8:16], "little")
+        vocab_len = int.from_bytes(raw[pos:pos + 8], "little")
+        first = pos + 8 + vocab_len + 4
+        length = int.from_bytes(raw[first:first + 8], "little")
+        with pytest.raises(ModelFormatError, match="size mismatch"):
+            _load_bytes(out, _set_block_length(raw, 1, length - 4))
+
+    def test_header_length_past_the_end(self, small_file):
+        raw, out = small_file
+        with pytest.raises(ModelFormatError, match="header runs past"):
+            _load_bytes(out, raw[:8] + struct.pack("<Q", 2**62) + raw[16:])
+
+    def test_vocabulary_larger_than_vocab_size(self, trained, tmp_path):
+        model, _, _ = trained
+        assert model.config.vocab_size == 20
+        big = build_vocabulary([[f"tok{c}" for c in "abcdefghijklmnopqrst"]])
+        assert big.size == 22
+        path = tmp_path / "bigvocab.bin"
+        _write_file(path, model.config, big.to_text(), model.state_items())
+        with pytest.raises(ModelFormatError, match="exceeds the config's vocab_size"):
+            load(path)
+
+    def test_vocabulary_of_exactly_vocab_size_loads(self, trained, tmp_path):
+        model, _, _ = trained
+        full = build_vocabulary([[f"tok{c}" for c in "abcdefghijklmnopqr"]])
+        assert full.size == model.config.vocab_size
+        path = tmp_path / "fullvocab.bin"
+        save(model, full, path)
+        assert load(path)[1].token_to_id == full.token_to_id
+
+
+class TestLoadProperties:
+    """Whatever the bytes, load returns a model or raises ModelFormatError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flip(self, small_file, data):
+        raw, out = small_file
+        offset = data.draw(st.integers(0, len(raw) - 1))
+        mask = data.draw(st.integers(1, 255))
+        flipped = bytearray(raw)
+        flipped[offset] ^= mask
+        hlen = int.from_bytes(raw[8:16], "little")
+        if 16 <= offset < 16 + hlen:
+            # an edit inside the JSON may leave a valid, different header
+            try:
+                _load_bytes(out, bytes(flipped))
+            except ModelFormatError:
+                pass
+        else:
+            with pytest.raises(ModelFormatError):
+                _load_bytes(out, bytes(flipped))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, small_file, data):
+        raw, out = small_file
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ModelFormatError):
+            _load_bytes(out, raw[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_header_value_replaced(self, small_file, data):
+        raw, out = small_file
+        header, rest = _split(raw)
+        paths = ([("config", key) for key in header["config"]]
+                 + [("arrays", i, field) for i in range(len(header["arrays"]))
+                    for field in ("name", "dtype", "shape")]
+                 + [("sections",), ("arrays",), ("config",)])
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(), inner, max_size=4),
+            max_leaves=8))
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            _load_bytes(out, _join(header, rest))
+        except ModelFormatError:
+            pass
+
+
+def test_load_peak_memory_is_the_model_itself(tmp_path):
+    """Loading allocates the model and little else: the traced peak stays
+    within 10% of what the loaded model and vocabulary hold afterwards."""
+    cfg = ModelConfig()
+    vocab = Vocabulary({f"w{i}": i + 2 for i in range(cfg.vocab_size - 2)})
+    path = tmp_path / "paper.bin"
+    save(build_model(cfg, seed=0), vocab, path)
+    del vocab
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].total_param_count() == 2_817_126
+    assert peak <= 1.1 * held, (peak, held)
