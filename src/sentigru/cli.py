@@ -79,19 +79,24 @@ def _coerce(key: str, value: str):
 
 
 def _read_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise UsageError(f"invalid UTF-8 in config file {path!r} at line "
+                         f"{corpus_mod.undecodable_line(path)}") from None
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not sep:
-                raise UsageError(f"expected key=value at line {lineno}: {line!r}")
-            if key not in _OPTIONS:
-                raise UsageError(f"unknown config key {key!r} at line {lineno}")
-            out[key] = _coerce(key, value.strip())
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep:
+            raise UsageError(f"expected key=value at line {lineno}: {line!r}")
+        if key not in _OPTIONS:
+            raise UsageError(f"unknown config key {key!r} at line {lineno}")
+        out[key] = _coerce(key, value.strip())
     return out
 
 
@@ -132,6 +137,14 @@ def _model_config(s: dict) -> model_mod.ModelConfig:
             dropout_rate=s["dropout"], num_classes=6, dtype=dtype)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _seq_len(s: dict) -> int:
+    """--seq-len where no ModelConfig is built to check it (preprocess)."""
+    n = s["seq_len"]
+    if not 1 <= n <= model_mod.MAX_SEQ_LEN:
+        raise UsageError(f"seq_len must be in 1..{model_mod.MAX_SEQ_LEN}, got {n}")
+    return n
 
 
 def _train_config(s: dict) -> trainer.TrainConfig:
@@ -211,6 +224,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     s = _settings(args)
+    seq_len = _seq_len(s)
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
@@ -220,13 +234,13 @@ def _cmd_preprocess(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = {
-        "seq_len": s["seq_len"],
+        "seq_len": seq_len,
         "vocab_size": vocab.size,
         "records": [{
             "label": rec.label,
             "label_name": corpus_mod.LABEL_NAMES[rec.label],
             "tokens": tokens,
-            "ids": corpus_mod.encode(tokens, vocab, s["seq_len"]).tolist(),
+            "ids": corpus_mod.encode(tokens, vocab, seq_len).tolist(),
         } for rec, tokens in zip(corpus.records, token_lists)],
     }
     _emit(doc, s["out"])

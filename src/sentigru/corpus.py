@@ -86,10 +86,10 @@ def _rows(reader, path):
         raise DatasetError(f"{exc} at row {reader.line_num}") from None
     except UnicodeDecodeError:
         # the decoder reads ahead in chunks, so find the line itself
-        raise DatasetError(f"invalid UTF-8 at row {_undecodable_line(path)}") from None
+        raise DatasetError(f"invalid UTF-8 at row {undecodable_line(path)}") from None
 
 
-def _undecodable_line(path) -> int:
+def undecodable_line(path) -> int:
     """Number of the first line of ``path`` that is not valid UTF-8."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -135,9 +135,14 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Load a user stopword list: plain text, one token per line."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    """Load a user stopword list: UTF-8 text, one token per line. Other bytes
+    raise :class:`DatasetError` naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return frozenset(line.strip() for line in fh if line.strip())
+    except UnicodeDecodeError:
+        raise DatasetError(f"invalid UTF-8 in stopword file {str(path)!r} at line "
+                           f"{undecodable_line(path)}") from None
 
 
 def text_to_tokens(raw: str, stopwords=None) -> list[str]:

@@ -15,7 +15,10 @@ makes its gradients resident.
 
 Layers cache whatever the backward pass needs on ``self`` during forward and
 accumulate parameter gradients in place; callers own zeroing between steps.
-The GRU layers keep their per-step caches only in a train-mode forward.
+The GRU layers keep per-step caches only in a train-mode forward, and only
+what backward reads: ``h_prev``, the ``z|r`` gates, ``c`` and the recurrent
+candidate ``hc``, 5h values per row. Backward consumes them, freeing each
+step's as it goes, so one train forward allows one backward.
 The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
@@ -204,8 +207,14 @@ class GruSequence(Layer):
     memory does not grow with T or D; ``dx`` is one matmul per cell after the
     backward loop. matmul rows do not depend on which rows share the call, so
     both give the same bits as a per-step product. Parameter gradients
-    accumulate per cell in step order. Only a train-mode forward keeps the
-    per-step caches that backward needs.
+    accumulate per cell in step order.
+
+    Only a train-mode forward keeps per-step caches: ``(h_prev, zr, c, hc)``,
+    5h values per row, with ``hc`` copied out of the 3h-wide recurrent
+    projection so that the cache does not pin the rest of it. ``backward``
+    pops each step's cache as it consumes it and then drops the inputs, so
+    the memory is back before the layers below run their backward; a second
+    ``backward`` needs a new train forward first.
 
     The stacked U is copied into one buffer the sequence owns, and an
     infer-mode forward that projects the whole sequence in one chunk (a
@@ -264,7 +273,7 @@ class GruSequence(Layer):
                     gx = np.empty((D, B, C, 3 * h), dtype=proj.dtype)
                 gx[d, :, :c] = proj.reshape(B, c, 3 * h)
             for k in range(c):
-                ht, cache = self._step(gx[:, :, k], ht, U, b_h)
+                ht, cache = self._step(gx[:, :, k], ht, U, b_h, train)
                 if train:
                     self._caches.append(cache)
                 if self.return_sequences:
@@ -278,17 +287,20 @@ class GruSequence(Layer):
         return out[0] if single else out
 
     @staticmethod
-    def _step(gx, h_prev, U, b_h):
+    def _step(gx, h_prev, U, b_h, train):
         """One timestep of every direction from its input projection ``gx``;
-        all arrays are stacked (D, B, .), ``U`` is (D, h, 3h)."""
+        all arrays are stacked (D, B, .), ``U`` is (D, h, 3h). Returns h_t
+        and, in train mode, the cache backward reads, else None."""
         h = h_prev.shape[-1]
         gh = matmul(h_prev, U) + b_h
         zr = sigmoid(gx[..., :2 * h] + gh[..., :2 * h])
         z, r = zr[..., :h], zr[..., h:]
         hc = gh[..., 2 * h:]                     # recurrent candidate, pre reset
+        if train:
+            hc = hc.copy()                       # a view would pin all 3h of gh
         c = np.tanh(gx[..., 2 * h:] + r * hc)
         h_t = z * h_prev + (1.0 - z) * c
-        return h_t, (h_prev, z, r, c, hc)
+        return h_t, ((h_prev, zr, c, hc) if train else None)
 
     def _step_backward(self, dh, t, cache):
         """Backprop step ``t`` of every direction; returns (d_gx, dh_prev).
@@ -297,7 +309,8 @@ class GruSequence(Layer):
         gradients and its share of dh_prev are 2-d matmuls. d_gx is the
         gradient at the input projection; backward turns it into dx = d_gx W^T.
         """
-        h_prev, z, r, c, hc = cache
+        h_prev, zr, c, hc = cache
+        z, r = zr[..., :self.hidden_size], zr[..., self.hidden_size:]
         dz = dh * (h_prev - c)
         dc = dh * (1.0 - z)
         ds_c = dc * (1.0 - c * c)                # at tanh input
@@ -324,6 +337,9 @@ class GruSequence(Layer):
         if self._mode != "train":
             raise ValueError("GruSequence.backward needs a train-mode forward; "
                              "the last forward ran in infer mode and kept no caches")
+        if self._caches is None:
+            raise ValueError("GruSequence.backward needs a new train-mode forward; "
+                             "an earlier backward consumed the last one's caches")
         single = len(self.cells) == 1
         if single:
             grad = grad[None]
@@ -336,7 +352,9 @@ class GruSequence(Layer):
                 dh = carry + grad[:, :, t]
             else:
                 dh = (carry + grad) if t == T - 1 else carry
-            d_gx[:, :, t], carry = self._step_backward(dh, t, self._caches[t])
+            # step t's cache is the last one left: free it as it is used
+            d_gx[:, :, t], carry = self._step_backward(dh, t, self._caches.pop())
+        self._caches = self._xs = None
         dxs = [matmul(d_gx[d].reshape(B * T, 3 * h), cell.W.T).reshape(B, T, x_dim)
                for d, cell in enumerate(self.cells)]
         return dxs[0] if single else dxs

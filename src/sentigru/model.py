@@ -11,6 +11,11 @@ from .numerics import softmax
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
+# The longest token sequence a model takes, 13x the paper's 79. A model
+# file's header is read before anything else, and nothing else bounds its
+# seq_len: without this, one edited number sizes every later encode.
+MAX_SEQ_LEN = 1024
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -31,6 +36,8 @@ class ModelConfig:
         for name, value in sizes.items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.seq_len > MAX_SEQ_LEN:
+            raise ValueError(f"seq_len must be at most {MAX_SEQ_LEN}, got {self.seq_len}")
         if self.vocab_size < 3:
             raise ValueError("vocab_size must be >= 3: the reserved pad/oov ids "
                              "and at least one token")

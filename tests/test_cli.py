@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sentigru.cli import main
+from sentigru.model import MAX_SEQ_LEN
 from synth import keyword_corpus, write_csv
 
 SMALL_FLAGS = [
@@ -127,6 +128,39 @@ class TestExitCodes:
         assert main(["stats", "--data", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    def test_non_utf8_stopword_file_is_one_line(self, data_csv, tmp_path, capsys):
+        sw = tmp_path / "sw.txt"
+        sw.write_bytes(b"the\ncaf\xe9\n")
+        assert main(["stats", "--data", str(data_csv), "--stopwords", str(sw)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid UTF-8 in stopword file {str(sw)!r} at line 2\n"
+
+    def test_non_utf8_config_file_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"embed-dim=12\n# caf\xe9\n")
+        assert main(["summary", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid UTF-8 in config file {str(cfg)!r} at line 2\n"
+
+    @pytest.mark.parametrize("command", ["summary", "preprocess", "train"])
+    @pytest.mark.parametrize("seq_len", ["0", str(MAX_SEQ_LEN + 1), str(10**12)])
+    def test_seq_len_out_of_range(self, data_csv, tmp_path, capsys, command,
+                                  seq_len):
+        out = tmp_path / "m.bin"
+        code = main([command, "--data", str(data_csv), "--out", str(out),
+                     "--seq-len", seq_len])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: seq_len must be") and err.count("\n") == 1
+        assert seq_len in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_preprocess_takes_the_largest_seq_len(self, data_csv, capsys):
+        assert main(["preprocess", "--data", str(data_csv),
+                     "--seq-len", str(MAX_SEQ_LEN)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["records"][0]["ids"]) == MAX_SEQ_LEN
 
     def test_multi_character_delimiter(self, data_csv, capsys):
         assert main(["stats", "--data", str(data_csv), "--delimiter", "ab"]) == 1

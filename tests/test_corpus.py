@@ -81,6 +81,12 @@ class TestStopwords:
         p.write_text("alpha\n\nbeta\n")
         assert load_stopwords(p) == frozenset({"alpha", "beta"})
 
+    def test_non_utf8_list_names_file_and_line(self, tmp_path):
+        p = tmp_path / "stop.txt"
+        p.write_bytes(b"alpha\nbeta\n\xe9\n")
+        with pytest.raises(DatasetError, match=r"stop\.txt' at line 3"):
+            load_stopwords(p)
+
     def test_text_to_tokens_default_filters(self):
         assert text_to_tokens("I feel so lost") == ["feel", "lost"]
 

@@ -249,6 +249,31 @@ class TestGruSequence:
         with pytest.raises(ValueError, match="infer mode"):
             seq.backward(np.zeros((2, 5, 4)))
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_caches_hold_5h_per_row_and_backward_frees_them(self, cells, dtype):
+        rng = np.random.default_rng(16)
+        B, T, x_dim, h = 3, 6, 5, 4
+        seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
+                          return_sequences=True)
+        xs = [rng.standard_normal((B, T, x_dim)).astype(dtype) for _ in range(cells)]
+        out = seq.forward(xs[0] if cells == 1 else xs, "train")
+
+        def base(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        # h_prev, z|r, c and hc per row: a cache that views the 3h-wide
+        # recurrent projection pins 2h more
+        bases = {id(b): b for b in (base(a) for cache in seq._caches for a in cache)}
+        held = sum(b.nbytes for b in bases.values())
+        assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
+        seq.backward(np.ones_like(out))
+        assert seq._caches is None and seq._xs is None
+        with pytest.raises(ValueError, match="earlier backward consumed"):
+            seq.backward(np.ones_like(out))
+
     def test_unknown_mode_rejected(self):
         seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
         with pytest.raises(ValueError, match="mode"):

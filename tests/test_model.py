@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sentigru import (LABEL_NAMES, Model, ModelConfig, build_model,
                       build_vocabulary, paper_config, predict, summary)
 from sentigru.layers import softmax_cross_entropy
-from sentigru.model import state_size
+from sentigru.model import MAX_SEQ_LEN, state_size
 from sentigru.numerics import grad_check, softmax
 
 REFERENCE_COUNTS = [2_500_000, 0, 123_840, 117_504, 512, 74_496, 774]
@@ -56,6 +56,12 @@ class TestModelConfig:
     def test_sizes_must_be_positive_integers(self, field, value):
         with pytest.raises(ValueError, match="positive integer"):
             ModelConfig(**{field: value})
+
+    def test_seq_len_maximum(self):
+        assert ModelConfig(seq_len=MAX_SEQ_LEN).seq_len == MAX_SEQ_LEN
+        for value in (MAX_SEQ_LEN + 1, 10**12):
+            with pytest.raises(ValueError, match=f"at most {MAX_SEQ_LEN}"):
+                ModelConfig(seq_len=value)
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(seq_len=12, gru_units=(3, 2, 2))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sentigru import ModelConfig, build_model, build_vocabulary, load, save
 from sentigru.corpus import Vocabulary
 from sentigru.layers import softmax_cross_entropy
+from sentigru.model import MAX_SEQ_LEN
 from sentigru.serialize import FORMAT_VERSION, MAGIC, ModelFormatError, _write_file
 from sentigru.trainer import Adam
 
@@ -244,6 +245,8 @@ HEADER_EDITS = {
     "arrays_not_a_list": (lambda h: h.update(arrays=7), "header"),
     "config_not_a_dict": (lambda h: h.update(config=[1, 2]), "header"),
     "unknown_config_key": (lambda h: h["config"].update(warp=9), "header"),
+    "seq_len_1e12": (lambda h: h["config"].update(seq_len=10**12),
+                     "seq_len must be at most"),
 }
 
 
@@ -269,6 +272,13 @@ class TestHeaderChecks:
         length = int.from_bytes(raw[first:first + 8], "little")
         with pytest.raises(ModelFormatError, match="size mismatch"):
             _load_bytes(out, _set_block_length(raw, 1, length - 4))
+
+    def test_largest_seq_len_loads(self, small_file):
+        # seq_len sizes no parameter, so any allowed value fits the same file
+        raw, out = small_file
+        edit = _edit_header(raw, lambda h: h["config"].update(seq_len=MAX_SEQ_LEN))
+        model, _ = _load_bytes(out, edit)
+        assert model.config.seq_len == MAX_SEQ_LEN
 
     def test_header_length_past_the_end(self, small_file):
         raw, out = small_file
