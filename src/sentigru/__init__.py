@@ -15,8 +15,7 @@ from .corpus import (LABEL_NAMES, OOV_ID, PAD_ID, DatasetError, LabeledCorpus,
 from .metrics import (ClassMetrics, ConfusionMatrix, EvalReport,
                       classification_metrics, confusion_matrix,
                       history_report, report_from_predictions)
-from .model import (Model, ModelConfig, SummaryRow, build_model, paper_config,
-                    predict, summary)
+from .model import Model, ModelConfig, SummaryRow, build_model, predict, summary
 from .serialize import ModelFormatError, load, save
 from .trainer import (Adam, EpochRecord, TrainConfig, TrainingError, evaluate,
                       fit, predict_codes, train_epoch)
@@ -30,8 +29,7 @@ __all__ = [
     "load_dataset", "clean_text", "tokenize", "remove_stopwords",
     "default_stopwords", "load_stopwords", "text_to_tokens",
     "build_vocabulary", "encode", "encode_corpus", "split",
-    "Model", "ModelConfig", "SummaryRow", "build_model", "paper_config",
-    "summary", "predict",
+    "Model", "ModelConfig", "SummaryRow", "build_model", "summary", "predict",
     "ModelFormatError", "save", "load",
     "TrainConfig", "EpochRecord", "TrainingError",
     "Adam", "train_epoch", "evaluate", "fit", "predict_codes",

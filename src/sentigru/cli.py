@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 """
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -134,17 +135,9 @@ def _model_config(s: dict) -> model_mod.ModelConfig:
         return model_mod.ModelConfig(
             vocab_size=s["vocab_size"], embed_dim=s["embed_dim"],
             seq_len=s["seq_len"], gru_units=_parse_units(s["gru_units"]),
-            dropout_rate=s["dropout"], num_classes=6, dtype=dtype)
+            dropout_rate=s["dropout"], dtype=dtype)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _seq_len(s: dict) -> int:
-    """--seq-len where no ModelConfig is built to check it (preprocess)."""
-    n = s["seq_len"]
-    if not 1 <= n <= model_mod.MAX_SEQ_LEN:
-        raise UsageError(f"seq_len must be in 1..{model_mod.MAX_SEQ_LEN}, got {n}")
-    return n
 
 
 def _train_config(s: dict) -> trainer.TrainConfig:
@@ -167,8 +160,11 @@ def _stoplist(s: dict) -> frozenset:
 
 def _load_corpus(s: dict) -> corpus_mod.LabeledCorpus:
     _require(s, "data")
-    if len(s["delimiter"]) != 1:
-        raise UsageError(f"--delimiter must be one character, got {s['delimiter']!r}")
+    try:   # the csv module's own rules, which differ between Python versions
+        csv.reader((), delimiter=s["delimiter"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError("--delimiter must be one character the csv module "
+                         f"accepts, got {s['delimiter']!r}: {exc}") from None
     return corpus_mod.load_dataset(s["data"], delimiter=s["delimiter"])
 
 
@@ -189,8 +185,8 @@ def _cmd_summary(args) -> int:
     if s["model"]:
         model, _ = serialize.load(s["model"])
     else:
-        model = model_mod.build_model(_model_config(s), seed=s["seed"])
-    rows = model.summary()
+        model = model_mod.build_model(_model_config(s), seed=_train_config(s).seed)
+    rows = model_mod.summary(model)
     name_w = max(len(r.name) for r in rows) + 2
     shape_w = max(len(_shape_str(r.output_shape)) for r in rows) + 2
     print(f"{'layer':<{name_w}}{'output shape':<{shape_w}}{'params':>10}")
@@ -205,10 +201,10 @@ def _cmd_summary(args) -> int:
 
 def _cmd_stats(args) -> int:
     s = _settings(args)
+    if s["top"] < 0:
+        raise UsageError(f"--top must be >= 0, got {s['top']}")
     corpus = _load_corpus(s)
-    custom = corpus_mod.load_stopwords(s["stopwords"]) if s["stopwords"] else None
-    tables = wordstats.frequency_by_label(
-        corpus, apply_stopwords=not s["keep_stopwords"], stoplist=custom)
+    tables = wordstats.frequency_by_label(corpus, _stoplist(s))
     docs = {t.label_name: wordstats.table_to_dict(t, s["top"])
             for t in tables.values()}
     if s["out"]:
@@ -224,23 +220,20 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     s = _settings(args)
-    seq_len = _seq_len(s)
+    config = _model_config(s)
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
                    for r in corpus.records]
-    try:
-        vocab = corpus_mod.build_vocabulary(token_lists, max_size=s["vocab_size"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    vocab = corpus_mod.build_vocabulary(token_lists, max_size=config.vocab_size)
     doc = {
-        "seq_len": seq_len,
+        "seq_len": config.seq_len,
         "vocab_size": vocab.size,
         "records": [{
             "label": rec.label,
             "label_name": corpus_mod.LABEL_NAMES[rec.label],
             "tokens": tokens,
-            "ids": corpus_mod.encode(tokens, vocab, seq_len).tolist(),
+            "ids": corpus_mod.encode(tokens, vocab, config.seq_len).tolist(),
         } for rec, tokens in zip(corpus.records, token_lists)],
     }
     _emit(doc, s["out"])
@@ -255,8 +248,8 @@ def _cmd_train(args) -> int:
     stoplist = _stoplist(s)
     token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
                    for r in corpus.records]
-    vocab = corpus_mod.build_vocabulary(token_lists, max_size=s["vocab_size"])
-    model = model_mod.build_model(model_config, seed=s["seed"])
+    vocab = corpus_mod.build_vocabulary(token_lists, max_size=model_config.vocab_size)
+    model = model_mod.build_model(model_config, seed=train_config.seed)
     history = trainer.fit(model, corpus, train_config, vocab, stoplist)
     serialize.save(model, vocab, s["out"])
     if s["deterministic"]:
@@ -268,9 +261,7 @@ def _cmd_train(args) -> int:
               f"train_acc={r.train_acc:.4f} val_loss={r.val_loss:.4f} "
               f"val_acc={r.val_acc:.4f} ({r.seconds:.1f}s)", file=sys.stderr)
     if s["history"]:
-        Path(s["history"]).write_text(
-            json.dumps([r.to_dict() for r in history], indent=2) + "\n",
-            encoding="utf-8")
+        metrics.history_report(history, s["history"])
     print(f"saved model to {s['out']}", file=sys.stderr)
     return 0
 
@@ -278,14 +269,18 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     s = _settings(args)
     _require(s, "model")
+    batch_size = _train_config(s).batch_size
     model, vocab = serialize.load(s["model"])
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     ids, labels = corpus_mod.encode_corpus(
         corpus, vocab, model.config.seq_len, stoplist)
-    pred = trainer.predict_codes(model, ids, s["batch_size"])
-    report = metrics.report_from_predictions(
-        labels, pred, model.config.num_classes)
+    pred = trainer.predict_codes(model, ids, batch_size)
+    try:
+        report = metrics.report_from_predictions(
+            labels, pred, model.config.num_classes)
+    except ValueError as exc:   # no records, or labels the model has no class for
+        raise corpus_mod.DatasetError(f"cannot evaluate {s['data']!r}: {exc}") from exc
     names = (corpus_mod.LABEL_NAMES
              if model.config.num_classes == len(corpus_mod.LABEL_NAMES) else None)
     _emit(report.to_dict(names), s["out"])
@@ -345,10 +340,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (corpus_mod.DatasetError, serialize.ModelFormatError,
-            trainer.TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            trainer.TrainingError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ import csv
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -36,7 +36,6 @@ class LabeledRecord:
 @dataclass(frozen=True)
 class LabeledCorpus:
     records: tuple[LabeledRecord, ...]
-    label_names: tuple[str, ...] = LABEL_NAMES
 
     def __len__(self) -> int:
         return len(self.records)
@@ -135,11 +134,13 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Load a user stopword list: UTF-8 text, one token per line. Other bytes
-    raise :class:`DatasetError` naming the file and the line."""
+    """Load a user stopword list: UTF-8 text, one token per line; blank lines
+    and lines starting with ``#`` are skipped. Other bytes raise
+    :class:`DatasetError` naming the file and the line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip() for line in fh if line.strip())
+            words = (line.strip() for line in fh)
+            return frozenset(w for w in words if w and not w.startswith("#"))
     except UnicodeDecodeError:
         raise DatasetError(f"invalid UTF-8 in stopword file {str(path)!r} at line "
                            f"{undecodable_line(path)}") from None
@@ -161,16 +162,10 @@ class Vocabulary:
     """Token-to-id map with reserved pad (0) and out-of-vocabulary (1) ids."""
 
     token_to_id: dict[str, int]
-    max_size: int = 50_000
-    pad_id: int = field(default=PAD_ID, init=False)
-    oov_id: int = field(default=OOV_ID, init=False)
 
     @property
     def size(self) -> int:
         return len(self.token_to_id) + 2
-
-    def __len__(self) -> int:
-        return self.size
 
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, OOV_ID)
@@ -181,7 +176,7 @@ class Vocabulary:
         return "".join(f"{token}\t{idx}\n" for token, idx in rows)
 
     @classmethod
-    def from_text(cls, text: str, max_size: int = 50_000) -> "Vocabulary":
+    def from_text(cls, text: str) -> "Vocabulary":
         """Parse :meth:`to_text` output. Lines are matched one at a time, not
         split into a list, so parsing holds little beyond the map itself."""
         token_to_id = {}
@@ -197,7 +192,7 @@ class Vocabulary:
             if not 2 <= idx < n + 2 or seen[idx]:
                 raise DatasetError("vocabulary ids must be dense starting at 2")
             seen[idx] = 1
-        return cls(token_to_id=token_to_id, max_size=max_size)
+        return cls(token_to_id=token_to_id)
 
 
 def build_vocabulary(token_sequences, max_size: int = 50_000) -> Vocabulary:
@@ -213,7 +208,7 @@ def build_vocabulary(token_sequences, max_size: int = 50_000) -> Vocabulary:
         counts.update(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     token_to_id = {tok: i + 2 for i, (tok, _) in enumerate(ranked[: max_size - 2])}
-    return Vocabulary(token_to_id=token_to_id, max_size=max_size)
+    return Vocabulary(token_to_id=token_to_id)
 
 
 def encode(tokens, vocab: Vocabulary, seq_len: int) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 Every stack layer has ``forward(x, mode="train", rng=None)`` with mode
 "train" or "infer" (only dropout draws from ``rng``), ``backward(grad)``
-returning the gradient at the layer input (None for the embedding), and
-``output_shape(shape)`` mapping a per-sample input shape to the output's,
-unchanged unless a layer overrides it. The model runs the stack as one loop
-over these. ``param_count`` is generic: the sizes of params() and buffers().
+returning the gradient at the layer input (None for the embedding). The
+model runs the stack as one loop over these. ``param_count`` is generic:
+the sizes of params() and buffers().
 
 Constructors draw initial weights from ``rng``. With ``rng=None`` they draw
 nothing and every weight starts at zero: that is how a model is built to be
@@ -62,10 +61,6 @@ def orthogonal(rng, n: int, dtype) -> np.ndarray:
 
 
 class Layer:
-    def output_shape(self, shape: tuple) -> tuple:
-        """Per-sample output shape for a per-sample input ``shape``."""
-        return shape
-
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -106,9 +101,6 @@ class Embedding(Layer):
         np.add.at(self.d_weight, self._ids.reshape(-1),
                   grad.reshape(-1, self.embed_dim))
         return None
-
-    def output_shape(self, shape):
-        return (*shape, self.embed_dim)
 
     def params(self):
         return {"weight": self.weight}
@@ -410,11 +402,6 @@ class BidirectionalGru(Layer):
         dx += dx_b[:, ::-1, :]
         return dx
 
-    def output_shape(self, shape):
-        if self.return_sequences:
-            return (*shape[:-1], 2 * self.hidden_size)
-        return (2 * self.hidden_size,)
-
     def params(self):
         return _prefixed(self.DIRECTIONS, self.seq.cells, GruCell.params)
 
@@ -488,8 +475,6 @@ class Dense(Layer):
     """Affine map x W + b with no activation; softmax lives in the loss head."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.W = glorot_uniform(rng, (in_dim, out_dim), dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
         self.dW = np.zeros(self.W.shape, dtype)
@@ -503,9 +488,6 @@ class Dense(Layer):
         self.dW += matmul(self._x.T, grad)
         self.db += grad.sum(axis=0)
         return matmul(grad, self.W.T)
-
-    def output_shape(self, shape):
-        return (*shape[:-1], self.out_dim)
 
     def params(self):
         return {"W": self.W, "b": self.b}

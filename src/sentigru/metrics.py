@@ -97,9 +97,6 @@ class EvalReport:
             "weighted": vars(self.weighted).copy(),
         }
 
-    def to_json(self, label_names=None) -> str:
-        return json.dumps(self.to_dict(label_names), indent=2)
-
 
 def _f1(p: float, r: float) -> float:
     if p + r == 0.0:

@@ -63,11 +63,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def paper_config(**overrides) -> ModelConfig:
-    """The reference architecture: 50k vocab, 79 tokens, BiGRU 120/64/64."""
-    return ModelConfig(**overrides)
-
-
 @dataclass(frozen=True)
 class SummaryRow:
     name: str
@@ -129,9 +124,6 @@ class Model:
     def total_param_count(self) -> int:
         return sum(layer.param_count() for _, layer in self.named_layers)
 
-    def summary(self) -> list[SummaryRow]:
-        return summary(self)
-
 
 def build_model(config: ModelConfig, seed: int | None = None) -> Model:
     """Instantiate the stack with deterministic initialization from ``seed``.
@@ -177,12 +169,13 @@ def state_size(config: ModelConfig) -> int:
 
 
 def summary(model: Model) -> list[SummaryRow]:
-    """One row per layer: name, batch-agnostic output shape, parameter count."""
+    """One row per layer: name, batch-agnostic output shape, parameter count.
+    The shapes are read off an infer-mode forward over one row of pad ids."""
     rows = []
-    shape = (model.config.seq_len,)
+    x = np.full((1, model.config.seq_len), corpus_mod.PAD_ID)
     for name, layer in model.named_layers:
-        shape = layer.output_shape(shape)
-        rows.append(SummaryRow(name, shape, layer.param_count()))
+        x = layer.forward(x, "infer")
+        rows.append(SummaryRow(name, x.shape[1:], layer.param_count()))
     return rows
 
 

@@ -155,7 +155,7 @@ def load(path) -> tuple[Model, Vocabulary]:
         try:
             text = payload.decode("utf-8")
             del payload
-            vocab = Vocabulary.from_text(text, max_size=config.vocab_size)
+            vocab = Vocabulary.from_text(text)
         except ValueError as exc:
             raise ModelFormatError(f"corrupt vocabulary: {exc}") from exc
         if vocab.size > config.vocab_size:

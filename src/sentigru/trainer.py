@@ -38,12 +38,15 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         # rate 0 is allowed: it must leave parameters bitwise unchanged
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must not be negative")
+        if not 0 <= self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be finite and not negative, "
+                             f"got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("moment decays must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.clip_norm is not None and self.clip_norm <= 0:
@@ -187,8 +190,11 @@ def fit(model, corpus: corpus_mod.LabeledCorpus, config: TrainConfig,
     config.seed, so a fixed (seed, config, corpus) triple reproduces the
     history exactly.
     """
-    train_c, val_c = corpus_mod.split(
-        corpus, config.train_fraction, config.seed, config.stratify)
+    try:
+        train_c, val_c = corpus_mod.split(
+            corpus, config.train_fraction, config.seed, config.stratify)
+    except ValueError as exc:   # fewer than 2 records
+        raise TrainingError(str(exc)) from exc
     if len(train_c) == 0 or len(val_c) == 0:
         raise TrainingError(
             f"train_fraction {config.train_fraction} left an empty split "

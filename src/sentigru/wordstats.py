@@ -28,22 +28,18 @@ class FrequencyTable:
         return corpus_mod.LABEL_NAMES[self.label]
 
 
-def frequency_by_label(corpus: corpus_mod.LabeledCorpus,
-                       apply_stopwords: bool = True,
-                       stoplist=None) -> dict:
+def frequency_by_label(corpus: corpus_mod.LabeledCorpus, stopwords=None) -> dict:
     """Count tokens per label; returns {0..5: table, "all": combined table}.
 
-    Every label gets a table even when no record carries it. The combined
-    table is the exact sum of the six per-label tables.
+    Tokens come from :func:`~sentigru.corpus.text_to_tokens`, so
+    ``stopwords=None`` uses the shipped list and an empty set keeps every
+    token. Every label gets a table even when no record carries it. The
+    combined table is the exact sum of the six per-label tables.
     """
-    if apply_stopwords:
-        stoplist = corpus_mod.default_stopwords() if stoplist is None else stoplist
-    else:
-        stoplist = frozenset()
     per_label = {k: Counter() for k in range(len(corpus_mod.LABEL_NAMES))}
     combined = Counter()
     for rec in corpus.records:
-        tokens = corpus_mod.text_to_tokens(rec.text, stoplist)
+        tokens = corpus_mod.text_to_tokens(rec.text, stopwords)
         per_label[rec.label].update(tokens)
         combined.update(tokens)
     tables = {k: FrequencyTable(k, dict(c)) for k, c in per_label.items()}

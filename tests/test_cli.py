@@ -162,6 +162,44 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["records"][0]["ids"]) == MAX_SEQ_LEN
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("evaluate", "--batch-size", "0", "batch_size must be >= 1"),
+        ("evaluate", "--batch-size", "-3", "batch_size must be >= 1"),
+        ("evaluate", "--epochs", "0", "epochs must be >= 1"),
+        ("stats", "--top", "-1", "--top must be >= 0, got -1"),
+        ("train", "--lr", "nan", "learning_rate must be finite and not negative"),
+        ("train", "--lr", "inf", "learning_rate must be finite and not negative"),
+        ("train", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("summary", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("preprocess", "--gru-units", "1,2", "gru_units must have exactly 3"),
+    ])
+    def test_bad_setting_is_one_line(self, data_csv, trained_model, tmp_path,
+                                     capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        code = main([command, "--data", str(data_csv), "--out", str(out),
+                     "--model" if command == "evaluate" else "--text",
+                     str(trained_model), f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, rows, message", [
+        ("train", "", "need at least 2 records to split, got 0"),
+        ("train", "kwaa kwab,0\n", "need at least 2 records to split, got 1"),
+        ("evaluate", "", "cannot compute metrics for an empty matrix"),
+    ])
+    def test_too_few_records_is_one_line(self, trained_model, tmp_path, capsys,
+                                         command, rows, message):
+        path = tmp_path / "few.csv"
+        path.write_text("text,label\n" + rows)
+        code = main([command, "--data", str(path), "--model", str(trained_model),
+                     "--out", str(tmp_path / "m.bin"), *SMALL_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
     def test_multi_character_delimiter(self, data_csv, capsys):
         assert main(["stats", "--data", str(data_csv), "--delimiter", "ab"]) == 1
         assert "--delimiter must be one character" in capsys.readouterr().err
@@ -223,9 +261,11 @@ class TestTrainEvaluatePredict:
                      "--batch-size", "8", *SMALL_FLAGS])
         assert code == 0
         assert out.exists()
-        records = json.loads(hist.read_text())
+        doc = json.loads(hist.read_text())
+        records = doc["epochs"]
         assert len(records) == 2
         assert {"epoch", "train_loss", "val_acc"} <= set(records[0])
+        assert doc["summary"]["final_val_acc"] == records[-1]["val_acc"]
         err = capsys.readouterr().err
         assert "epoch 1:" in err and "epoch 2:" in err
         assert "saved model to" in err

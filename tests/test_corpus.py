@@ -81,6 +81,11 @@ class TestStopwords:
         p.write_text("alpha\n\nbeta\n")
         assert load_stopwords(p) == frozenset({"alpha", "beta"})
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "stop.txt"
+        p.write_text("# my list\nalpha\n  # indented note\nbeta\n")
+        assert load_stopwords(p) == frozenset({"alpha", "beta"})
+
     def test_non_utf8_list_names_file_and_line(self, tmp_path):
         p = tmp_path / "stop.txt"
         p.write_bytes(b"alpha\nbeta\n\xe9\n")
@@ -121,7 +126,6 @@ class TestVocabulary:
     def test_size_counts_reserved_ids(self):
         vocab = build_vocabulary([["x"]])
         assert vocab.size == 3
-        assert len(vocab) == 3
 
     def test_max_size_too_small(self):
         with pytest.raises(ValueError):
@@ -129,7 +133,7 @@ class TestVocabulary:
 
     def test_text_round_trip(self):
         vocab = build_vocabulary([["b", "a", "b", "c"]])
-        again = Vocabulary.from_text(vocab.to_text(), max_size=vocab.max_size)
+        again = Vocabulary.from_text(vocab.to_text())
         assert again.token_to_id == vocab.token_to_id
 
     def test_from_text_rejects_sparse_ids(self):

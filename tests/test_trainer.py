@@ -49,6 +49,8 @@ class TestTrainConfig:
         {"epochs": 0}, {"batch_size": 0}, {"learning_rate": -1e-3},
         {"beta1": 1.0}, {"beta2": -0.1}, {"epsilon": 0.0},
         {"train_fraction": 0.0}, {"train_fraction": 1.0}, {"clip_norm": 0.0},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):

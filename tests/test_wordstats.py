@@ -56,7 +56,7 @@ class TestFrequencyByLabel:
 
     def test_stopword_filtering_is_the_only_difference(self):
         corpus = corpus_from([("i am so very happy today", 1)])
-        kept = frequency_by_label(corpus, apply_stopwords=False)
+        kept = frequency_by_label(corpus, frozenset())
         filtered = frequency_by_label(corpus)
         removed = set(kept["all"].counts) - set(filtered["all"].counts)
         assert removed  # the sentence contains common filler words
@@ -66,7 +66,7 @@ class TestFrequencyByLabel:
 
     def test_custom_stoplist(self):
         corpus = corpus_from([("alpha beta gamma", 2)])
-        tables = frequency_by_label(corpus, stoplist=frozenset({"beta"}))
+        tables = frequency_by_label(corpus, frozenset({"beta"}))
         assert tables[2].counts == {"alpha": 1, "gamma": 1}
 
     def test_counts_are_case_and_punctuation_normalized(self):
