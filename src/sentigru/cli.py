@@ -158,6 +158,19 @@ def _stoplist(s: dict) -> frozenset:
     return corpus_mod.default_stopwords()
 
 
+def _require_writable(s: dict, *keys):
+    """Fail before any work when an output the command writes at its end
+    could not be created: the path is a directory or its parent is missing."""
+    for key in keys:
+        if s[key] is None:
+            continue
+        path, flag = Path(s[key]), "--" + key
+        if path.is_dir():
+            raise IsADirectoryError(f"{flag} {s[key]!r} is a directory")
+        if not path.absolute().parent.is_dir():
+            raise FileNotFoundError(f"{flag} {s[key]!r}: its directory does not exist")
+
+
 def _load_corpus(s: dict) -> corpus_mod.LabeledCorpus:
     _require(s, "data")
     try:   # the csv module's own rules, which differ between Python versions
@@ -244,6 +257,7 @@ def _cmd_train(args) -> int:
     s = _settings(args)
     _require(s, "data", "out")
     model_config, train_config = _model_config(s), _train_config(s)
+    _require_writable(s, "out", "history")
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
@@ -281,9 +295,7 @@ def _cmd_evaluate(args) -> int:
             labels, pred, model.config.num_classes)
     except ValueError as exc:   # no records, or labels the model has no class for
         raise corpus_mod.DatasetError(f"cannot evaluate {s['data']!r}: {exc}") from exc
-    names = (corpus_mod.LABEL_NAMES
-             if model.config.num_classes == len(corpus_mod.LABEL_NAMES) else None)
-    _emit(report.to_dict(names), s["out"])
+    _emit(report.to_dict(model_mod.label_names(model.config)), s["out"])
     print(f"accuracy={report.accuracy:.4f} on {len(labels)} records",
           file=sys.stderr)
     return 0

@@ -179,17 +179,25 @@ def summary(model: Model) -> list[SummaryRow]:
     return rows
 
 
+def label_names(config: ModelConfig) -> tuple[str, ...] | None:
+    """``LABEL_NAMES`` for a model with exactly those six classes, else None."""
+    names = corpus_mod.LABEL_NAMES
+    return names if config.num_classes == len(names) else None
+
+
 def predict(model: Model, vocab: corpus_mod.Vocabulary, raw_text: str,
             stopwords=None):
     """Classify one raw text; returns (label code, label name, probabilities).
 
-    Runs the full preprocessing pipeline with the shipped stopword list
-    unless another set (possibly empty) is given. Argmax ties resolve to the
-    lowest class code.
+    The name is None unless the model has exactly the six classes of
+    ``LABEL_NAMES``. Runs the full preprocessing pipeline with the shipped
+    stopword list unless another set (possibly empty) is given. Argmax ties
+    resolve to the lowest class code.
     """
     tokens = corpus_mod.text_to_tokens(raw_text, stopwords)
     ids = corpus_mod.encode(tokens, vocab, model.config.seq_len)[None, :]
     logits = model.forward(ids, mode="infer")
     probs = softmax(logits, axis=-1)[0]
     code = int(np.argmax(probs))
-    return code, corpus_mod.LABEL_NAMES[code], probs
+    names = label_names(model.config)
+    return code, (names[code] if names else None), probs

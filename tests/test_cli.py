@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from sentigru import corpus, serialize, trainer
 from sentigru.cli import main
-from sentigru.model import MAX_SEQ_LEN
+from sentigru.model import MAX_SEQ_LEN, ModelConfig, build_model
 from synth import keyword_corpus, write_csv
 
 SMALL_FLAGS = [
@@ -115,6 +116,30 @@ class TestExitCodes:
                               "on a train split of 38 records")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, target, message", [
+        ("--out", "dir", "--out '{}' is a directory"),
+        ("--out", "absent/m.bin", "--out '{}': its directory does not exist"),
+        ("--history", "dir", "--history '{}' is a directory"),
+        ("--history", "absent/h.json",
+         "--history '{}': its directory does not exist"),
+    ], ids=["out-dir", "out-parent", "history-dir", "history-parent"])
+    def test_unwritable_output_fails_before_training(
+            self, tmp_path, data_csv, capsys, monkeypatch, flag, target, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output paths were checked")
+
+        monkeypatch.setattr(trainer, "fit", no_fit)
+        (tmp_path / "dir").mkdir()
+        paths = {"--out": tmp_path / "m.bin", "--history": tmp_path / "h.json"}
+        paths[flag] = tmp_path / target
+        code = main(["train", "--data", str(data_csv),
+                     "--out", str(paths["--out"]),
+                     "--history", str(paths["--history"]), *SMALL_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message.format(paths[flag])}\n"
+        assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("content, message", [
         (b"text,label\nfine,1\ncaf\xe9,2\n", "invalid UTF-8 at row 3"),
@@ -293,6 +318,20 @@ class TestTrainEvaluatePredict:
                                 "fear", "surprise").index(doc["label_name"])
         assert len(doc["probabilities"]) == 6
         assert sum(doc["probabilities"]) == pytest.approx(1.0, abs=1e-5)
+
+    def test_predict_names_no_label_past_the_six(self, tmp_path, capsys):
+        config = ModelConfig(vocab_size=10, embed_dim=3, seq_len=4,
+                             gru_units=(2, 2, 2), num_classes=8)
+        model = build_model(config, seed=0)
+        dense = model.named_layers[-1][1]
+        dense.b[7] = 100.0
+        vocab = corpus.build_vocabulary([["hi"]], max_size=config.vocab_size)
+        path = tmp_path / "c8.bin"
+        serialize.save(model, vocab, path)
+        assert main(["predict", "--model", str(path), "--text", "hi"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["label"] == 7 and doc["label_name"] is None
+        assert len(doc["probabilities"]) == 8
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path, data_csv):
         payloads = []

@@ -1,4 +1,9 @@
 import copy
+import os
+import signal
+import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sentigru import layers
 from sentigru.layers import (BidirectionalGru, GruCell, GruSequence,
                              gru_sequence_forward)
 
@@ -149,3 +155,130 @@ class TestStackedDirections:
             want = alone[d].grads()
             for name, g in cells[d].grads().items():
                 assert g.tobytes() == want[name].tobytes(), name
+
+
+def bidirectional(rng, x_dim, h, dtype, return_sequences):
+    return BidirectionalGru(random_cell(rng, x_dim, h, dtype),
+                            random_cell(rng, x_dim, h, dtype), return_sequences)
+
+
+class TestTwoThreads:
+    """A bidirectional layer on two threads against the stacked loop, bit for
+    bit. ``_usable_cpus`` is patched so that both paths run on any host."""
+
+    @staticmethod
+    def run(bi, cpus, x, grad_rng):
+        """Infer and train forward, then backward; every output as bytes."""
+        with mock.patch.object(layers, "_usable_cpus", lambda: cpus):
+            infer = bi.forward(x, "infer")
+            out = bi.forward(x, "train")
+            split = bi._split
+            grad = grad_rng.standard_normal(out.shape).astype(out.dtype)
+            dx = bi.backward(grad)
+        grads = {k: g.tobytes() for k, g in bi.grads().items()}
+        return split, [infer.tobytes(), out.tobytes(), dx.tobytes()], grads
+
+    @settings(max_examples=25, deadline=None)
+    @given(B=st.sampled_from([layers.SPLIT_ROWS - 1, layers.SPLIT_ROWS,
+                              layers.SPLIT_ROWS + 1, 70]),
+           T=st.one_of(st.integers(1, 20), st.just(79)),
+           x_dim=st.integers(1, 6), h=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           return_sequences=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(B=layers.SPLIT_ROWS + 1, T=79, x_dim=3, h=4, dtype=np.float32,
+             return_sequences=True, seed=0)
+    @example(B=layers.SPLIT_ROWS, T=79, x_dim=2, h=3, dtype=np.float64,
+             return_sequences=False, seed=1)
+    def test_equals_stacked(self, B, T, x_dim, h, dtype, return_sequences, seed):
+        rng = np.random.default_rng(seed)
+        bi = bidirectional(rng, x_dim, h, dtype, return_sequences)
+        twin = copy.deepcopy(bi)
+        x = rng.standard_normal((B, T, x_dim)).astype(dtype)
+        split, outs, grads = self.run(bi, 2, x, np.random.default_rng(seed))
+        assert split == (B >= layers.SPLIT_ROWS)
+        stacked, want, want_grads = self.run(twin, 1, x, np.random.default_rng(seed))
+        assert not stacked
+        assert outs == want
+        assert grads == want_grads
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_exception_propagates_after_both_directions(self, side):
+        rng = np.random.default_rng(3)
+        bi = bidirectional(rng, 3, 4, np.float64, True)
+        x = rng.standard_normal((layers.SPLIT_ROWS, 5, 3))
+        finished = []
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("direction failed")
+
+        def slow(seq):
+            def forward(*args, **kwargs):
+                time.sleep(0.2)
+                out = GruSequence.forward(seq, *args, **kwargs)
+                finished.append(seq)
+                return out
+            return forward
+
+        bi.alone[side].forward = boom
+        other = bi.alone[1 - side]
+        other.forward = slow(other)
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            with pytest.raises(RuntimeError, match="direction failed"):
+                bi.forward(x, "train")
+        assert finished == [other]
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_second_backward_rejected(self, return_sequences):
+        rng = np.random.default_rng(4)
+        bi = bidirectional(rng, 3, 4, np.float32, return_sequences)
+        x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            out = bi.forward(x, "train")
+            assert bi._split
+            bi.backward(np.ones_like(out))
+            with pytest.raises(ValueError, match="earlier backward consumed"):
+                bi.backward(np.ones_like(out))
+            bi.forward(x, "infer")
+            with pytest.raises(ValueError, match="infer mode"):
+                bi.backward(np.ones_like(out))
+
+    def test_other_path_drops_its_caches(self):
+        rng = np.random.default_rng(5)
+        bi = bidirectional(rng, 3, 4, np.float32, True)
+        x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            bi.forward(x, "train")
+            assert all(seq._caches is not None for seq in bi.alone)
+            bi.forward(x[:1], "train")
+        assert all(seq._caches is None and seq._xs is None for seq in bi.alone)
+        assert bi.seq._caches is not None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_split_forward(self):
+        rng = np.random.default_rng(6)
+        bi = bidirectional(rng, 3, 4, np.float32, True)
+        x = rng.standard_normal((64, 6, 3)).astype(np.float32)
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            want = bi.forward(x, "infer")         # the parent's worker thread
+            assert bi._split
+            with warnings.catch_warnings():       # fork of a threaded process
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                ok = False
+                try:
+                    ok = bi.forward(x, "infer").tobytes() == want.tobytes()
+                finally:
+                    os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in a split forward")
+        assert os.waitstatus_to_exitcode(status) == 0

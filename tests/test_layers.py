@@ -259,15 +259,12 @@ class TestGruSequence:
         xs = [rng.standard_normal((B, T, x_dim)).astype(dtype) for _ in range(cells)]
         out = seq.forward(xs[0] if cells == 1 else xs, "train")
 
-        def base(a):
-            while a.base is not None:
-                a = a.base
-            return a
-
-        # h_prev, z|r, c and hc per row: a cache that views the 3h-wide
-        # recurrent projection pins 2h more
-        bases = {id(b): b for b in (base(a) for cache in seq._caches for a in cache)}
-        held = sum(b.nbytes for b in bases.values())
+        # h_prev, z|r, c and hc per row, each in its own (T, D, B, .) block
+        # that owns its memory
+        assert [b.shape for b in seq._caches] == [
+            (T, cells, B, w * h) for w in (1, 2, 1, 1)]
+        assert all(b.base is None for b in seq._caches)
+        held = sum(b.nbytes for b in seq._caches)
         assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
         seq.backward(np.ones_like(out))
         assert seq._caches is None and seq._xs is None
