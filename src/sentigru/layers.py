@@ -31,15 +31,16 @@ Input projections are computed in time chunks of about ``ROWS`` rows into
 one reused buffer rather than for the whole sequence at once, so holding
 both directions does not raise peak memory at large batches.
 
-From ``SPLIT_ROWS`` rows up, in a process allowed two or more CPUs,
-:class:`BidirectionalGru` instead runs its directions as two one-cell
-sequences at once, one of them on a worker thread. That is the only thread
-the package starts; it makes the same float operations, so no bit depends
-on the batch size or the CPU count choosing it.
+From ``SPLIT_ROWS`` rows up, in a process allowed two or more CPUs, a
+two-cell sequence instead runs each cell's time loop at once, one of them on
+a worker thread. That is the only thread the package starts; it makes the
+same float operations, so no bit depends on the batch size or the CPU count
+choosing it.
 """
 
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -197,37 +198,43 @@ class GruSequence(Layer):
 
     One cell maps a (B, T, x_dim) input to (B, T, h), or to its final (B, h)
     state. D cells take a sequence of D such inputs, each in its own cell's
-    time order, and return the outputs stacked on a leading D axis;
-    ``backward`` then takes that stacked gradient and returns D input
-    gradients. Each step runs every gate operation once over (D, B, .)
-    arrays; the recurrent product is one stacked matmul, whose [d] slices
-    equal the per-cell products bit for bit.
+    time order, and return a list of D outputs; ``backward`` takes their
+    gradients stacked on a leading D axis and returns D input gradients.
 
-    ``x W + b_x`` is projected before the steps that use it, in time chunks
-    of C = ROWS // B steps into one reused (D, B, C, 3h) buffer, so peak
-    memory does not grow with T or D; ``dx`` is one matmul per cell after the
-    backward loop. matmul rows do not depend on which rows share the call, so
-    both give the same bits as a per-step product. Parameter gradients
-    accumulate per cell in step order.
+    The cells run in parts, each a slice of the cells with its own time loop.
+    A step runs every gate operation once over the part's (n, B, .) arrays;
+    the recurrent product is one stacked matmul, whose [d] slices equal the
+    per-cell products bit for bit. One part holds every cell, except that two
+    cells with at least SPLIT_ROWS rows, in a process allowed two or more
+    CPUs, run as one part each at once: the first on the calling thread, the
+    second on a worker thread while einsum releases the GIL. Both ways make
+    the same float operations, so no bit depends on the batch or CPU count.
+
+    ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
+    reused (n, B, C, 3h) buffer per part, so peak memory does not grow with T
+    or D; ``dx`` is one matmul per cell after the backward loop.
+    matmul rows do not depend on which rows share the call, so both give the
+    bits of a per-step product. Parameter gradients accumulate per cell in
+    step order.
 
     Only a train-mode forward keeps caches: ``h_prev``, ``z|r``, ``c`` and
-    ``hc``, 5h values per row, in four (T, D, B, .) blocks that each step
-    writes its slice of. ``backward`` drops them and the inputs once its loop
-    is done, so the memory is back before the layers below run their
+    ``hc``, 5h values per row, in four (T, n, B, .) blocks per part. Each
+    part drops its blocks when its backward loop is done, before its ``dx``
+    products, so the memory is back before the layers below run their
     backward; a second ``backward`` needs a new train forward first.
 
-    Every array a forward keeps past one step (projection buffer, output
-    states, cache blocks) comes from :meth:`workspace`, and backward's
-    ``d_gx`` from :meth:`backward_workspace`. A caller that runs the sequence
-    on another thread allocates them on its own thread first and passes them
-    in, so the other thread's allocator is left holding nothing.
+    The calling thread allocates every array a part keeps past one step
+    (projection buffer, states, cache blocks, ``d_gx``) before it starts the
+    parts, so the worker's malloc arena keeps only per-step temporaries. Each
+    part has blocks of its own: one block sliced between the parts lives
+    until both are done with it, and measured a higher peak RSS in training.
 
-    The stacked U is copied into one buffer the sequence owns, and an
-    infer-mode forward that projects the whole sequence in one chunk (a
-    batch of at most ROWS // T rows) keeps its projection buffer for the
-    next call. At batch 1 these are the largest temporaries of a forward;
-    allocated afresh each call, they can lead the C allocator to return the
-    pages after every call and fault them in again on the next.
+    The stacked U is copied into one buffer the sequence owns, and an infer
+    forward that projects the whole sequence in one chunk (at most ROWS // T
+    rows) keeps its projection buffers for the next call: at batch 1 these
+    are a forward's largest temporaries, and allocated afresh each call they
+    can make the C allocator return their pages after every call and fault
+    them in again on the next.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -236,85 +243,86 @@ class GruSequence(Layer):
             raise ValueError("all cells must share the hidden size")
         self.hidden_size = self.cells[0].hidden_size
         self.return_sequences = return_sequences
-        self.release()
+        self._mode = self._xs = self._caches = None
         h = self.hidden_size
         self._U = np.empty((len(self.cells), h, 3 * h),
                            np.result_type(*[cell.U for cell in self.cells]))
-        self._gx = None
+        self._gx = []
 
-    def release(self) -> None:
-        """Forget the last forward: its mode, inputs and caches."""
-        self._mode = None
-        self._xs = None
-        self._caches = None
-
-    def workspace(self, x: np.ndarray, mode: str = "train",
-                  h0: np.ndarray | None = None):
-        """(projection buffer, output states or None, cache blocks or None)
-        for a forward over input like ``x`` (one direction's (B, T, x_dim))."""
-        B, T, _ = x.shape
-        D, h = len(self.cells), self.hidden_size
-        # the dtype every step computes in: exact for the zero or given h0
-        dtype = np.result_type(x, *[a for cell in self.cells
-                                    for a in cell.params().values()],
-                               *([] if h0 is None else [h0]))
-        C = max(1, min(T, ROWS // B))
-        gx = self._gx
-        if gx is None or gx.shape != (D, B, C, 3 * h) or gx.dtype != dtype:
-            gx = np.empty((D, B, C, 3 * h), dtype)
-        states = (np.empty((D, B, T, h), x.dtype)
-                  if self.return_sequences else None)
-        caches = (tuple(np.empty((T, D, B, w * h), dtype) for w in (1, 2, 1, 1))
-                  if mode == "train" else None)
-        return gx, states, caches
-
-    def forward(self, x, mode: str = "train", h0: np.ndarray | None = None,
-                workspace=None) -> np.ndarray:
+    def forward(self, x, mode: str = "train",
+                h0: np.ndarray | None = None) -> np.ndarray:
         if mode not in ("train", "infer"):
             raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
         single = len(self.cells) == 1
         xs = (x,) if single else tuple(x)
         if len(xs) != len(self.cells) or any(xd.shape != xs[0].shape for xd in xs):
             raise ValueError(f"expected {len(self.cells)} inputs of one shape")
-        B, T, x_dim = xs[0].shape
+        B, T, _ = xs[0].shape
         if T == 0:
             raise ValueError("sequence length must be >= 1")
         D, h = len(self.cells), self.hidden_size
-        gx, states, caches = workspace or self.workspace(xs[0], mode, h0)
+        want = (B, h) if single else (D, B, h)
+        if h0 is not None and h0.shape != want:
+            raise ValueError(f"h0 must have shape {want}, got {h0.shape}")
+        # the dtype every step computes in: exact for the zero or given h0
+        dtype = np.result_type(xs[0], *[a for cell in self.cells
+                                        for a in cell.params().values()],
+                               *([] if h0 is None else [h0]))
         U = np.stack([cell.U for cell in self.cells], out=self._U)
         b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
-        if h0 is None:
-            ht = np.zeros((D, B, h), dtype=xs[0].dtype)
-        else:
-            ht = h0[None] if single else h0
+        h0 = np.zeros((D, B, h), xs[0].dtype) if h0 is None else h0.reshape(D, B, h)
         train = mode == "train"
+        C = max(1, min(T, ROWS // B))
+        split = D == 2 and B >= SPLIT_ROWS and _usable_cpus() >= 2
         self._mode = mode
-        self._xs = xs if train else None
-        self._caches = caches
+        self._parts = [slice(0, 1), slice(1, 2)] if split else [slice(0, D)]
+        self._xs = [xs[ds] for ds in self._parts] if train else None
+        self._caches = [] if train else None
+        gxs, calls = [], []
+        for i, ds in enumerate(self._parts):
+            n = ds.stop - ds.start
+            gx = self._gx[i] if i < len(self._gx) else None
+            if gx is None or gx.shape != (n, B, C, 3 * h) or gx.dtype != dtype:
+                gx = np.empty((n, B, C, 3 * h), dtype)
+            states = (np.empty((n, B, T, h), xs[0].dtype)
+                      if self.return_sequences else None)
+            caches = (tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
+                      if train else None)
+            gxs.append(gx)
+            if train:
+                self._caches.append(caches)
+            calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
+                                 U[ds], b_h[ds], h0[ds], gx, states, caches))
+        # keep the buffers only where they are small and the forward short:
+        # an infer forward that projected the whole sequence in one chunk. A
+        # chunked buffer is ROWS-sized, and after a train forward backward
+        # needs the memory more.
+        self._gx = gxs if not train and C == T else []
+        outs = [out for part in _run_each(calls) for out in part]
+        return outs[0] if single else outs
+
+    def _forward_part(self, pairs, U, b_h, ht, gx, states, caches):
+        """The time loop over one part's (cell, input) pairs; returns its
+        (n, B, T, h) states or (n, B, h) final state."""
+        B, T, x_dim = pairs[0][1].shape
         C = gx.shape[2]
         for t0 in range(0, T, C):
             c = min(C, T - t0)
-            for d, (cell, xd) in enumerate(zip(self.cells, xs)):
+            for j, (cell, xd) in enumerate(pairs):
                 rows = xd[:, t0:t0 + c].reshape(B * c, x_dim)
-                gx[d, :, :c] = cell.input_projection(rows).reshape(B, c, 3 * h)
+                gx[j, :, :c] = cell.input_projection(rows).reshape(B, c, -1)
             for k in range(c):
                 t = t0 + k
-                slots = [block[t] for block in caches] if train else None
+                slots = None if caches is None else [block[t] for block in caches]
                 ht = self._step(gx[:, :, k], ht, U, b_h, slots)
-                if self.return_sequences:
+                if states is not None:
                     states[:, :, t] = ht
-        # keep the buffer only where it is small and the forward short: an
-        # infer forward that projected the whole sequence in one chunk. A
-        # chunked buffer is ROWS-sized, and after a train forward backward
-        # needs the memory more.
-        self._gx = gx if not train and C == T else None
-        out = states if self.return_sequences else ht
-        return out[0] if single else out
+        return ht if states is None else states
 
     @staticmethod
     def _step(gx, h_prev, U, b_h, slots=None):
         """One timestep of every direction from its input projection ``gx``;
-        all arrays are stacked (D, B, .), ``U`` is (D, h, 3h). Returns h_t;
+        all arrays are stacked (n, B, .), ``U`` is (n, h, 3h). Returns h_t;
         in train mode it also writes what backward reads into ``slots``,
         the step's (h_prev, z|r, c, hc) cache slices."""
         h = h_prev.shape[-1]
@@ -328,15 +336,18 @@ class GruSequence(Layer):
                 slot[...] = a
         return z * h_prev + (1.0 - z) * c
 
-    def _step_backward(self, dh, t):
-        """Backprop step ``t`` of every direction; returns (d_gx, dh_prev).
+    @staticmethod
+    def _step_backward(dh, caches, t, pairs):
+        """Backprop step ``t`` of one part; returns (d_gx, dh_prev).
 
-        The gate algebra runs once over the stack. Each cell's parameter
-        gradients and its share of dh_prev are 2-d matmuls. d_gx is the
-        gradient at the input projection; backward turns it into dx = d_gx W^T.
+        The gate algebra runs once over the part's stack. Each cell's
+        parameter gradients and its share of dh_prev are 2-d matmuls. d_gx is
+        the gradient at the input projection; backward turns it into
+        dx = d_gx W^T.
         """
-        h_prev, zr, c, hc = (block[t] for block in self._caches)
-        z, r = zr[..., :self.hidden_size], zr[..., self.hidden_size:]
+        h_prev, zr, c, hc = (block[t] for block in caches)
+        h = dh.shape[-1]
+        z, r = zr[..., :h], zr[..., h:]
         dz = dh * (h_prev - c)
         dc = dh * (1.0 - z)
         ds_c = dc * (1.0 - c * c)                # at tanh input
@@ -347,7 +358,7 @@ class GruSequence(Layer):
         d_gx = np.concatenate([ds_z, ds_r, ds_c], axis=-1)
         d_gh = np.concatenate([ds_z, ds_r, dhc], axis=-1)
         dh_prev = dh * z
-        for d, (cell, xd) in enumerate(zip(self.cells, self._xs)):
+        for d, (cell, xd) in enumerate(pairs):
             cell.dW += matmul(xd[:, t].T, d_gx[d])
             cell.db_x += d_gx[d].sum(axis=0)
             cell.dU += matmul(h_prev[d].T, d_gh[d])
@@ -355,9 +366,9 @@ class GruSequence(Layer):
             dh_prev[d] += matmul(d_gh[d], cell.U.T)
         return d_gx, dh_prev
 
-    def backward_workspace(self, dtype) -> np.ndarray:
-        """The (D, B, T, 3h) ``d_gx`` block backward fills, after checking
-        that a backward may run."""
+    def backward(self, grad: np.ndarray):
+        """grad is shaped like the forward output: (B, T, h) when returning
+        sequences, else (B, h), behind a leading D axis for D cells."""
         if self._mode is None:
             raise ValueError("GruSequence.backward called before any forward")
         if self._mode != "train":
@@ -366,30 +377,35 @@ class GruSequence(Layer):
         if self._caches is None:
             raise ValueError("GruSequence.backward needs a new train-mode forward; "
                              "an earlier backward consumed the last one's caches")
-        B, T, _ = self._xs[0].shape
-        return np.empty((len(self.cells), B, T, 3 * self.hidden_size), dtype)
-
-    def backward(self, grad: np.ndarray, d_gx: np.ndarray | None = None):
-        """grad is shaped like the forward output: (B, T, h) when returning
-        sequences, else (B, h), behind a leading D axis for D cells."""
-        if d_gx is None:
-            d_gx = self.backward_workspace(grad.dtype)
         single = len(self.cells) == 1
         if single:
             grad = grad[None]
         D, h = len(self.cells), self.hidden_size
-        B, T, x_dim = self._xs[0].shape
+        B, T, _ = self._xs[0][0].shape
         carry = np.zeros((D, B, h), dtype=grad.dtype)
+        calls = [partial(self._backward_part, i, grad[ds], carry[ds],
+                         np.empty((ds.stop - ds.start, B, T, 3 * h), grad.dtype))
+                 for i, ds in enumerate(self._parts)]
+        dxs = [dx for part in _run_each(calls) for dx in part]
+        self._caches = self._xs = None
+        return dxs[0] if single else dxs
+
+    def _backward_part(self, i, grad, carry, d_gx):
+        """The backward time loop over part ``i``; frees the part's inputs and
+        caches, then returns its input gradients."""
+        cells = self.cells[self._parts[i]]
+        pairs, caches = list(zip(cells, self._xs[i])), self._caches[i]
+        self._xs[i] = self._caches[i] = None
+        B, T, x_dim = pairs[0][1].shape
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
                 dh = carry + grad[:, :, t]
             else:
                 dh = (carry + grad) if t == T - 1 else carry
-            d_gx[:, :, t], carry = self._step_backward(dh, t)
-        self._caches = self._xs = None
-        dxs = [matmul(d_gx[d].reshape(B * T, 3 * h), cell.W.T).reshape(B, T, x_dim)
-               for d, cell in enumerate(self.cells)]
-        return dxs[0] if single else dxs
+            d_gx[:, :, t], carry = self._step_backward(dh, caches, t, pairs)
+        del pairs, caches                   # their memory is back before dx
+        return [matmul(d_gx[j].reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
+                for j, cell in enumerate(cells)]
 
     def params(self):
         if len(self.cells) == 1:
@@ -408,14 +424,14 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = 
     return GruSequence(cell, return_sequences).forward(x, "infer", h0)
 
 
-# Batch rows from which a bidirectional layer runs its two directions on two
-# threads. Below it, handing a direction to another thread costs more than the
-# thread saves: against the one-loop path, a paper-size infer forward on a
-# 2-vCPU Xeon ran 0.50-0.82x as fast at B = 1..8, 0.95-0.99x at B = 12,
-# 1.17-1.36x at B = 16 and 1.63x at B = 64.
+# Batch rows from which a two-cell sequence runs its cells on two threads.
+# Below it, handing a direction to another thread costs more than the thread
+# saves: against the one-loop path, a paper-size infer forward on a 2-vCPU
+# Xeon ran 0.50-0.82x as fast at B = 1..8, 0.95-0.99x at B = 12, 1.17-1.36x
+# at B = 16 and 1.63x at B = 64.
 SPLIT_ROWS = 16
 
-# One worker thread for every layer of every model in the process: layers
+# One worker thread for every sequence of every model in the process: layers
 # run one at a time, so a second thread would only wait.
 _pool = None
 _pool_lock = threading.Lock()
@@ -437,10 +453,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_pair(here, there):
-    """Call ``there`` on the worker thread and ``here`` on this one; returns
-    both results. An exception from either propagates once both are done."""
+def _run_each(calls):
+    """Call the first of ``calls`` on this thread and the second, if any, on
+    the worker thread; returns their results in order. An exception from
+    either propagates once both are done."""
+    if len(calls) == 1:
+        return [calls[0]()]
     global _pool
+    here, there = calls
     with _pool_lock:
         if _pool is None:
             # imported here: it costs a process that never splits ~7 ms
@@ -452,7 +472,7 @@ def _run_pair(here, there):
         first = here()
     finally:
         second = future.result()
-    return first, second
+    return [first, second]
 
 
 class BidirectionalGru(Layer):
@@ -461,18 +481,9 @@ class BidirectionalGru(Layer):
     The backward cell consumes t = T-1..0 (its input is ``x`` reversed in
     time); with ``return_sequences`` its per-step outputs are re-reversed to
     align with time, otherwise its final state (aligned with t = 0) is
-    concatenated with the forward final state.
-
-    The two directions share nothing until that concatenation. So a batch
-    of at least SPLIT_ROWS rows, in a process allowed two or more CPUs, runs
-    them at once as two one-cell :class:`GruSequence` s: the forward
-    direction on the calling thread, the backward one on a worker thread
-    created on first use. They overlap while einsum runs, which releases the
-    GIL. The calling thread allocates every array either direction keeps
-    past the call, so the worker's malloc arena is left holding nothing.
-    Smaller batches, and every batch on one CPU, run one two-cell sequence
-    that steps both directions in a single time loop. The two ways make the
-    same float operations, so the bits do not depend on which one ran.
+    concatenated with the forward final state. One two-cell
+    :class:`GruSequence` runs both, in one time loop or, from SPLIT_ROWS rows
+    on two or more CPUs, on two threads.
     """
 
     DIRECTIONS = ("fwd", "bwd")
@@ -480,25 +491,11 @@ class BidirectionalGru(Layer):
     def __init__(self, forward_cell: GruCell, backward_cell: GruCell,
                  return_sequences: bool):
         self.seq = GruSequence((forward_cell, backward_cell), return_sequences)
-        self.alone = tuple(GruSequence(cell, return_sequences)
-                           for cell in self.seq.cells)
         self.return_sequences = return_sequences
         self.hidden_size = forward_cell.hidden_size
-        self._split = False
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        x_b = x[:, ::-1, :]
-        self._split = x.shape[0] >= SPLIT_ROWS and _usable_cpus() >= 2
-        if self._split:
-            fwd, bwd = self.alone
-            ws = [seq.workspace(xd, mode) for seq, xd in zip(self.alone, (x, x_b))]
-            hf, hb = _run_pair(lambda: fwd.forward(x, mode, workspace=ws[0]),
-                               lambda: bwd.forward(x_b, mode, workspace=ws[1]))
-            self.seq.release()
-        else:
-            hf, hb = self.seq.forward((x, x_b), mode)
-            for seq in self.alone:
-                seq.release()
+        hf, hb = self.seq.forward((x, x[:, ::-1, :]), mode)
         if self.return_sequences:
             return np.concatenate([hf, hb[:, ::-1, :]], axis=2)
         return np.concatenate([hf, hb], axis=1)
@@ -509,13 +506,7 @@ class BidirectionalGru(Layer):
             g = np.stack([grad[:, :, :h], grad[:, ::-1, h:]])
         else:
             g = np.stack([grad[:, :h], grad[:, h:]])
-        if self._split:
-            fwd, bwd = self.alone
-            d_gx = [seq.backward_workspace(g.dtype) for seq in self.alone]
-            dx, dx_b = _run_pair(lambda: fwd.backward(g[0], d_gx[0]),
-                                 lambda: bwd.backward(g[1], d_gx[1]))
-        else:
-            dx, dx_b = self.seq.backward(g)
+        dx, dx_b = self.seq.backward(g)
         dx += dx_b[:, ::-1, :]
         return dx
 

@@ -5,7 +5,7 @@ with the final partial batch kept. Validation runs after every epoch in
 infer mode. Everything is bit-reproducible for a fixed seed. The loop runs
 on the calling thread; at batch sizes of ``layers.SPLIT_ROWS`` and more each
 bidirectional layer runs one of its directions on a worker thread, which
-does not change a bit (see :class:`~sentigru.layers.BidirectionalGru`).
+does not change a bit (see :class:`~sentigru.layers.GruSequence`).
 """
 
 import time

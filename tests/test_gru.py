@@ -1,6 +1,7 @@
 import copy
 import os
 import signal
+import threading
 import time
 import warnings
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sentigru import layers
+from sentigru import layers, numerics
 from sentigru.layers import (BidirectionalGru, GruCell, GruSequence,
                              gru_sequence_forward)
 
@@ -142,13 +143,15 @@ class TestStackedDirections:
         inputs = (x, np.ascontiguousarray(x[:, ::-1, :]))
 
         for mode in ("infer", "train"):
-            out = stacked.forward((x, x[:, ::-1, :]), mode)
+            with mock.patch.object(layers, "_usable_cpus", lambda: 1):
+                out = stacked.forward((x, x[:, ::-1, :]), mode)
+            assert len(stacked._parts) == 1
             for d in range(2):
                 want = alone[d].forward(inputs[d], mode)
                 assert out[d].dtype == dtype
                 assert out[d].tobytes() == want.tobytes()
 
-        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad = rng.standard_normal((2, *out[0].shape)).astype(dtype)
         dxs = stacked.backward(grad)
         for d in range(2):
             assert dxs[d].tobytes() == alone[d].backward(grad[d]).tobytes()
@@ -172,11 +175,11 @@ class TestTwoThreads:
         with mock.patch.object(layers, "_usable_cpus", lambda: cpus):
             infer = bi.forward(x, "infer")
             out = bi.forward(x, "train")
-            split = bi._split
+            parts = len(bi.seq._parts)
             grad = grad_rng.standard_normal(out.shape).astype(out.dtype)
             dx = bi.backward(grad)
         grads = {k: g.tobytes() for k, g in bi.grads().items()}
-        return split, [infer.tobytes(), out.tobytes(), dx.tobytes()], grads
+        return parts, [infer.tobytes(), out.tobytes(), dx.tobytes()], grads
 
     @settings(max_examples=25, deadline=None)
     @given(B=st.sampled_from([layers.SPLIT_ROWS - 1, layers.SPLIT_ROWS,
@@ -195,10 +198,10 @@ class TestTwoThreads:
         bi = bidirectional(rng, x_dim, h, dtype, return_sequences)
         twin = copy.deepcopy(bi)
         x = rng.standard_normal((B, T, x_dim)).astype(dtype)
-        split, outs, grads = self.run(bi, 2, x, np.random.default_rng(seed))
-        assert split == (B >= layers.SPLIT_ROWS)
+        parts, outs, grads = self.run(bi, 2, x, np.random.default_rng(seed))
+        assert parts == (2 if B >= layers.SPLIT_ROWS else 1)
         stacked, want, want_grads = self.run(twin, 1, x, np.random.default_rng(seed))
-        assert not stacked
+        assert stacked == 1
         assert outs == want
         assert grads == want_grads
 
@@ -206,27 +209,32 @@ class TestTwoThreads:
     def test_exception_propagates_after_both_directions(self, side):
         rng = np.random.default_rng(3)
         bi = bidirectional(rng, 3, 4, np.float64, True)
-        x = rng.standard_normal((layers.SPLIT_ROWS, 5, 3))
-        finished = []
+        T = 5
+        x = rng.standard_normal((layers.SPLIT_ROWS, T, 3))
+        failing, other = bi.seq.cells[side], bi.seq.cells[1 - side]
+        steps = []
+        step = GruSequence._step
 
         def boom(*args, **kwargs):
             raise RuntimeError("direction failed")
 
-        def slow(seq):
-            def forward(*args, **kwargs):
-                time.sleep(0.2)
-                out = GruSequence.forward(seq, *args, **kwargs)
-                finished.append(seq)
-                return out
-            return forward
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return GruCell.input_projection(other, *args, **kwargs)
 
-        bi.alone[side].forward = boom
-        other = bi.alone[1 - side]
-        other.forward = slow(other)
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+        def counted(*args):
+            steps.append(None)
+            return step(*args)
+
+        failing.input_projection = boom
+        other.input_projection = slow
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2), \
+                mock.patch.object(GruSequence, "_step", staticmethod(counted)):
             with pytest.raises(RuntimeError, match="direction failed"):
                 bi.forward(x, "train")
-        assert finished == [other]
+        # the failing direction stopped at its first projection; the other
+        # ran every step before the exception reached the caller
+        assert len(steps) == T
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_second_backward_rejected(self, return_sequences):
@@ -235,7 +243,7 @@ class TestTwoThreads:
         x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
             out = bi.forward(x, "train")
-            assert bi._split
+            assert len(bi.seq._parts) == 2
             bi.backward(np.ones_like(out))
             with pytest.raises(ValueError, match="earlier backward consumed"):
                 bi.backward(np.ones_like(out))
@@ -243,16 +251,38 @@ class TestTwoThreads:
             with pytest.raises(ValueError, match="infer mode"):
                 bi.backward(np.ones_like(out))
 
-    def test_other_path_drops_its_caches(self):
+    def test_calling_thread_allocates_every_kept_array(self):
+        """The worker allocates nothing through np.empty or np.zeros: the
+        arrays a part keeps past one step come from the calling thread."""
         rng = np.random.default_rng(5)
         bi = bidirectional(rng, 3, 4, np.float32, True)
-        x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-            bi.forward(x, "train")
-            assert all(seq._caches is not None for seq in bi.alone)
-            bi.forward(x[:1], "train")
-        assert all(seq._caches is None and seq._xs is None for seq in bi.alone)
-        assert bi.seq._caches is not None
+        # T above ROWS // B, so the projection runs in two chunks
+        x = rng.standard_normal((layers.SPLIT_ROWS, 70, 3)).astype(np.float32)
+        allocating, multiplying = [], set()
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                allocating.append(threading.current_thread())
+                return np.empty(*args, **kwargs)
+
+            def zeros(self, *args, **kwargs):
+                allocating.append(threading.current_thread())
+                return np.zeros(*args, **kwargs)
+
+        def matmul(*args, **kwargs):
+            multiplying.add(threading.current_thread())
+            return numerics.matmul(*args, **kwargs)
+
+        with mock.patch.multiple(layers, np=RecordingNumpy(), matmul=matmul,
+                                 _usable_cpus=lambda: 2):
+            out = bi.forward(x, "train")
+            bi.backward(np.ones_like(out))
+        assert len(multiplying) == 2                # the directions did split
+        assert allocating
+        assert set(allocating) == {threading.current_thread()}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_a_split_forward(self):
@@ -261,7 +291,7 @@ class TestTwoThreads:
         x = rng.standard_normal((64, 6, 3)).astype(np.float32)
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
             want = bi.forward(x, "infer")         # the parent's worker thread
-            assert bi._split
+            assert len(bi.seq._parts) == 2
             with warnings.catch_warnings():       # fork of a threaded process
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()

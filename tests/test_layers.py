@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sentigru import layers
 from sentigru.layers import (BatchNorm, BidirectionalGru, Dense, Dropout,
                              Embedding, GruCell, GruSequence, glorot_uniform,
                              gru_sequence_forward, orthogonal,
@@ -235,6 +238,18 @@ class TestGruSequence:
         out = gru_sequence_forward(cell, x, return_sequences=False, h0=h0)
         assert np.allclose(out, manual, atol=1e-12)
 
+    def test_initial_state_shape_checked(self):
+        rng = np.random.default_rng(17)
+        cell = GruCell(3, 4, rng, F64)
+        x = rng.standard_normal((5, 2, 3))
+        # one state for all five rows, and two stacked states for one cell
+        for h0 in (np.zeros((1, 4)), np.zeros((2, 5, 4))):
+            with pytest.raises(ValueError, match="h0"):
+                gru_sequence_forward(cell, x, False, h0)
+        seq = GruSequence((cell, GruCell(3, 4, rng, F64)), False)
+        with pytest.raises(ValueError, match="h0"):
+            seq.forward((x, x), "infer", np.zeros((5, 4)))
+
     def test_backward_before_forward_rejected(self):
         seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
         with pytest.raises(ValueError, match="before any forward"):
@@ -253,23 +268,32 @@ class TestGruSequence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_caches_hold_5h_per_row_and_backward_frees_them(self, cells, dtype):
         rng = np.random.default_rng(16)
-        B, T, x_dim, h = 3, 6, 5, 4
+        T, x_dim, h = 6, 5, 4
         seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
                           return_sequences=True)
-        xs = [rng.standard_normal((B, T, x_dim)).astype(dtype) for _ in range(cells)]
-        out = seq.forward(xs[0] if cells == 1 else xs, "train")
+        # two cells run as two parts from SPLIT_ROWS rows on two CPUs
+        for B in (3, layers.SPLIT_ROWS):
+            xs = [rng.standard_normal((B, T, x_dim)).astype(dtype)
+                  for _ in range(cells)]
+            with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+                out = seq.forward(xs[0] if cells == 1 else xs, "train")
+            assert len(seq._parts) == (2 if cells == 2 and B >= layers.SPLIT_ROWS
+                                       else 1)
 
-        # h_prev, z|r, c and hc per row, each in its own (T, D, B, .) block
-        # that owns its memory
-        assert [b.shape for b in seq._caches] == [
-            (T, cells, B, w * h) for w in (1, 2, 1, 1)]
-        assert all(b.base is None for b in seq._caches)
-        held = sum(b.nbytes for b in seq._caches)
-        assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
-        seq.backward(np.ones_like(out))
-        assert seq._caches is None and seq._xs is None
-        with pytest.raises(ValueError, match="earlier backward consumed"):
-            seq.backward(np.ones_like(out))
+            # h_prev, z|r, c and hc per row, each in its own (T, n, B, .)
+            # block per part that owns its memory
+            for part, blocks in zip(seq._parts, seq._caches):
+                n = part.stop - part.start
+                assert [b.shape for b in blocks] == [
+                    (T, n, B, w * h) for w in (1, 2, 1, 1)]
+                assert all(b.base is None for b in blocks)
+            held = sum(b.nbytes for blocks in seq._caches for b in blocks)
+            assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
+            grad = np.ones_like(np.asarray(out))
+            seq.backward(grad)
+            assert seq._caches is None and seq._xs is None
+            with pytest.raises(ValueError, match="earlier backward consumed"):
+                seq.backward(grad)
 
     def test_unknown_mode_rejected(self):
         seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
