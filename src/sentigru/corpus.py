@@ -44,11 +44,11 @@ class LabeledCorpus:
         return [r.label for r in self.records]
 
 
-def load_dataset(path, delimiter: str = ",", header: bool | None = None) -> LabeledCorpus:
+def load_dataset(path, delimiter: str = ",") -> LabeledCorpus:
     """Read a delimited text file with columns (text, label) into a corpus.
 
-    ``header=None`` auto-detects a header row: the first row is skipped when
-    its label column does not parse as an integer. Bytes that are not UTF-8,
+    A header row is detected: the first row is skipped when its label column
+    does not parse as an integer. Bytes that are not UTF-8,
     and rows the csv module rejects (a field over its 128 KiB limit, say),
     raise :class:`DatasetError` naming the row.
     """
@@ -65,8 +65,7 @@ def load_dataset(path, delimiter: str = ",", header: bool | None = None) -> Labe
             text, label_field = row
             if first:
                 first = False
-                skip = header if header is not None else not _is_int(label_field)
-                if skip:
+                if not _is_int(label_field):
                     continue
             if not _is_int(label_field):
                 raise DatasetError(f"non-integer label {label_field!r} at row {lineno}")

@@ -33,9 +33,10 @@ both directions does not raise peak memory at large batches.
 
 From ``SPLIT_ROWS`` rows up, in a process allowed two or more CPUs, a
 two-cell sequence instead runs each cell's time loop at once, one of them on
-a worker thread. That is the only thread the package starts; it makes the
-same float operations, so no bit depends on the batch size or the CPU count
-choosing it.
+a thread started for that forward or backward call and joined before it
+returns. It is the only thread the package starts, and none outlives the
+call that started it; it makes the same float operations, so no bit depends
+on the batch size or the CPU count choosing it.
 """
 
 import os
@@ -207,7 +208,8 @@ class GruSequence(Layer):
     per-cell products bit for bit. One part holds every cell, except that two
     cells with at least SPLIT_ROWS rows, in a process allowed two or more
     CPUs, run as one part each at once: the first on the calling thread, the
-    second on a worker thread while einsum releases the GIL. Both ways make
+    second on a worker thread, started for the call and joined before it
+    returns, while einsum releases the GIL. Both ways make
     the same float operations, so no bit depends on the batch or CPU count.
 
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
@@ -431,21 +433,6 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = 
 # at B = 16 and 1.63x at B = 64.
 SPLIT_ROWS = 16
 
-# One worker thread for every sequence of every model in the process: layers
-# run one at a time, so a second thread would only wait.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child has the pool object but not its thread
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -455,24 +442,29 @@ def _usable_cpus() -> int:
 
 def _run_each(calls):
     """Call the first of ``calls`` on this thread and the second, if any, on
-    the worker thread; returns their results in order. An exception from
-    either propagates once both are done."""
+    a thread started for this call and joined before it returns; returns
+    their results in order. An exception from either propagates once both
+    are done."""
     if len(calls) == 1:
         return [calls[0]()]
-    global _pool
     here, there = calls
-    with _pool_lock:
-        if _pool is None:
-            # imported here: it costs a process that never splits ~7 ms
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=1,
-                                       thread_name_prefix="sentigru-gru")
-        future = _pool.submit(there)
+    second, error = [], []
+
+    def work():
+        try:
+            second.append(there())
+        except BaseException as exc:
+            error.append(exc)
+
+    worker = threading.Thread(target=work, name="sentigru-gru")
+    worker.start()
     try:
         first = here()
     finally:
-        second = future.result()
-    return [first, second]
+        worker.join()
+    if error:
+        raise error[0]
+    return [first, second[0]]
 
 
 class BidirectionalGru(Layer):
@@ -520,10 +512,11 @@ class BidirectionalGru(Layer):
 class BatchNorm(Layer):
     """Per-channel normalization over all leading dims of (..., C) input."""
 
-    def __init__(self, channels, momentum=0.9, epsilon=1e-5, dtype=np.float32):
+    momentum = 0.9              # weight of the old moving statistics
+    epsilon = 1e-5              # added to the variance before its root
+
+    def __init__(self, channels, dtype=np.float32):
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.moving_mean = np.zeros(channels, dtype=dtype)

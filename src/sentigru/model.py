@@ -86,6 +86,8 @@ class Model:
         if ids.ndim != 2 or ids.shape[1] != self.config.seq_len:
             raise ValueError(
                 f"expected ids of shape (B, {self.config.seq_len}), got {ids.shape}")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"expected integer token ids, got dtype {ids.dtype}")
         if rng is None:
             rng = self._rng
         x = ids

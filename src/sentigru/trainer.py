@@ -26,13 +26,9 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     train_fraction: float = 0.8
     stratify: bool = False
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -43,16 +39,10 @@ class TrainConfig:
         if not 0 <= self.learning_rate < float("inf"):
             raise ValueError("learning_rate must be finite and not negative, "
                              f"got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("moment decays must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -78,43 +68,28 @@ class Adam:
     """Adaptive-moment optimizer keyed by parameter name.
 
     m and v track decaying first and second gradient moments; both are
-    bias-corrected before the step. t counts the steps taken.
+    bias-corrected before the step. t counts the steps taken. Only the
+    learning rate is set; gradients are never clipped.
     """
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8, clip_norm=None):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.clip_norm = clip_norm
         self.m = {}
         self.v = {}
         self.t = 0
 
-    @classmethod
-    def from_config(cls, config: TrainConfig) -> "Adam":
-        return cls(config.learning_rate, config.beta1, config.beta2,
-                   config.epsilon, config.clip_norm)
-
     def step(self, triples) -> None:
         """One update, in place, on model.trainable() (name, param, grad) triples.
 
-        A non-finite gradient raises before any parameter moves. With
-        clip_norm set, gradients whose global norm exceeds it are rescaled in
-        place to that norm.
+        A non-finite gradient raises before any parameter moves.
         """
         for name, _, g in triples:
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
-        if self.clip_norm is not None:
-            sq = 0.0
-            for _, _, g in triples:
-                sq += float(np.sum(np.square(g, dtype=np.float64)))
-            norm = sq ** 0.5
-            if norm > self.clip_norm:
-                for _, _, g in triples:
-                    g *= g.dtype.type(self.clip_norm / norm)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
@@ -212,7 +187,7 @@ def fit(model, corpus: corpus_mod.LabeledCorpus, config: TrainConfig,
     train_ids, train_y = corpus_mod.encode_corpus(train_c, vocab, seq_len, stopwords)
     val_ids, val_y = corpus_mod.encode_corpus(val_c, vocab, seq_len, stopwords)
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam.from_config(config)
+    optimizer = Adam(config.learning_rate)
     history = []
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()

@@ -213,11 +213,6 @@ class TestLoadDataset:
         p.write_text("hello there,2\nanother one,5\n")
         assert len(load_dataset(p)) == 2
 
-    def test_explicit_header_flag_wins(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("hello there,2\nanother one,5\n")
-        assert len(load_dataset(p, header=True)) == 1
-
     def test_tab_delimiter(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("text\tlabel\nwith, comma\t3\n")

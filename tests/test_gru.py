@@ -280,9 +280,60 @@ class TestTwoThreads:
                                  _usable_cpus=lambda: 2):
             out = bi.forward(x, "train")
             bi.backward(np.ones_like(out))
-        assert len(multiplying) == 2                # the directions did split
+        # the directions did split: this thread and at least one other
+        assert threading.current_thread() in multiplying
+        assert len(multiplying) >= 2
         assert allocating
         assert set(allocating) == {threading.current_thread()}
+
+    def test_no_worker_outlives_the_call(self):
+        rng = np.random.default_rng(7)
+        bi = bidirectional(rng, 3, 4, np.float32, True)
+        x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
+
+        def workers():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("sentigru-gru")]
+
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            out = bi.forward(x, "train")
+            assert len(bi.seq._parts) == 2
+            assert workers() == []
+            bi.backward(np.ones_like(out))
+            assert workers() == []
+
+    def test_concurrent_callers_equal_serial_runs(self):
+        """Two threads, each running split train passes on its own layer,
+        give the bytes of running the same passes one after the other."""
+        rng = np.random.default_rng(8)
+        bis = [bidirectional(rng, 3, 4, np.float32, True) for _ in range(2)]
+        twins = copy.deepcopy(bis)
+        xs = [rng.standard_normal((layers.SPLIT_ROWS, 12, 3)).astype(np.float32)
+              for _ in range(2)]
+        start = threading.Barrier(2, timeout=60)
+
+        def passes(bi, x, wait=False):
+            if wait:
+                start.wait()
+            out = [bi.forward(x, "train") for _ in range(3)][-1]
+            dx = bi.backward(np.cos(out))
+            return [out.tobytes(), dx.tobytes(),
+                    *(g.tobytes() for g in bi.grads().values())]
+
+        got = [None, None]
+
+        def run(i):
+            got[i] = passes(bis[i], xs[i], wait=True)
+
+        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in callers)
+            want = [passes(twin, x) for twin, x in zip(twins, xs)]
+        assert got == want
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_a_split_forward(self):
@@ -290,7 +341,7 @@ class TestTwoThreads:
         bi = bidirectional(rng, 3, 4, np.float32, True)
         x = rng.standard_normal((64, 6, 3)).astype(np.float32)
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-            want = bi.forward(x, "infer")         # the parent's worker thread
+            want = bi.forward(x, "infer")         # starts and joins a worker
             assert len(bi.seq._parts) == 2
             with warnings.catch_warnings():       # fork of a threaded process
                 warnings.simplefilter("ignore", DeprecationWarning)

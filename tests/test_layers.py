@@ -407,7 +407,7 @@ class TestBatchNorm:
 
     def test_moving_stats_update_rule(self):
         rng = np.random.default_rng(13)
-        bn = BatchNorm(3, momentum=0.9, dtype=F64)
+        bn = BatchNorm(3, dtype=F64)
         x = rng.standard_normal((20, 3))
         want_mean = 0.9 * bn.moving_mean + 0.1 * x.mean(axis=0)
         want_var = 0.9 * bn.moving_var + 0.1 * x.var(axis=0)

@@ -189,6 +189,13 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(self.make_ids(model, 1), "test")
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
+    def test_non_integer_ids_rejected(self, dtype):
+        model = small_model()
+        ids = self.make_ids(model, 2).astype(dtype)
+        with pytest.raises(ValueError, match=f"dtype {ids.dtype}"):
+            model.forward(ids, "infer")
+
     def test_out_of_vocab_id_rejected(self):
         model = small_model()
         ids = self.make_ids(model, 1)
