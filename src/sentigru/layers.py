@@ -1,10 +1,10 @@
 """Forward and backward passes for every layer in the classifier stack.
 
 Every stack layer has ``forward(x, mode="train", rng=None)`` with mode
-"train" or "infer" (only dropout draws from ``rng``), ``backward(grad)``
-returning the gradient at the layer input (None for the embedding). The
-model runs the stack as one loop over these. ``param_count`` is generic:
-the sizes of params() and buffers().
+"train" or "infer" (only dropout draws from ``rng``; :func:`check_mode`
+rejects any other mode), ``backward(grad)`` returning the gradient at the
+layer input (None for the embedding). The model runs the stack as one loop
+over these. ``param_count`` is generic: the sizes of params() and buffers().
 
 Constructors draw initial weights from ``rng``. With ``rng=None`` they draw
 nothing and every weight starts at zero: that is how a model is built to be
@@ -22,11 +22,15 @@ The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
 
-:class:`GruSequence` is the one recurrence: a single time loop that steps D
-stacked directions in lockstep, so a bidirectional layer makes one gate
-operation per step for both directions instead of one each. At batch 1 the
-per-call overhead of numpy outweighs the arithmetic, so halving the calls is
-what speeds up inference; the bits stay those of one direction at a time.
+:class:`GruSequence` is the one recurrence: one cell over time, or two cells
+over opposite time directions, which is the bidirectional layer
+(:class:`BidirectionalGru` builds it from a forward and a backward cell). It
+takes the layer input once, starts every state at zero and computes in its
+cells' dtype. A single time loop steps both directions in lockstep, so a
+bidirectional layer makes one gate operation per step for both directions
+instead of one each. At batch 1 the per-call overhead of numpy outweighs the
+arithmetic, so halving the calls is what speeds up inference; the bits stay
+those of one direction at a time.
 Input projections are computed in time chunks of about ``ROWS`` rows into
 one reused buffer rather than for the whole sequence at once, so holding
 both directions does not raise peak memory at large batches.
@@ -69,6 +73,12 @@ def orthogonal(rng, n: int, dtype) -> np.ndarray:
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
     return q.astype(dtype)
+
+
+def check_mode(mode: str) -> None:
+    """Reject any mode but "train" and "infer", the two every layer knows."""
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
 
 
 class Layer:
@@ -130,6 +140,7 @@ class Dropout(Layer):
         self._mask = None
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
+        check_mode(mode)
         if mode == "infer" or self.rate == 0.0:
             self._mask = None
             return x
@@ -157,7 +168,7 @@ class GruCell(Layer):
 
     W: (x_dim, 3h) input kernel, U: (h, 3h) recurrent kernel,
     b_x / b_h: (3h,) input and recurrent biases. :class:`GruSequence` runs
-    the recurrence over one or more cells.
+    the recurrence over one cell or two.
     """
 
     def __init__(self, input_dim, hidden_size, rng, dtype=np.float32):
@@ -187,20 +198,19 @@ class GruCell(Layer):
         return {"W": self.dW, "U": self.dU, "b_x": self.db_x, "b_h": self.db_h}
 
 
-def _prefixed(names, cells, arrays) -> dict[str, np.ndarray]:
-    """``arrays(cell)`` of every cell, each key prefixed with its cell's name."""
-    return {f"{name}.{k}": v for name, cell in zip(names, cells)
-            for k, v in arrays(cell).items()}
-
-
 class GruSequence(Layer):
-    """Unrolls D GruCells in lockstep over time, with full backpropagation
-    through time.
+    """A GRU layer of one cell, or a bidirectional layer of two, with full
+    backpropagation through time.
 
-    One cell maps a (B, T, x_dim) input to (B, T, h), or to its final (B, h)
-    state. D cells take a sequence of D such inputs, each in its own cell's
-    time order, and return a list of D outputs; ``backward`` takes their
-    gradients stacked on a leading D axis and returns D input gradients.
+    The first cell runs over the (B, T, x_dim) input in time order, a second
+    one over ``x[:, ::-1]``. The output is the (B, T, D*h) states, or the
+    (B, D*h) final states without ``return_sequences``, the cells'
+    concatenated on features: the second cell's states are re-reversed to
+    align with time, and its final state is the one aligned with t = 0.
+    ``backward`` takes that output's gradient and returns the gradient at
+    ``x``. Two cells name their parameters ``fwd.*`` and ``bwd.*``. Every
+    state starts at zero, and every step computes in the dtype the cells
+    share; an input of another dtype is rejected.
 
     The cells run in parts, each a slice of the cells with its own time loop.
     A step runs every gate operation once over the part's (n, B, .) arrays;
@@ -241,38 +251,33 @@ class GruSequence(Layer):
 
     def __init__(self, cells, return_sequences: bool):
         self.cells = (cells,) if isinstance(cells, GruCell) else tuple(cells)
+        if len(self.cells) not in (1, 2):
+            raise ValueError(f"expected one or two cells, got {len(self.cells)}")
         if len({cell.hidden_size for cell in self.cells}) != 1:
             raise ValueError("all cells must share the hidden size")
-        self.hidden_size = self.cells[0].hidden_size
+        dtypes = {a.dtype for cell in self.cells for a in cell.params().values()}
+        if len(dtypes) != 1:
+            raise ValueError("all cells must share one dtype")
+        (self.dtype,) = dtypes
+        self.hidden_size = h = self.cells[0].hidden_size
         self.return_sequences = return_sequences
         self._mode = self._xs = self._caches = None
-        h = self.hidden_size
-        self._U = np.empty((len(self.cells), h, 3 * h),
-                           np.result_type(*[cell.U for cell in self.cells]))
+        self._U = np.empty((len(self.cells), h, 3 * h), self.dtype)
         self._gx = []
 
-    def forward(self, x, mode: str = "train",
-                h0: np.ndarray | None = None) -> np.ndarray:
-        if mode not in ("train", "infer"):
-            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-        single = len(self.cells) == 1
-        xs = (x,) if single else tuple(x)
-        if len(xs) != len(self.cells) or any(xd.shape != xs[0].shape for xd in xs):
-            raise ValueError(f"expected {len(self.cells)} inputs of one shape")
-        B, T, _ = xs[0].shape
-        if T == 0:
-            raise ValueError("sequence length must be >= 1")
-        D, h = len(self.cells), self.hidden_size
-        want = (B, h) if single else (D, B, h)
-        if h0 is not None and h0.shape != want:
-            raise ValueError(f"h0 must have shape {want}, got {h0.shape}")
-        # the dtype every step computes in: exact for the zero or given h0
-        dtype = np.result_type(xs[0], *[a for cell in self.cells
-                                        for a in cell.params().values()],
-                               *([] if h0 is None else [h0]))
+    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
+        check_mode(mode)
+        B, T, _ = x.shape
+        if B == 0 or T == 0:
+            raise ValueError(f"batch size and sequence length must be >= 1, "
+                             f"got input of shape {x.shape}")
+        if x.dtype != self.dtype:
+            raise ValueError(f"input dtype {x.dtype} differs from the cells' "
+                             f"{self.dtype}")
+        D, h, dtype = len(self.cells), self.hidden_size, self.dtype
+        xs = (x, x[:, ::-1])[:D]
         U = np.stack([cell.U for cell in self.cells], out=self._U)
         b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
-        h0 = np.zeros((D, B, h), xs[0].dtype) if h0 is None else h0.reshape(D, B, h)
         train = mode == "train"
         C = max(1, min(T, ROWS // B))
         split = D == 2 and B >= SPLIT_ROWS and _usable_cpus() >= 2
@@ -284,24 +289,31 @@ class GruSequence(Layer):
         for i, ds in enumerate(self._parts):
             n = ds.stop - ds.start
             gx = self._gx[i] if i < len(self._gx) else None
-            if gx is None or gx.shape != (n, B, C, 3 * h) or gx.dtype != dtype:
+            if gx is None or gx.shape != (n, B, C, 3 * h):
                 gx = np.empty((n, B, C, 3 * h), dtype)
-            states = (np.empty((n, B, T, h), xs[0].dtype)
-                      if self.return_sequences else None)
+            states = np.empty((n, B, T, h), dtype) if self.return_sequences else None
             caches = (tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
                       if train else None)
             gxs.append(gx)
             if train:
                 self._caches.append(caches)
             calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
-                                 U[ds], b_h[ds], h0[ds], gx, states, caches))
+                                 U[ds], b_h[ds], np.zeros((n, B, h), dtype), gx,
+                                 states, caches))
         # keep the buffers only where they are small and the forward short:
         # an infer forward that projected the whole sequence in one chunk. A
         # chunked buffer is ROWS-sized, and after a train forward backward
         # needs the memory more.
         self._gx = gxs if not train and C == T else []
         outs = [out for part in _run_each(calls) for out in part]
-        return outs[0] if single else outs
+        if D == 1:
+            return outs[0]
+        return np.concatenate([outs[0], self._in_time_order(outs[1])], axis=-1)
+
+    def _in_time_order(self, a):
+        """The second cell's states, or their gradient, aligned with time:
+        reversed when they are per step, as is for a final state."""
+        return a[:, ::-1] if self.return_sequences else a
 
     def _forward_part(self, pairs, U, b_h, ht, gx, states, caches):
         """The time loop over one part's (cell, input) pairs; returns its
@@ -368,9 +380,9 @@ class GruSequence(Layer):
             dh_prev[d] += matmul(d_gh[d], cell.U.T)
         return d_gx, dh_prev
 
-    def backward(self, grad: np.ndarray):
-        """grad is shaped like the forward output: (B, T, h) when returning
-        sequences, else (B, h), behind a leading D axis for D cells."""
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        """grad is shaped like the forward output, in the cells' dtype;
+        returns the gradient at the (B, T, x_dim) input."""
         if self._mode is None:
             raise ValueError("GruSequence.backward called before any forward")
         if self._mode != "train":
@@ -379,18 +391,21 @@ class GruSequence(Layer):
         if self._caches is None:
             raise ValueError("GruSequence.backward needs a new train-mode forward; "
                              "an earlier backward consumed the last one's caches")
-        single = len(self.cells) == 1
-        if single:
-            grad = grad[None]
+        if grad.dtype != self.dtype:
+            raise ValueError(f"gradient dtype {grad.dtype} differs from the cells' "
+                             f"{self.dtype}")
         D, h = len(self.cells), self.hidden_size
         B, T, _ = self._xs[0][0].shape
+        grad = np.stack([grad[..., :h], self._in_time_order(grad[..., h:])][:D])
         carry = np.zeros((D, B, h), dtype=grad.dtype)
         calls = [partial(self._backward_part, i, grad[ds], carry[ds],
                          np.empty((ds.stop - ds.start, B, T, 3 * h), grad.dtype))
                  for i, ds in enumerate(self._parts)]
         dxs = [dx for part in _run_each(calls) for dx in part]
         self._caches = self._xs = None
-        return dxs[0] if single else dxs
+        if D == 2:
+            dxs[0] += dxs[1][:, ::-1]
+        return dxs[0]
 
     def _backward_part(self, i, grad, carry, d_gx):
         """The backward time loop over part ``i``; frees the part's inputs and
@@ -410,20 +425,23 @@ class GruSequence(Layer):
                 for j, cell in enumerate(cells)]
 
     def params(self):
-        if len(self.cells) == 1:
-            return self.cells[0].params()
-        return _prefixed(range(len(self.cells)), self.cells, GruCell.params)
+        return self._named(GruCell.params)
 
     def grads(self):
+        return self._named(GruCell.grads)
+
+    def _named(self, arrays) -> dict[str, np.ndarray]:
+        """``arrays(cell)`` of the one cell, or of both under fwd.* and bwd.*."""
         if len(self.cells) == 1:
-            return self.cells[0].grads()
-        return _prefixed(range(len(self.cells)), self.cells, GruCell.grads)
+            return arrays(self.cells[0])
+        return {f"{name}.{k}": v for name, cell in zip(("fwd", "bwd"), self.cells)
+                for k, v in arrays(cell).items()}
 
 
-def gru_sequence_forward(cell: GruCell, x: np.ndarray, return_sequences: bool = True,
-                         h0: np.ndarray | None = None) -> np.ndarray:
+def gru_sequence_forward(cell: GruCell, x: np.ndarray,
+                         return_sequences: bool = True) -> np.ndarray:
     """Forward-only unroll of a cell over a (B, T, x_dim) input."""
-    return GruSequence(cell, return_sequences).forward(x, "infer", h0)
+    return GruSequence(cell, return_sequences).forward(x, "infer")
 
 
 # Batch rows from which a two-cell sequence runs its cells on two threads.
@@ -467,46 +485,13 @@ def _run_each(calls):
     return [first, second[0]]
 
 
-class BidirectionalGru(Layer):
-    """Two cells over opposite time directions, concatenated on features.
-
-    The backward cell consumes t = T-1..0 (its input is ``x`` reversed in
-    time); with ``return_sequences`` its per-step outputs are re-reversed to
-    align with time, otherwise its final state (aligned with t = 0) is
-    concatenated with the forward final state. One two-cell
-    :class:`GruSequence` runs both, in one time loop or, from SPLIT_ROWS rows
-    on two or more CPUs, on two threads.
-    """
-
-    DIRECTIONS = ("fwd", "bwd")
+class BidirectionalGru(GruSequence):
+    """The paper's bidirectional layer: a two-cell :class:`GruSequence`, its
+    forward cell over t = 0..T-1 and its backward cell over t = T-1..0."""
 
     def __init__(self, forward_cell: GruCell, backward_cell: GruCell,
                  return_sequences: bool):
-        self.seq = GruSequence((forward_cell, backward_cell), return_sequences)
-        self.return_sequences = return_sequences
-        self.hidden_size = forward_cell.hidden_size
-
-    def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        hf, hb = self.seq.forward((x, x[:, ::-1, :]), mode)
-        if self.return_sequences:
-            return np.concatenate([hf, hb[:, ::-1, :]], axis=2)
-        return np.concatenate([hf, hb], axis=1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        h = self.hidden_size
-        if self.return_sequences:
-            g = np.stack([grad[:, :, :h], grad[:, ::-1, h:]])
-        else:
-            g = np.stack([grad[:, :h], grad[:, h:]])
-        dx, dx_b = self.seq.backward(g)
-        dx += dx_b[:, ::-1, :]
-        return dx
-
-    def params(self):
-        return _prefixed(self.DIRECTIONS, self.seq.cells, GruCell.params)
-
-    def grads(self):
-        return _prefixed(self.DIRECTIONS, self.seq.cells, GruCell.grads)
+        super().__init__((forward_cell, backward_cell), return_sequences)
 
 
 class BatchNorm(Layer):
@@ -525,6 +510,7 @@ class BatchNorm(Layer):
         self.d_beta = np.zeros(channels, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
+        check_mode(mode)
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
         shape = x.shape

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .layers import (BatchNorm, BidirectionalGru, Dense, Dropout, Embedding,
-                     GruCell)
+                     GruCell, check_mode)
 from .numerics import softmax
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -80,8 +80,7 @@ class Model:
 
     def forward(self, ids: np.ndarray, mode: str = "infer", rng=None) -> np.ndarray:
         """Run the stack over (B, T) token ids; returns (B, num_classes) logits."""
-        if mode not in ("train", "infer"):
-            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+        check_mode(mode)
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.config.seq_len:
             raise ValueError(

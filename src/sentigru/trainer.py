@@ -3,9 +3,10 @@
 One epoch = one seeded shuffle of the training set, sliced into batches
 with the final partial batch kept. Validation runs after every epoch in
 infer mode. Everything is bit-reproducible for a fixed seed. The loop runs
-on the calling thread; at batch sizes of ``layers.SPLIT_ROWS`` and more each
-bidirectional layer runs one of its directions on a worker thread, which
-does not change a bit (see :class:`~sentigru.layers.GruSequence`).
+on the calling thread; at batch sizes of ``layers.SPLIT_ROWS`` and more, in
+a process allowed two or more CPUs, each bidirectional layer runs one of its
+directions on a worker thread, which does not change a bit (see
+:class:`~sentigru.layers.GruSequence`).
 """
 
 import time
@@ -131,6 +132,13 @@ def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,
     return total_loss / n, correct / n
 
 
+def _infer_batches(model, ids: np.ndarray, batch_size: int):
+    """(rows, infer-mode logits) for each batch of ``ids``, in dataset order."""
+    for start in range(0, len(ids), batch_size):
+        rows = slice(start, start + batch_size)
+        yield rows, model.forward(ids[rows], mode="infer")
+
+
 def evaluate(model, ids: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
     """Infer-mode mean loss and accuracy, in dataset order."""
@@ -139,24 +147,18 @@ def evaluate(model, ids: np.ndarray, labels: np.ndarray,
         raise TrainingError("cannot evaluate an empty dataset")
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        x, y = ids[start:start + batch_size], labels[start:start + batch_size]
-        logits = model.forward(x, mode="infer")
-        loss, _ = softmax_cross_entropy(logits, y)
-        total_loss += float(loss) * len(x)
-        correct += int(np.sum(np.argmax(logits, axis=1) == y))
+    for rows, logits in _infer_batches(model, ids, batch_size):
+        loss, _ = softmax_cross_entropy(logits, labels[rows])
+        total_loss += float(loss) * len(logits)
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[rows]))
     return total_loss / n, correct / n
 
 
 def predict_codes(model, ids: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Infer-mode argmax class codes for every row of ids."""
-    out = []
-    for start in range(0, len(ids), batch_size):
-        logits = model.forward(ids[start:start + batch_size], mode="infer")
-        out.append(np.argmax(logits, axis=1))
-    if not out:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(out)
+    codes = [np.argmax(logits, axis=1)
+             for _, logits in _infer_batches(model, ids, batch_size)]
+    return np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64)
 
 
 def fit(model, corpus: corpus_mod.LabeledCorpus, config: TrainConfig,

@@ -111,14 +111,16 @@ class TestBidirectionalOracle:
         bi = BidirectionalGru(fwd, bwd, return_sequences=False)
         x = rng.standard_normal((2, 1, 3))
         out = bi.forward(x)
-        f = gru_sequence_forward(fwd, x[:, 0, :][:, None, :], False, np.zeros((2, 4)))
-        b = gru_sequence_forward(bwd, x[:, 0, :][:, None, :], False, np.zeros((2, 4)))
+        f = gru_sequence_forward(fwd, x[:, 0, :][:, None, :], False)
+        b = gru_sequence_forward(bwd, x[:, 0, :][:, None, :], False)
         assert np.allclose(out[:, :4], f, atol=1e-15)
         assert np.allclose(out[:, 4:], b, atol=1e-15)
 
 
 class TestStackedDirections:
-    """A two-cell GruSequence against each cell run alone, bit for bit."""
+    """A two-cell GruSequence against each cell run alone, bit for bit: the
+    second over the input reversed in time, its states and its input gradient
+    re-reversed."""
 
     # B up to 70 makes the projection chunk C = ROWS // B shorter than T, with
     # a ragged last chunk, at T = 20 and T = 79
@@ -140,21 +142,27 @@ class TestStackedDirections:
         alone = [GruSequence(copy.deepcopy(cell), return_sequences) for cell in cells]
         stacked = GruSequence(cells, return_sequences)
         x = rng.standard_normal((B, T, x_dim)).astype(dtype)
-        inputs = (x, np.ascontiguousarray(x[:, ::-1, :]))
+        reversed_x = np.ascontiguousarray(x[:, ::-1, :])
+
+        def in_time_order(a):
+            return a[:, ::-1] if return_sequences else a
 
         for mode in ("infer", "train"):
             with mock.patch.object(layers, "_usable_cpus", lambda: 1):
-                out = stacked.forward((x, x[:, ::-1, :]), mode)
+                out = stacked.forward(x, mode)
             assert len(stacked._parts) == 1
-            for d in range(2):
-                want = alone[d].forward(inputs[d], mode)
-                assert out[d].dtype == dtype
-                assert out[d].tobytes() == want.tobytes()
+            want = np.concatenate([alone[0].forward(x, mode),
+                                   in_time_order(alone[1].forward(reversed_x, mode))],
+                                  axis=-1)
+            assert out.dtype == dtype
+            assert out.tobytes() == want.tobytes()
 
-        grad = rng.standard_normal((2, *out[0].shape)).astype(dtype)
-        dxs = stacked.backward(grad)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        dx = stacked.backward(grad)
+        want = alone[0].backward(grad[..., :h])
+        want += alone[1].backward(in_time_order(grad[..., h:]))[:, ::-1]
+        assert dx.tobytes() == want.tobytes()
         for d in range(2):
-            assert dxs[d].tobytes() == alone[d].backward(grad[d]).tobytes()
             want = alone[d].grads()
             for name, g in cells[d].grads().items():
                 assert g.tobytes() == want[name].tobytes(), name
@@ -175,7 +183,7 @@ class TestTwoThreads:
         with mock.patch.object(layers, "_usable_cpus", lambda: cpus):
             infer = bi.forward(x, "infer")
             out = bi.forward(x, "train")
-            parts = len(bi.seq._parts)
+            parts = len(bi._parts)
             grad = grad_rng.standard_normal(out.shape).astype(out.dtype)
             dx = bi.backward(grad)
         grads = {k: g.tobytes() for k, g in bi.grads().items()}
@@ -211,7 +219,7 @@ class TestTwoThreads:
         bi = bidirectional(rng, 3, 4, np.float64, True)
         T = 5
         x = rng.standard_normal((layers.SPLIT_ROWS, T, 3))
-        failing, other = bi.seq.cells[side], bi.seq.cells[1 - side]
+        failing, other = bi.cells[side], bi.cells[1 - side]
         steps = []
         step = GruSequence._step
 
@@ -243,7 +251,7 @@ class TestTwoThreads:
         x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
             out = bi.forward(x, "train")
-            assert len(bi.seq._parts) == 2
+            assert len(bi._parts) == 2
             bi.backward(np.ones_like(out))
             with pytest.raises(ValueError, match="earlier backward consumed"):
                 bi.backward(np.ones_like(out))
@@ -297,7 +305,7 @@ class TestTwoThreads:
 
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
             out = bi.forward(x, "train")
-            assert len(bi.seq._parts) == 2
+            assert len(bi._parts) == 2
             assert workers() == []
             bi.backward(np.ones_like(out))
             assert workers() == []
@@ -342,7 +350,7 @@ class TestTwoThreads:
         x = rng.standard_normal((64, 6, 3)).astype(np.float32)
         with mock.patch.object(layers, "_usable_cpus", lambda: 2):
             want = bi.forward(x, "infer")         # starts and joins a worker
-            assert len(bi.seq._parts) == 2
+            assert len(bi._parts) == 2
             with warnings.catch_warnings():       # fork of a threaded process
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()

@@ -8,6 +8,7 @@ from sentigru.layers import (BatchNorm, BidirectionalGru, Dense, Dropout,
                              Embedding, GruCell, GruSequence, glorot_uniform,
                              gru_sequence_forward, orthogonal,
                              softmax_cross_entropy)
+from sentigru.model import ModelConfig, build_model
 from sentigru.numerics import grad_check
 
 F64 = np.float64
@@ -159,17 +160,16 @@ class TestGruCell:
                 cell.param_count()
 
     def test_zero_input_zero_state_stays_zero(self):
+        # the state starts at zero
         cell = GruCell(3, 4, np.random.default_rng(0), F64)
-        h = gru_sequence_forward(cell, np.zeros((2, 3))[:, None, :], False,
-                                 np.zeros((2, 4)))
+        h = gru_sequence_forward(cell, np.zeros((2, 3))[:, None, :], False)
         assert np.array_equal(h, np.zeros((2, 4)))
 
     def test_shape_validation(self):
         cell = GruCell(3, 4, np.random.default_rng(0))
         x = np.zeros((2, 5), dtype=np.float32)
         with pytest.raises(ValueError):
-            gru_sequence_forward(cell, x[:, None, :], False,
-                                 np.zeros((2, 4), dtype=np.float32))
+            gru_sequence_forward(cell, x[:, None, :], False)
 
     def test_update_gate_interpolates(self):
         # saturate z high via huge input bias: state barely moves
@@ -177,8 +177,10 @@ class TestGruCell:
         cell.b_x[:3] = 50.0
         h_prev = np.array([[0.3, -0.2, 0.8]])
         x = np.array([[0.1, 0.2]])
-        h = gru_sequence_forward(cell, x[:, None, :], False, h_prev)
-        assert np.allclose(h, h_prev, atol=1e-6)
+        # one step from h_prev, on (n = 1, B, .) stacks as the sequence runs it
+        h = GruSequence._step(cell.input_projection(x)[None], h_prev[None],
+                              cell.U[None], cell.b_h[None, None])
+        assert np.allclose(h[0], h_prev, atol=1e-6)
 
     def test_single_step_gradient(self):
         rng = np.random.default_rng(4)
@@ -210,8 +212,8 @@ class TestGruSequence:
         rng = np.random.default_rng(8)
         cells = (GruCell(3, 4, rng, F64), GruCell(3, 4, rng, F64))
         seq = GruSequence(cells, True)
-        xa = [rng.standard_normal((2, 5, 3)) for _ in cells]
-        xb = [rng.standard_normal((3, 4, 3)) for _ in cells]
+        xa = rng.standard_normal((2, 5, 3))
+        xb = rng.standard_normal((3, 4, 3))
         first = seq.forward(xa, "infer")
         seq.forward(xb, "infer")
         assert np.array_equal(seq.forward(xa, "infer"), first)
@@ -223,32 +225,36 @@ class TestGruSequence:
         assert np.array_equal(seq.forward(xa, "infer"), fresh)
 
     def test_empty_sequence_rejected(self):
-        cell = GruCell(3, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            GruSequence(cell, True).forward(np.zeros((2, 0, 3), dtype=np.float32))
+        # no steps, and no rows: the projection chunk ROWS // B has no size
+        rng = np.random.default_rng(0)
+        for cells in ([GruCell(3, 4, rng)], [GruCell(3, 4, rng), GruCell(3, 4, rng)]):
+            for shape in ((2, 0, 3), (0, 5, 3)):
+                for mode in ("train", "infer"):
+                    with pytest.raises(ValueError, match="must be >= 1"):
+                        GruSequence(cells, True).forward(
+                            np.zeros(shape, dtype=np.float32), mode)
 
-    def test_initial_state_is_used(self):
+    def test_computes_in_the_cells_dtype(self):
         rng = np.random.default_rng(6)
-        cell = GruCell(3, 4, rng, F64)
-        x = rng.standard_normal((2, 3, 3))
-        h0 = rng.standard_normal((2, 4))
-        manual = h0
-        for t in range(3):
-            manual = gru_sequence_forward(cell, x[:, t, :][:, None, :], False, manual)
-        out = gru_sequence_forward(cell, x, return_sequences=False, h0=h0)
-        assert np.allclose(out, manual, atol=1e-12)
-
-    def test_initial_state_shape_checked(self):
-        rng = np.random.default_rng(17)
-        cell = GruCell(3, 4, rng, F64)
-        x = rng.standard_normal((5, 2, 3))
-        # one state for all five rows, and two stacked states for one cell
-        for h0 in (np.zeros((1, 4)), np.zeros((2, 5, 4))):
-            with pytest.raises(ValueError, match="h0"):
-                gru_sequence_forward(cell, x, False, h0)
-        seq = GruSequence((cell, GruCell(3, 4, rng, F64)), False)
-        with pytest.raises(ValueError, match="h0"):
-            seq.forward((x, x), "infer", np.zeros((5, 4)))
+        f32, f64 = GruCell(3, 4, rng, np.float32), GruCell(3, 4, rng, F64)
+        x = rng.standard_normal((2, 5, 3))
+        for return_sequences in (True, False):
+            with pytest.raises(ValueError, match="dtype float32 differs"):
+                GruSequence(f64, return_sequences).forward(x.astype(np.float32))
+            with pytest.raises(ValueError, match="dtype float64 differs"):
+                GruSequence((f32, f32), return_sequences).forward(x)
+            seq = GruSequence(f32, return_sequences)
+            out = seq.forward(x.astype(np.float32), "train")
+            assert out.dtype == np.float32
+            with pytest.raises(ValueError, match="gradient dtype float64 differs"):
+                seq.backward(np.ones(out.shape))
+        with pytest.raises(ValueError, match="share one dtype"):
+            GruSequence((f32, f64), True)
+        f32.b_h = f32.b_h.astype(F64)
+        with pytest.raises(ValueError, match="share one dtype"):
+            GruSequence(f32, True)
+        with pytest.raises(ValueError, match="one or two cells"):
+            GruSequence((f64, f64, f64), True)
 
     def test_backward_before_forward_rejected(self):
         seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
@@ -273,10 +279,9 @@ class TestGruSequence:
                           return_sequences=True)
         # two cells run as two parts from SPLIT_ROWS rows on two CPUs
         for B in (3, layers.SPLIT_ROWS):
-            xs = [rng.standard_normal((B, T, x_dim)).astype(dtype)
-                  for _ in range(cells)]
+            x = rng.standard_normal((B, T, x_dim)).astype(dtype)
             with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-                out = seq.forward(xs[0] if cells == 1 else xs, "train")
+                out = seq.forward(x, "train")
             assert len(seq._parts) == (2 if cells == 2 and B >= layers.SPLIT_ROWS
                                        else 1)
 
@@ -289,7 +294,7 @@ class TestGruSequence:
                 assert all(b.base is None for b in blocks)
             held = sum(b.nbytes for blocks in seq._caches for b in blocks)
             assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
-            grad = np.ones_like(np.asarray(out))
+            grad = np.ones_like(out)
             seq.backward(grad)
             assert seq._caches is None and seq._xs is None
             with pytest.raises(ValueError, match="earlier backward consumed"):
@@ -333,8 +338,8 @@ class TestBidirectionalGru:
         x = rng.standard_normal((2, 5, 3))
         out = bi.forward(x)
         assert out.shape == (2, 5, 8)
-        fwd_states = GruSequence(bi.seq.cells[0], True).forward(x)
-        bwd_states = GruSequence(bi.seq.cells[1], True).forward(
+        fwd_states = GruSequence(bi.cells[0], True).forward(x)
+        bwd_states = GruSequence(bi.cells[1], True).forward(
             np.ascontiguousarray(x[:, ::-1, :]))
         assert np.array_equal(out[:, :, :4], fwd_states)
         assert np.array_equal(out[:, :, 4:], bwd_states[:, ::-1, :])
@@ -345,8 +350,8 @@ class TestBidirectionalGru:
         x = rng.standard_normal((3, 4, 3))
         out = bi.forward(x)
         assert out.shape == (3, 8)
-        fwd_final = GruSequence(bi.seq.cells[0], False).forward(x)
-        bwd_final = GruSequence(bi.seq.cells[1], False).forward(
+        fwd_final = GruSequence(bi.cells[0], False).forward(x)
+        bwd_final = GruSequence(bi.cells[1], False).forward(
             np.ascontiguousarray(x[:, ::-1, :]))
         assert np.array_equal(out[:, :4], fwd_final)
         assert np.array_equal(out[:, 4:], bwd_final)
@@ -362,7 +367,7 @@ class TestBidirectionalGru:
         infer = bi.forward(x, "infer")
         assert infer.dtype == dtype
         assert infer.tobytes() == train.tobytes()
-        assert bi.seq._caches is None and bi.seq._xs is None
+        assert bi._caches is None and bi._xs is None
 
     def test_backward_before_forward_rejected(self):
         with pytest.raises(ValueError, match="before any forward"):
@@ -540,3 +545,24 @@ class TestSoftmaxCrossEntropy:
             lambda: softmax_cross_entropy(logits, labels)[0],
             {"logits": logits}, {"logits": analytic})
         assert report.max_relative_error < 1e-7
+
+
+def _tiny_model():
+    return build_model(ModelConfig(vocab_size=20, embed_dim=3, seq_len=5,
+                                   gru_units=(4, 3, 3)), seed=0)
+
+
+@pytest.mark.parametrize("mode", ["Train", "test", "eval", ""])
+@pytest.mark.parametrize("forward", [
+    lambda mode: Dropout(0.3).forward(np.ones((4, 3)), mode,
+                                      np.random.default_rng(0)),
+    lambda mode: BatchNorm(3).forward(np.ones((4, 3), np.float32), mode),
+    lambda mode: GruSequence(GruCell(3, 4, None), True).forward(
+        np.ones((2, 5, 3), np.float32), mode),
+    lambda mode: _tiny_model().forward(np.ones((2, 5), np.int64), mode),
+], ids=["dropout", "batch_norm", "gru_sequence", "model"])
+def test_unknown_mode_rejected_everywhere(forward, mode):
+    """One mode check, in every layer that reads the mode and in the model:
+    no misspelt mode runs as if it were train or infer."""
+    with pytest.raises(ValueError, match="mode must be 'train' or 'infer'"):
+        forward(mode)

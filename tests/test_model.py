@@ -189,6 +189,13 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(self.make_ids(model, 1), "test")
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_zero_rows_rejected(self, mode):
+        model = small_model()
+        ids = np.zeros((0, model.config.seq_len), dtype=np.int64)
+        with pytest.raises(ValueError, match="batch size and sequence length"):
+            model.forward(ids, mode)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
     def test_non_integer_ids_rejected(self, dtype):
         model = small_model()
