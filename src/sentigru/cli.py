@@ -193,8 +193,7 @@ def _shape_str(shape) -> str:
     return "(" + ", ".join(["None"] + [str(d) for d in shape]) + ")"
 
 
-def _cmd_summary(args) -> int:
-    s = _settings(args)
+def _cmd_summary(s: dict) -> int:
     if s["model"]:
         model, _ = serialize.load(s["model"])
     else:
@@ -212,8 +211,7 @@ def _cmd_summary(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    s = _settings(args)
+def _cmd_stats(s: dict) -> int:
     if s["top"] < 0:
         raise UsageError(f"--top must be >= 0, got {s['top']}")
     corpus = _load_corpus(s)
@@ -231,8 +229,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    s = _settings(args)
+def _cmd_preprocess(s: dict) -> int:
     config = _model_config(s)
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
@@ -253,8 +250,7 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    s = _settings(args)
+def _cmd_train(s: dict) -> int:
     _require(s, "data", "out")
     model_config, train_config = _model_config(s), _train_config(s)
     _require_writable(s, "out", "history")
@@ -280,8 +276,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    s = _settings(args)
+def _cmd_evaluate(s: dict) -> int:
     _require(s, "model")
     batch_size = _train_config(s).batch_size
     model, vocab = serialize.load(s["model"])
@@ -301,8 +296,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    s = _settings(args)
+def _cmd_predict(s: dict) -> int:
     _require(s, "model", "text")
     model, vocab = serialize.load(s["model"])
     code, name, probs = model_mod.predict(
@@ -347,7 +341,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        return args.func(args)
+        return args.func(_settings(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

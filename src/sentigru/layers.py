@@ -12,12 +12,11 @@ loaded. Such parameters, and every gradient buffer, come from ``np.zeros``,
 whose pages stay untouched until written: a model that only infers never
 makes its gradients resident.
 
-Layers cache whatever the backward pass needs on ``self`` during forward and
-accumulate parameter gradients in place; callers own zeroing between steps.
-The GRU layers keep per-step caches only in a train-mode forward, and only
-what backward reads: ``h_prev``, the ``z|r`` gates, ``c`` and the recurrent
-candidate ``hc``, 5h values per row, in four blocks over all steps. Backward
-frees them when it is done, so one train forward allows one backward.
+One rule in :class:`Layer` says what a forward keeps: a train-mode forward
+keeps what its backward reads, an infer-mode forward keeps nothing, and
+backward takes the kept state once or raises ValueError naming why before it
+changes anything. Parameter gradients accumulate in place; callers own
+zeroing between steps.
 The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
@@ -82,6 +81,24 @@ def check_mode(mode: str) -> None:
 
 
 class Layer:
+    # what the last train forward kept for backward, or why nothing is kept
+    _kept: tuple | str = "called before any forward"
+
+    def _keep(self, mode: str, *state) -> None:
+        """Keep ``state`` for one backward after a train forward, and nothing
+        after an infer forward."""
+        check_mode(mode)
+        self._kept = state if mode == "train" else (
+            "needs a train-mode forward; the last forward ran in infer mode")
+
+    def _take(self) -> tuple:
+        """What the last train forward kept, once; else ValueError naming why."""
+        if isinstance(self._kept, str):
+            raise ValueError(f"{type(self).__name__}.backward {self._kept}")
+        kept, self._kept = self._kept, ("needs a new train-mode forward; an "
+                                        "earlier backward consumed its state")
+        return kept
+
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -114,12 +131,13 @@ class Embedding(Layer):
     def forward(self, ids: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValueError(f"token id out of range for vocab of {self.vocab_size}")
-        self._ids = ids
+        self._keep(mode, ids)
         return self.weight[ids]
 
     def backward(self, grad: np.ndarray) -> None:
+        (ids,) = self._take()
         # scatter-add: rows referenced several times accumulate
-        np.add.at(self.d_weight, self._ids.reshape(-1),
+        np.add.at(self.d_weight, ids.reshape(-1),
                   grad.reshape(-1, self.embed_dim))
         return None
 
@@ -137,24 +155,22 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask = None
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         check_mode(mode)
-        if mode == "infer" or self.rate == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise ValueError("Dropout.forward in train mode needs an rng to draw "
-                             "its mask")
-        keep = rng.random(x.shape) >= self.rate
-        self._mask = keep.astype(x.dtype) / (1.0 - self.rate)
-        return x * self._mask
+        mask = None
+        if mode == "train" and self.rate > 0.0:
+            if rng is None:
+                raise ValueError("Dropout.forward in train mode needs an rng to "
+                                 "draw its mask")
+            keep = rng.random(x.shape) >= self.rate
+            mask = keep.astype(x.dtype) / (1.0 - self.rate)
+        self._keep(mode, mask)
+        return x if mask is None else x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+        (mask,) = self._take()
+        return grad if mask is None else grad * mask
 
 
 # Input rows projected per time chunk: the projection buffer holds about
@@ -229,11 +245,11 @@ class GruSequence(Layer):
     bits of a per-step product. Parameter gradients accumulate per cell in
     step order.
 
-    Only a train-mode forward keeps caches: ``h_prev``, ``z|r``, ``c`` and
-    ``hc``, 5h values per row, in four (T, n, B, .) blocks per part. Each
-    part drops its blocks when its backward loop is done, before its ``dx``
-    products, so the memory is back before the layers below run their
-    backward; a second ``backward`` needs a new train forward first.
+    A train-mode forward keeps per-part lists of inputs and caches: ``h_prev``,
+    ``z|r``, ``c`` and the recurrent candidate ``hc``, 5h values per row, in
+    four (T, n, B, .) blocks per part. Each part clears its entries when its
+    backward loop is done, before its ``dx`` products, so the memory is back
+    before the layers below run their backward.
 
     The calling thread allocates every array a part keeps past one step
     (projection buffer, states, cache blocks, ``d_gx``) before it starts the
@@ -261,7 +277,6 @@ class GruSequence(Layer):
         (self.dtype,) = dtypes
         self.hidden_size = h = self.cells[0].hidden_size
         self.return_sequences = return_sequences
-        self._mode = self._xs = self._caches = None
         self._U = np.empty((len(self.cells), h, 3 * h), self.dtype)
         self._gx = []
 
@@ -281,10 +296,11 @@ class GruSequence(Layer):
         train = mode == "train"
         C = max(1, min(T, ROWS // B))
         split = D == 2 and B >= SPLIT_ROWS and _usable_cpus() >= 2
-        self._mode = mode
         self._parts = [slice(0, 1), slice(1, 2)] if split else [slice(0, D)]
-        self._xs = [xs[ds] for ds in self._parts] if train else None
-        self._caches = [] if train else None
+        # kept before the loop fills it, so a kept earlier forward's blocks
+        # are freed before this one's are allocated
+        caches = []
+        self._keep(mode, [xs[ds] for ds in self._parts], caches)
         gxs, calls = [], []
         for i, ds in enumerate(self._parts):
             n = ds.stop - ds.start
@@ -292,14 +308,12 @@ class GruSequence(Layer):
             if gx is None or gx.shape != (n, B, C, 3 * h):
                 gx = np.empty((n, B, C, 3 * h), dtype)
             states = np.empty((n, B, T, h), dtype) if self.return_sequences else None
-            caches = (tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
-                      if train else None)
+            caches.append(tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
+                          if train else None)
             gxs.append(gx)
-            if train:
-                self._caches.append(caches)
             calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
                                  U[ds], b_h[ds], np.zeros((n, B, h), dtype), gx,
-                                 states, caches))
+                                 states, caches[i]))
         # keep the buffers only where they are small and the forward short:
         # an infer forward that projected the whole sequence in one chunk. A
         # chunked buffer is ROWS-sized, and after a train forward backward
@@ -383,44 +397,36 @@ class GruSequence(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """grad is shaped like the forward output, in the cells' dtype;
         returns the gradient at the (B, T, x_dim) input."""
-        if self._mode is None:
-            raise ValueError("GruSequence.backward called before any forward")
-        if self._mode != "train":
-            raise ValueError("GruSequence.backward needs a train-mode forward; "
-                             "the last forward ran in infer mode and kept no caches")
-        if self._caches is None:
-            raise ValueError("GruSequence.backward needs a new train-mode forward; "
-                             "an earlier backward consumed the last one's caches")
         if grad.dtype != self.dtype:
             raise ValueError(f"gradient dtype {grad.dtype} differs from the cells' "
                              f"{self.dtype}")
+        xs, caches = self._take()
         D, h = len(self.cells), self.hidden_size
-        B, T, _ = self._xs[0][0].shape
+        B, T, _ = xs[0][0].shape
         grad = np.stack([grad[..., :h], self._in_time_order(grad[..., h:])][:D])
         carry = np.zeros((D, B, h), dtype=grad.dtype)
-        calls = [partial(self._backward_part, i, grad[ds], carry[ds],
+        calls = [partial(self._backward_part, xs, caches, i, grad[ds], carry[ds],
                          np.empty((ds.stop - ds.start, B, T, 3 * h), grad.dtype))
                  for i, ds in enumerate(self._parts)]
         dxs = [dx for part in _run_each(calls) for dx in part]
-        self._caches = self._xs = None
         if D == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_part(self, i, grad, carry, d_gx):
-        """The backward time loop over part ``i``; frees the part's inputs and
-        caches, then returns its input gradients."""
+    def _backward_part(self, xs, caches, i, grad, carry, d_gx):
+        """The backward time loop over part ``i``; clears the part's entries
+        in the kept ``xs`` and ``caches``, then returns its input gradients."""
         cells = self.cells[self._parts[i]]
-        pairs, caches = list(zip(cells, self._xs[i])), self._caches[i]
-        self._xs[i] = self._caches[i] = None
+        pairs, blocks = list(zip(cells, xs[i])), caches[i]
+        xs[i] = caches[i] = None
         B, T, x_dim = pairs[0][1].shape
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
                 dh = carry + grad[:, :, t]
             else:
                 dh = (carry + grad) if t == T - 1 else carry
-            d_gx[:, :, t], carry = self._step_backward(dh, caches, t, pairs)
-        del pairs, caches                   # their memory is back before dx
+            d_gx[:, :, t], carry = self._step_backward(dh, blocks, t, pairs)
+        del pairs, blocks                   # their memory is back before dx
         return [matmul(d_gx[j].reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
                 for j, cell in enumerate(cells)]
 
@@ -510,7 +516,6 @@ class BatchNorm(Layer):
         self.d_beta = np.zeros(channels, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        check_mode(mode)
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
         shape = x.shape
@@ -530,19 +535,17 @@ class BatchNorm(Layer):
         xc = flat - mean
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         xn = xc * inv_std
-        self._cache = (xc, inv_std, xn, mode)
+        self._keep(mode, xc, inv_std, xn)
         return (self.gamma * xn + self.beta).reshape(shape)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        xc, inv_std, xn = self._take()
         shape = grad.shape
         d = grad.reshape(-1, self.channels)
-        xc, inv_std, xn, mode = self._cache
         n = d.shape[0]
         self.d_gamma += (d * xn).sum(axis=0)
         self.d_beta += d.sum(axis=0)
         dxn = d * self.gamma
-        if mode != "train":
-            return (dxn * inv_std).reshape(shape)
         dvar = (dxn * xc * -0.5 * inv_std ** 3).sum(axis=0)
         dmean = (-dxn * inv_std).sum(axis=0) + dvar * (-2.0 * xc).mean(axis=0)
         dx = dxn * inv_std + dvar * 2.0 * xc / n + dmean / n
@@ -568,11 +571,12 @@ class Dense(Layer):
         self.db = np.zeros(out_dim, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        self._x = x
+        self._keep(mode, x)
         return matmul(x, self.W) + self.b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.dW += matmul(self._x.T, grad)
+        (x,) = self._take()
+        self.dW += matmul(x.T, grad)
         self.db += grad.sum(axis=0)
         return matmul(grad, self.W.T)
 

@@ -132,17 +132,16 @@ def classification_metrics(cm: ConfusionMatrix) -> EvalReport:
         sum(m.precision for m in per_class) / k,
         sum(m.recall for m in per_class) / k,
         sum(m.f1 for m in per_class) / k)
-    # pooled counts; for single-label data this reduces to trace/total
-    micro_p = int(tp.sum()) / int(tp.sum() + fp.sum())
-    micro_r = int(tp.sum()) / int(tp.sum() + fn.sum())
-    micro = Averages(micro_p, micro_r, _f1(micro_p, micro_r))
+    accuracy = int(np.trace(counts)) / total
+    # pooled counts: each error is one fp and one fn, so micro p = r = accuracy
+    micro = Averages(accuracy, accuracy, accuracy)
     weighted = Averages(
         sum(m.support * m.precision for m in per_class) / total,
         sum(m.support * m.recall for m in per_class) / total,
         sum(m.support * m.f1 for m in per_class) / total)
     return EvalReport(
         confusion=cm,
-        accuracy=int(np.trace(counts)) / total,
+        accuracy=accuracy,
         per_class=tuple(per_class),
         macro=macro, micro=micro, weighted=weighted)
 

@@ -9,6 +9,7 @@ directions on a worker thread, which does not change a bit (see
 :class:`~sentigru.layers.GruSequence`).
 """
 
+import numbers
 import time
 from dataclasses import dataclass, asdict
 
@@ -32,18 +33,19 @@ class TrainConfig:
     stratify: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        lr, fraction = self.learning_rate, self.train_fraction
         # rate 0 is allowed: it must leave parameters bitwise unchanged
-        if not 0 <= self.learning_rate < float("inf"):
+        if not isinstance(lr, numbers.Real) or not 0 <= lr < float("inf"):
             raise ValueError("learning_rate must be finite and not negative, "
-                             f"got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie in (0, 1)")
+                             f"got {lr!r}")
+        if not isinstance(fraction, numbers.Real) or not 0 < fraction < 1:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {fraction!r}")
 
 
 @dataclass(frozen=True)

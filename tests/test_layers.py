@@ -104,7 +104,6 @@ class TestDropout:
         d = Dropout(0.4)
         x = np.arange(6.0).reshape(2, 3)
         assert d.forward(x, "infer") is x
-        assert d.backward(x) is x
 
     def test_rate_zero_is_identity_in_train(self):
         d = Dropout(0.0)
@@ -287,16 +286,19 @@ class TestGruSequence:
 
             # h_prev, z|r, c and hc per row, each in its own (T, n, B, .)
             # block per part that owns its memory
-            for part, blocks in zip(seq._parts, seq._caches):
+            xs, caches = seq._kept
+            for part, blocks in zip(seq._parts, caches):
                 n = part.stop - part.start
                 assert [b.shape for b in blocks] == [
                     (T, n, B, w * h) for w in (1, 2, 1, 1)]
                 assert all(b.base is None for b in blocks)
-            held = sum(b.nbytes for blocks in seq._caches for b in blocks)
+            held = sum(b.nbytes for blocks in caches for b in blocks)
             assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
             grad = np.ones_like(out)
             seq.backward(grad)
-            assert seq._caches is None and seq._xs is None
+            # every part cleared its entries, and the layer keeps nothing
+            assert caches == [None] * len(seq._parts) == xs
+            assert isinstance(seq._kept, str)
             with pytest.raises(ValueError, match="earlier backward consumed"):
                 seq.backward(grad)
 
@@ -367,7 +369,7 @@ class TestBidirectionalGru:
         infer = bi.forward(x, "infer")
         assert infer.dtype == dtype
         assert infer.tobytes() == train.tobytes()
-        assert bi._caches is None and bi._xs is None
+        assert isinstance(bi._kept, str)        # a reason, no array
 
     def test_backward_before_forward_rejected(self):
         with pytest.raises(ValueError, match="before any forward"):
@@ -462,20 +464,6 @@ class TestBatchNorm:
 
         check_layer_grads(bn, loss_fn, extra_params={"x": x})
 
-    def test_infer_gradient(self):
-        rng = np.random.default_rng(16)
-        bn = BatchNorm(3, dtype=F64)
-        bn.moving_mean[:] = rng.standard_normal(3)
-        bn.moving_var[:] = 0.5 + rng.random(3)
-        x = rng.standard_normal((4, 3))
-        r = rng.standard_normal((4, 3))
-
-        def loss_fn():
-            out = bn.forward(x, "infer")
-            return float(np.sum(out * r)), r
-
-        check_layer_grads(bn, loss_fn, extra_params={"x": x})
-
 
 class TestDense:
     def test_affine_map(self):
@@ -554,15 +542,54 @@ def _tiny_model():
 
 @pytest.mark.parametrize("mode", ["Train", "test", "eval", ""])
 @pytest.mark.parametrize("forward", [
+    lambda mode: Embedding(5, 3, None).forward(np.ones((2, 4), np.int64), mode),
     lambda mode: Dropout(0.3).forward(np.ones((4, 3)), mode,
                                       np.random.default_rng(0)),
     lambda mode: BatchNorm(3).forward(np.ones((4, 3), np.float32), mode),
     lambda mode: GruSequence(GruCell(3, 4, None), True).forward(
         np.ones((2, 5, 3), np.float32), mode),
+    lambda mode: Dense(3, 2, None).forward(np.ones((4, 3), np.float32), mode),
     lambda mode: _tiny_model().forward(np.ones((2, 5), np.int64), mode),
-], ids=["dropout", "batch_norm", "gru_sequence", "model"])
+], ids=["embedding", "dropout", "batch_norm", "gru_sequence", "dense", "model"])
 def test_unknown_mode_rejected_everywhere(forward, mode):
-    """One mode check, in every layer that reads the mode and in the model:
-    no misspelt mode runs as if it were train or infer."""
+    """One mode check, in every layer and in the model: no misspelt mode
+    runs as if it were train or infer."""
     with pytest.raises(ValueError, match="mode must be 'train' or 'infer'"):
         forward(mode)
+
+
+# each maker returns a layer, a forward input and the shape of its output
+LAYER_MAKERS = {
+    "embedding": lambda rng: (Embedding(6, 3, rng, F64), np.ones((2, 4), np.int64),
+                              (2, 4, 3)),
+    "dropout": lambda rng: (Dropout(0.5), rng.standard_normal((2, 4, 3)), (2, 4, 3)),
+    "batch_norm": lambda rng: (BatchNorm(3, F64), rng.standard_normal((2, 4, 3)),
+                               (2, 4, 3)),
+    "bidirectional_gru": lambda rng: (
+        BidirectionalGru(GruCell(3, 2, rng, F64), GruCell(3, 2, rng, F64), True),
+        rng.standard_normal((2, 4, 3)), (2, 4, 4)),
+    "dense": lambda rng: (Dense(3, 2, rng, F64), rng.standard_normal((4, 3)), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("before, cause", [
+    ((), "before any forward"),
+    (("train", "infer"), "infer mode"),
+    (("train", "backward"), "earlier backward consumed"),
+], ids=["no_forward", "after_infer", "second_backward"])
+@pytest.mark.parametrize("make", LAYER_MAKERS.values(), ids=LAYER_MAKERS.keys())
+def test_backward_needs_its_own_train_forward(make, before, cause):
+    """One rule for every layer: backward takes what the last train forward
+    kept, once. Otherwise it raises naming the cause and changes no gradient."""
+    rng = np.random.default_rng(22)
+    layer, x, out_shape = make(rng)
+    grad = np.ones(out_shape)
+    for step in before:
+        if step == "backward":
+            layer.backward(grad)
+        else:
+            layer.forward(x, step, rng)
+    grads = {name: g.tobytes() for name, g in layer.grads().items()}
+    with pytest.raises(ValueError, match=cause):
+        layer.backward(grad)
+    assert {name: g.tobytes() for name, g in layer.grads().items()} == grads

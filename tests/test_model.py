@@ -266,6 +266,28 @@ class TestFullModelGradient:
         assert report.max_relative_error < 1e-5, report.per_parameter
 
 
+    @pytest.mark.parametrize("before, cause", [
+        ((), "before any forward"),
+        (("train", "infer"), "infer mode"),
+        (("train", "backward"), "earlier backward consumed"),
+    ], ids=["no_forward", "after_infer", "second_backward"])
+    def test_rejected_backward_changes_no_gradient(self, before, cause):
+        model = small_model(seed=2)
+        ids = np.random.default_rng(3).integers(0, SMALL.vocab_size, (4, SMALL.seq_len))
+        dlogits = np.ones((4, SMALL.num_classes), np.float32)
+        for step in before:
+            if step == "backward":
+                model.backward(dlogits)
+            else:
+                model.forward(ids, step)
+        # no layer holds an array for backward, only the reason it has none
+        assert all(isinstance(layer._kept, str) for _, layer in model.named_layers)
+        grads = [g.tobytes() for _, _, g in model.trainable()]
+        with pytest.raises(ValueError, match=cause):
+            model.backward(dlogits)
+        assert [g.tobytes() for _, _, g in model.trainable()] == grads
+
+
 class TestPredict:
     def make_fixture(self):
         vocab = build_vocabulary([["happy", "glad", "gloomy", "dark"]])

@@ -50,6 +50,8 @@ class TestTrainConfig:
         {"train_fraction": 0.0}, {"train_fraction": 1.0},
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"seed": -1},
+        {"batch_size": 2.5}, {"epochs": 1.5}, {"seed": 1.5}, {"epochs": "2"},
+        {"learning_rate": "x"}, {"train_fraction": "0.5"}, {"batch_size": True},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
