@@ -197,7 +197,7 @@ def _cmd_summary(s: dict) -> int:
     if s["model"]:
         model, _ = serialize.load(s["model"])
     else:
-        model = model_mod.build_model(_model_config(s), seed=_train_config(s).seed)
+        model = model_mod.build_model(_model_config(s))   # shapes need no weights
     rows = model_mod.summary(model)
     name_w = max(len(r.name) for r in rows) + 2
     shape_w = max(len(_shape_str(r.output_shape)) for r in rows) + 2
@@ -278,13 +278,14 @@ def _cmd_train(s: dict) -> int:
 
 def _cmd_evaluate(s: dict) -> int:
     _require(s, "model")
-    batch_size = _train_config(s).batch_size
+    if s["batch_size"] < 1:
+        raise UsageError(f"batch_size must be >= 1, got {s['batch_size']!r}")
     model, vocab = serialize.load(s["model"])
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
     ids, labels = corpus_mod.encode_corpus(
         corpus, vocab, model.config.seq_len, stoplist)
-    pred = trainer.predict_codes(model, ids, batch_size)
+    pred = trainer.predict_codes(model, ids, s["batch_size"])
     try:
         report = metrics.report_from_predictions(
             labels, pred, model.config.num_classes)

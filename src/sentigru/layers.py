@@ -34,15 +34,13 @@ Input projections are computed in time chunks of about ``ROWS`` rows into
 one reused buffer rather than for the whole sequence at once, so holding
 both directions does not raise peak memory at large batches.
 
-From ``SPLIT_ROWS`` rows up, in a process allowed two or more CPUs, a
-two-cell sequence instead runs each cell's time loop at once, one of them on
-a thread started for that forward or backward call and joined before it
-returns. It is the only thread the package starts, and none outlives the
-call that started it; it makes the same float operations, so no bit depends
-on the batch size or the CPU count choosing it.
+From ``SPLIT_ROWS`` rows up, whatever the CPU count, a two-cell sequence
+instead runs each cell's time loop at once, one of them on a thread started
+for that forward or backward call and joined before it returns. It is the
+only thread the package starts, and none outlives the call that started it;
+it makes the same float operations, so no bit depends on the batch choosing it.
 """
 
-import os
 import threading
 from functools import partial
 
@@ -232,11 +230,10 @@ class GruSequence(Layer):
     A step runs every gate operation once over the part's (n, B, .) arrays;
     the recurrent product is one stacked matmul, whose [d] slices equal the
     per-cell products bit for bit. One part holds every cell, except that two
-    cells with at least SPLIT_ROWS rows, in a process allowed two or more
-    CPUs, run as one part each at once: the first on the calling thread, the
-    second on a worker thread, started for the call and joined before it
-    returns, while einsum releases the GIL. Both ways make
-    the same float operations, so no bit depends on the batch or CPU count.
+    cells with at least SPLIT_ROWS rows run as one part each at once: the
+    first on the calling thread, the second on a worker thread, started for
+    the call and joined before it returns, while einsum releases the GIL. The
+    plan depends on D and B alone, and no bit depends on it.
 
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
     reused (n, B, C, 3h) buffer per part, so peak memory does not grow with T
@@ -245,11 +242,11 @@ class GruSequence(Layer):
     bits of a per-step product. Parameter gradients accumulate per cell in
     step order.
 
-    A train-mode forward keeps per-part lists of inputs and caches: ``h_prev``,
-    ``z|r``, ``c`` and the recurrent candidate ``hc``, 5h values per row, in
-    four (T, n, B, .) blocks per part. Each part clears its entries when its
-    backward loop is done, before its ``dx`` products, so the memory is back
-    before the layers below run their backward.
+    A train-mode forward keeps its parts and per-part lists of inputs and
+    caches: ``h_prev``, ``z|r``, ``c`` and the recurrent candidate ``hc``, 5h
+    values per row, in four (T, n, B, .) blocks per part. Each part clears
+    its entries when its backward loop is done, before its ``dx`` products,
+    so the memory is back before the layers below run their backward.
 
     The calling thread allocates every array a part keeps past one step
     (projection buffer, states, cache blocks, ``d_gx``) before it starts the
@@ -295,14 +292,14 @@ class GruSequence(Layer):
         b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
         train = mode == "train"
         C = max(1, min(T, ROWS // B))
-        split = D == 2 and B >= SPLIT_ROWS and _usable_cpus() >= 2
-        self._parts = [slice(0, 1), slice(1, 2)] if split else [slice(0, D)]
+        parts = ([slice(0, 1), slice(1, 2)] if D == 2 and B >= SPLIT_ROWS
+                 else [slice(0, D)])
         # kept before the loop fills it, so a kept earlier forward's blocks
         # are freed before this one's are allocated
         caches = []
-        self._keep(mode, [xs[ds] for ds in self._parts], caches)
+        self._keep(mode, parts, [xs[ds] for ds in parts], caches)
         gxs, calls = [], []
-        for i, ds in enumerate(self._parts):
+        for i, ds in enumerate(parts):
             n = ds.stop - ds.start
             gx = self._gx[i] if i < len(self._gx) else None
             if gx is None or gx.shape != (n, B, C, 3 * h):
@@ -400,23 +397,23 @@ class GruSequence(Layer):
         if grad.dtype != self.dtype:
             raise ValueError(f"gradient dtype {grad.dtype} differs from the cells' "
                              f"{self.dtype}")
-        xs, caches = self._take()
+        parts, xs, caches = self._take()
         D, h = len(self.cells), self.hidden_size
         B, T, _ = xs[0][0].shape
         grad = np.stack([grad[..., :h], self._in_time_order(grad[..., h:])][:D])
         carry = np.zeros((D, B, h), dtype=grad.dtype)
-        calls = [partial(self._backward_part, xs, caches, i, grad[ds], carry[ds],
-                         np.empty((ds.stop - ds.start, B, T, 3 * h), grad.dtype))
-                 for i, ds in enumerate(self._parts)]
+        calls = [partial(self._backward_part, self.cells[ds], xs, caches, i, grad[ds],
+                         carry[ds], np.empty((len(xs[i]), B, T, 3 * h), grad.dtype))
+                 for i, ds in enumerate(parts)]
         dxs = [dx for part in _run_each(calls) for dx in part]
         if D == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_part(self, xs, caches, i, grad, carry, d_gx):
-        """The backward time loop over part ``i``; clears the part's entries
-        in the kept ``xs`` and ``caches``, then returns its input gradients."""
-        cells = self.cells[self._parts[i]]
+    def _backward_part(self, cells, xs, caches, i, grad, carry, d_gx):
+        """The backward time loop over part ``i``, of ``cells``; clears the
+        part's entries in the kept ``xs`` and ``caches``, then returns its
+        input gradients."""
         pairs, blocks = list(zip(cells, xs[i])), caches[i]
         xs[i] = caches[i] = None
         B, T, x_dim = pairs[0][1].shape
@@ -456,12 +453,6 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 # Xeon ran 0.50-0.82x as fast at B = 1..8, 0.95-0.99x at B = 12, 1.17-1.36x
 # at B = 16 and 1.63x at B = 64.
 SPLIT_ROWS = 16
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                       # not on Linux
-        return os.cpu_count() or 1
 
 
 def _run_each(calls):

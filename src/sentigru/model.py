@@ -90,8 +90,15 @@ class Model:
         if rng is None:
             rng = self._rng
         x = ids
-        for _, layer in self.named_layers:
-            x = layer.forward(x, mode, rng)
+        try:
+            for _, layer in self.named_layers:
+                x = layer.forward(x, mode, rng)
+        except BaseException as exc:
+            # keep no state: the layers above the failure hold an older forward's
+            failed = f"needs a train-mode forward; the last forward failed: {exc}"
+            for _, layer in self.named_layers:
+                layer._kept = failed
+            raise
         return x
 
     def backward(self, dlogits: np.ndarray) -> None:

@@ -3,11 +3,11 @@
 All layer math funnels through :func:`matmul`, an ``einsum`` kernel with no
 BLAS dispatch. Its results are bitwise reproducible run to run, and for every
 operand layout a row of the product does not depend on which other rows share
-the call. When ``b`` is C-contiguous the product also equals a naive
-left-to-right triple loop in the same precision. A transposed view such as
-``W.T`` makes einsum pick another reduction order: still row-invariant, but not
-equal to that loop. The backward passes multiply by ``W.T`` and ``U.T`` and
-rely only on row invariance.
+the call. When ``b`` is C-contiguous with at least two columns the product
+also equals a naive left-to-right triple loop in the same precision. A
+transposed view such as ``W.T``, or a single column, makes einsum pick another
+reduction order: still row-invariant, but not equal to that loop. The backward
+passes multiply by ``W.T`` and ``U.T`` and rely only on row invariance.
 
 Operands may also carry one leading stack axis, ``(D, m, k) x (D, k, n)``:
 one call computes D independent products. Each ``[d]`` slice of a stacked

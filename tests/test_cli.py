@@ -190,12 +190,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("evaluate", "--batch-size", "0", "batch_size must be >= 1"),
         ("evaluate", "--batch-size", "-3", "batch_size must be >= 1"),
-        ("evaluate", "--epochs", "0", "epochs must be >= 1"),
         ("stats", "--top", "-1", "--top must be >= 0, got -1"),
         ("train", "--lr", "nan", "learning_rate must be finite and not negative"),
         ("train", "--lr", "inf", "learning_rate must be finite and not negative"),
         ("train", "--seed", "-1", "seed must be >= 0, got -1"),
-        ("summary", "--seed", "-1", "seed must be >= 0, got -1"),
         ("preprocess", "--gru-units", "1,2", "gru_units must have exactly 3"),
     ])
     def test_bad_setting_is_one_line(self, data_csv, trained_model, tmp_path,
@@ -208,6 +206,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--epochs", "0"),
+        ("summary", "--split", "1.5"),
+        ("summary", "--seed", "-1"),
+    ])
+    def test_unread_training_setting_is_not_checked(
+            self, data_csv, trained_model, capsys, command, flag, value):
+        """summary builds no weights and evaluate reads only --batch-size,
+        so neither rejects a training setting it never reads."""
+        inputs = (["--model", str(trained_model), "--data", str(data_csv)]
+                  if command == "evaluate" else [])
+        assert main([command, *inputs, f"{flag}={value}"]) == 0
+        assert capsys.readouterr().err.count("error") == 0
 
     @pytest.mark.parametrize("command, rows, message", [
         ("train", "", "need at least 2 records to split, got 0"),

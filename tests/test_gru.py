@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import os
+import random
 import signal
 import threading
 import time
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sentigru import layers, numerics
+from sentigru import cli, layers, numerics
 from sentigru.layers import (BidirectionalGru, GruCell, GruSequence,
                              gru_sequence_forward)
 
@@ -23,6 +25,20 @@ def random_cell(rng, x_dim, h, dtype):
     cell.b_x[:] = (rng.standard_normal(3 * h) * 0.5).astype(dtype)
     cell.b_h[:] = (rng.standard_normal(3 * h) * 0.5).astype(dtype)
     return cell
+
+
+@contextlib.contextmanager
+def part_counts():
+    """The number of parts of every forward and backward run in the block,
+    in call order: the plan, also where an infer forward keeps nothing."""
+    counts, run_each = [], layers._run_each
+
+    def counted(calls):
+        counts.append(len(calls))
+        return run_each(calls)
+
+    with mock.patch.object(layers, "_run_each", counted):
+        yield counts
 
 
 def cell_params(cell):
@@ -148,9 +164,11 @@ class TestStackedDirections:
             return a[:, ::-1] if return_sequences else a
 
         for mode in ("infer", "train"):
-            with mock.patch.object(layers, "_usable_cpus", lambda: 1):
+            # the one-loop plan at any B
+            one_loop = mock.patch.object(layers, "SPLIT_ROWS", B + 1)
+            with one_loop, part_counts() as parts:
                 out = stacked.forward(x, mode)
-            assert len(stacked._parts) == 1
+            assert parts == [1]
             want = np.concatenate([alone[0].forward(x, mode),
                                    in_time_order(alone[1].forward(reversed_x, mode))],
                                   axis=-1)
@@ -175,15 +193,16 @@ def bidirectional(rng, x_dim, h, dtype, return_sequences):
 
 class TestTwoThreads:
     """A bidirectional layer on two threads against the stacked loop, bit for
-    bit. ``_usable_cpus`` is patched so that both paths run on any host."""
+    bit. The stacked side raises ``layers.SPLIT_ROWS`` above its batch."""
 
     @staticmethod
-    def run(bi, cpus, x, grad_rng):
+    def run(bi, split, x, grad_rng):
         """Infer and train forward, then backward; every output as bytes."""
-        with mock.patch.object(layers, "_usable_cpus", lambda: cpus):
+        one_loop = mock.patch.object(layers, "SPLIT_ROWS", len(x) + 1)
+        with contextlib.nullcontext() if split else one_loop:
             infer = bi.forward(x, "infer")
             out = bi.forward(x, "train")
-            parts = len(bi._parts)
+            parts = len(bi._kept[0])              # the plan the forward kept
             grad = grad_rng.standard_normal(out.shape).astype(out.dtype)
             dx = bi.backward(grad)
         grads = {k: g.tobytes() for k, g in bi.grads().items()}
@@ -206,9 +225,10 @@ class TestTwoThreads:
         bi = bidirectional(rng, x_dim, h, dtype, return_sequences)
         twin = copy.deepcopy(bi)
         x = rng.standard_normal((B, T, x_dim)).astype(dtype)
-        parts, outs, grads = self.run(bi, 2, x, np.random.default_rng(seed))
+        parts, outs, grads = self.run(bi, True, x, np.random.default_rng(seed))
         assert parts == (2 if B >= layers.SPLIT_ROWS else 1)
-        stacked, want, want_grads = self.run(twin, 1, x, np.random.default_rng(seed))
+        stacked, want, want_grads = self.run(twin, False, x,
+                                             np.random.default_rng(seed))
         assert stacked == 1
         assert outs == want
         assert grads == want_grads
@@ -236,8 +256,7 @@ class TestTwoThreads:
 
         failing.input_projection = boom
         other.input_projection = slow
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2), \
-                mock.patch.object(GruSequence, "_step", staticmethod(counted)):
+        with mock.patch.object(GruSequence, "_step", staticmethod(counted)):
             with pytest.raises(RuntimeError, match="direction failed"):
                 bi.forward(x, "train")
         # the failing direction stopped at its first projection; the other
@@ -249,15 +268,14 @@ class TestTwoThreads:
         rng = np.random.default_rng(4)
         bi = bidirectional(rng, 3, 4, np.float32, return_sequences)
         x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-            out = bi.forward(x, "train")
-            assert len(bi._parts) == 2
+        out = bi.forward(x, "train")
+        assert len(bi._kept[0]) == 2
+        bi.backward(np.ones_like(out))
+        with pytest.raises(ValueError, match="earlier backward consumed"):
             bi.backward(np.ones_like(out))
-            with pytest.raises(ValueError, match="earlier backward consumed"):
-                bi.backward(np.ones_like(out))
-            bi.forward(x, "infer")
-            with pytest.raises(ValueError, match="infer mode"):
-                bi.backward(np.ones_like(out))
+        bi.forward(x, "infer")
+        with pytest.raises(ValueError, match="infer mode"):
+            bi.backward(np.ones_like(out))
 
     def test_calling_thread_allocates_every_kept_array(self):
         """The worker allocates nothing through np.empty or np.zeros: the
@@ -284,8 +302,7 @@ class TestTwoThreads:
             multiplying.add(threading.current_thread())
             return numerics.matmul(*args, **kwargs)
 
-        with mock.patch.multiple(layers, np=RecordingNumpy(), matmul=matmul,
-                                 _usable_cpus=lambda: 2):
+        with mock.patch.multiple(layers, np=RecordingNumpy(), matmul=matmul):
             out = bi.forward(x, "train")
             bi.backward(np.ones_like(out))
         # the directions did split: this thread and at least one other
@@ -303,12 +320,11 @@ class TestTwoThreads:
             return [t for t in threading.enumerate()
                     if t.name.startswith("sentigru-gru")]
 
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-            out = bi.forward(x, "train")
-            assert len(bi._parts) == 2
-            assert workers() == []
-            bi.backward(np.ones_like(out))
-            assert workers() == []
+        out = bi.forward(x, "train")
+        assert len(bi._kept[0]) == 2
+        assert workers() == []
+        bi.backward(np.ones_like(out))
+        assert workers() == []
 
     def test_concurrent_callers_equal_serial_runs(self):
         """Two threads, each running split train passes on its own layer,
@@ -333,33 +349,57 @@ class TestTwoThreads:
         def run(i):
             got[i] = passes(bis[i], xs[i], wait=True)
 
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-            callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=120)
-            assert not any(t.is_alive() for t in callers)
-            want = [passes(twin, x) for twin, x in zip(twins, xs)]
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in callers)
+        want = [passes(twin, x) for twin, x in zip(twins, xs)]
         assert got == want
+
+    def test_train_run_writes_the_same_bytes_on_both_plans(self, tmp_path):
+        """``sentigru train`` at batch 16, once on the one loop and once on
+        two threads: the same model and history bytes."""
+        r = random.Random(1)
+        words = ["glad", "sad", "fear", "love", "mad", "wow", "calm", "shock"]
+        data = tmp_path / "repro.csv"
+        data.write_text("text,label\n" + "".join(
+            " ".join(r.choice(words) for _ in range(6)) + f",{r.randrange(6)}\n"
+            for _ in range(60)))
+        runs = []
+        for split in (False, True):
+            out, history = tmp_path / f"{split}.sgru", tmp_path / f"{split}.json"
+            one_loop = mock.patch.object(layers, "SPLIT_ROWS", 17)
+            with contextlib.nullcontext() if split else one_loop, \
+                    part_counts() as parts:
+                assert cli.main([
+                    "train", "--data", str(data), "--out", str(out),
+                    "--history", str(history), "--batch-size", "16",
+                    "--epochs", "2", "--seq-len", "8", "--vocab-size", "50",
+                    "--embed-dim", "4", "--gru-units", "4,3,3", "--deterministic",
+                    "--seed", "3"]) == 0
+            assert (2 in parts) == split
+            runs.append((out.read_bytes(), history.read_bytes()))
+        assert runs[0] == runs[1]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_a_split_forward(self):
         rng = np.random.default_rng(6)
         bi = bidirectional(rng, 3, 4, np.float32, True)
         x = rng.standard_normal((64, 6, 3)).astype(np.float32)
-        with mock.patch.object(layers, "_usable_cpus", lambda: 2):
+        with part_counts() as parts:
             want = bi.forward(x, "infer")         # starts and joins a worker
-            assert len(bi._parts) == 2
-            with warnings.catch_warnings():       # fork of a threaded process
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                ok = False
-                try:
-                    ok = bi.forward(x, "infer").tobytes() == want.tobytes()
-                finally:
-                    os._exit(0 if ok else 1)
+        assert parts == [2]
+        with warnings.catch_warnings():           # fork of a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = bi.forward(x, "infer").tobytes() == want.tobytes()
+            finally:
+                os._exit(0 if ok else 1)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             done, status = os.waitpid(pid, os.WNOHANG)

@@ -1,4 +1,3 @@
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,18 +275,15 @@ class TestGruSequence:
         T, x_dim, h = 6, 5, 4
         seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
                           return_sequences=True)
-        # two cells run as two parts from SPLIT_ROWS rows on two CPUs
+        # two cells run as two parts from SPLIT_ROWS rows
         for B in (3, layers.SPLIT_ROWS):
             x = rng.standard_normal((B, T, x_dim)).astype(dtype)
-            with mock.patch.object(layers, "_usable_cpus", lambda: 2):
-                out = seq.forward(x, "train")
-            assert len(seq._parts) == (2 if cells == 2 and B >= layers.SPLIT_ROWS
-                                       else 1)
-
-            # h_prev, z|r, c and hc per row, each in its own (T, n, B, .)
-            # block per part that owns its memory
-            xs, caches = seq._kept
-            for part, blocks in zip(seq._parts, caches):
+            out = seq.forward(x, "train")
+            # the plan, then h_prev, z|r, c and hc per row, each in its own
+            # (T, n, B, .) block per part that owns its memory
+            parts, xs, caches = seq._kept
+            assert len(parts) == (2 if cells == 2 and B >= layers.SPLIT_ROWS else 1)
+            for part, blocks in zip(parts, caches):
                 n = part.stop - part.start
                 assert [b.shape for b in blocks] == [
                     (T, n, B, w * h) for w in (1, 2, 1, 1)]
@@ -297,7 +293,7 @@ class TestGruSequence:
             grad = np.ones_like(out)
             seq.backward(grad)
             # every part cleared its entries, and the layer keeps nothing
-            assert caches == [None] * len(seq._parts) == xs
+            assert caches == [None] * len(parts) == xs
             assert isinstance(seq._kept, str)
             with pytest.raises(ValueError, match="earlier backward consumed"):
                 seq.backward(grad)

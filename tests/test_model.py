@@ -287,6 +287,25 @@ class TestFullModelGradient:
             model.backward(dlogits)
         assert [g.tobytes() for _, _, g in model.trainable()] == grads
 
+    @pytest.mark.parametrize("before", [(), ("train",)],
+                             ids=["fresh", "after_unconsumed_train"])
+    def test_failed_forward_leaves_no_state(self, before):
+        """A train forward that raises at BatchNorm (one row) keeps no layer's
+        state, neither its own from the layers below nor an older forward's
+        above, so backward is rejected before it touches a gradient."""
+        cfg = ModelConfig(vocab_size=20, embed_dim=3, seq_len=1, gru_units=(4, 3, 3))
+        model = build_model(cfg, seed=0)
+        for mode in before:
+            model.forward(np.ones((2, 1), np.int64), mode)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            model.forward(np.ones((1, 1), np.int64), "train")
+        assert all(isinstance(layer._kept, str) for _, layer in model.named_layers)
+        grads = [g.tobytes() for _, _, g in model.trainable()]
+        with pytest.raises(ValueError, match=r"^Dense\.backward .*last forward "
+                                             r"failed: batch norm needs"):
+            model.backward(np.ones((2, 6), np.float32))
+        assert [g.tobytes() for _, _, g in model.trainable()] == grads
+
 
 class TestPredict:
     def make_fixture(self):

@@ -1,24 +1,54 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from sentigru import layers
+from sentigru.model import ModelConfig, build_model
 from sentigru.numerics import GradCheckReport, grad_check, matmul, sigmoid, softmax
 
 
 class TestMatmul:
+    # the proven set: a C-contiguous b with at least two columns; with one
+    # column einsum sums in another order and most products differ
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_naive_loop(self, dtype):
-        rng = np.random.default_rng(0)
-        for m, k, n in [(1, 1, 1), (2, 3, 4), (5, 7, 2), (8, 8, 8)]:
-            a = rng.standard_normal((m, k)).astype(dtype)
-            b = rng.standard_normal((k, n)).astype(dtype)
-            got = matmul(a, b)
-            want = oracles.naive_matmul(a, b)
-            assert got.dtype == dtype
-            assert np.array_equal(got, want)
+    @settings(deadline=None)
+    @given(m=st.integers(1, 64), k=st.integers(1, 64), n=st.integers(2, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2, k=3, n=4, seed=0)
+    @example(m=5, k=7, n=2, seed=0)
+    @example(m=8, k=8, n=8, seed=0)
+    @example(m=64, k=64, n=64, seed=0)
+    def test_bitwise_equal_to_naive_loop(self, dtype, m, k, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, k)).astype(dtype)
+        b = rng.standard_normal((k, n)).astype(dtype)
+        got = matmul(a, b)
+        want = oracles.naive_matmul(a, b)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("B", [2, layers.SPLIT_ROWS])
+    def test_model_products_stay_in_the_proven_set(self, B):
+        """No product of a tiny model's train step, on either GRU plan, has a
+        C-contiguous right operand of one column."""
+        cfg = ModelConfig(vocab_size=50, embed_dim=4, seq_len=8, gru_units=(4, 3, 3))
+        model = build_model(cfg, seed=3)
+        seen = []
+
+        def recorded(a, b):
+            seen.append(b.flags.c_contiguous and b.shape[-1] == 1)
+            return matmul(a, b)
+
+        ids = np.random.default_rng(3).integers(0, 50, (B, 8))
+        with mock.patch.object(layers, "matmul", recorded):
+            logits = model.forward(ids, "train")
+            model.backward(np.ones_like(logits))
+        assert len(seen) > 100 and not any(seen)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_composition_invariance(self, dtype):
