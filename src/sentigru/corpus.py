@@ -17,6 +17,7 @@ OOV_ID = 1
 
 _NON_LETTER = re.compile(r"[^a-z]+")
 _LINE = re.compile(r"[^\n]+")
+_UNSAVABLE = re.compile(r"[\t\n\ud800-\udfff]")      # splits a line, or not UTF-8
 
 
 class DatasetError(ValueError):
@@ -170,7 +171,9 @@ class Vocabulary:
         return self.token_to_id.get(token, OOV_ID)
 
     def to_text(self) -> str:
-        """Render as text lines ``token<TAB>id`` in id order."""
+        """Render as ``token<TAB>id`` lines in id order; ValueError names a bad token."""
+        if (bad := next(filter(_UNSAVABLE.search, self.token_to_id), None)) is not None:
+            raise ValueError(f"token {bad!r} holds a tab, a newline or a lone surrogate")
         rows = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
         return "".join(f"{token}\t{idx}\n" for token, idx in rows)
 

@@ -15,8 +15,10 @@ makes its gradients resident.
 One rule in :class:`Layer` says what a forward keeps: a train-mode forward
 keeps what its backward reads, an infer-mode forward keeps nothing, and
 backward takes the kept state once or raises ValueError naming why before it
-changes anything. Parameter gradients accumulate in place; callers own
-zeroing between steps.
+changes anything. So threads may share a layer for infer forwards while
+none changes its parameters, but a layer keeps one train forward's state
+for backward, so one thread trains it. Parameter gradients accumulate in
+place; callers own zeroing between steps.
 The GRU uses the reset-after formulation with separate input and recurrent
 biases, so each direction carries 3h(x + h + 2) parameters. Gate blocks are
 laid out [update | reset | candidate] along the 3h axis.
@@ -31,7 +33,7 @@ instead of one each. At batch 1 the per-call overhead of numpy outweighs the
 arithmetic, so halving the calls is what speeds up inference; the bits stay
 those of one direction at a time.
 Input projections are computed in time chunks of about ``ROWS`` rows into
-one reused buffer rather than for the whole sequence at once, so holding
+one buffer per call rather than for the whole sequence at once, so holding
 both directions does not raise peak memory at large batches.
 
 From ``SPLIT_ROWS`` rows up, whatever the CPU count, a two-cell sequence
@@ -236,7 +238,7 @@ class GruSequence(Layer):
     plan depends on D and B alone, and no bit depends on it.
 
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
-    reused (n, B, C, 3h) buffer per part, so peak memory does not grow with T
+    (n, B, C, 3h) buffer per part and call, so peak memory does not grow with T
     or D; ``dx`` is one matmul per cell after the backward loop.
     matmul rows do not depend on which rows share the call, so both give the
     bits of a per-step product. Parameter gradients accumulate per cell in
@@ -254,12 +256,11 @@ class GruSequence(Layer):
     part has blocks of its own: one block sliced between the parts lives
     until both are done with it, and measured a higher peak RSS in training.
 
-    The stacked U is copied into one buffer the sequence owns, and an infer
-    forward that projects the whole sequence in one chunk (at most ROWS // T
-    rows) keeps its projection buffers for the next call: at batch 1 these
-    are a forward's largest temporaries, and allocated afresh each call they
-    can make the C allocator return their pages after every call and fault
-    them in again on the next.
+    Between calls the sequence holds only its cells, the state a train
+    forward kept, and ``_U``, the stacked U that every forward refills from
+    the cells: forwards on several threads at once write the same bytes into
+    it, provided no thread changes the parameters meanwhile. Every other
+    buffer is allocated per call.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -275,7 +276,6 @@ class GruSequence(Layer):
         self.hidden_size = h = self.cells[0].hidden_size
         self.return_sequences = return_sequences
         self._U = np.empty((len(self.cells), h, 3 * h), self.dtype)
-        self._gx = []
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         check_mode(mode)
@@ -290,7 +290,6 @@ class GruSequence(Layer):
         xs = (x, x[:, ::-1])[:D]
         U = np.stack([cell.U for cell in self.cells], out=self._U)
         b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
-        train = mode == "train"
         C = max(1, min(T, ROWS // B))
         parts = ([slice(0, 1), slice(1, 2)] if D == 2 and B >= SPLIT_ROWS
                  else [slice(0, D)])
@@ -298,24 +297,16 @@ class GruSequence(Layer):
         # are freed before this one's are allocated
         caches = []
         self._keep(mode, parts, [xs[ds] for ds in parts], caches)
-        gxs, calls = [], []
+        calls = []
         for i, ds in enumerate(parts):
             n = ds.stop - ds.start
-            gx = self._gx[i] if i < len(self._gx) else None
-            if gx is None or gx.shape != (n, B, C, 3 * h):
-                gx = np.empty((n, B, C, 3 * h), dtype)
+            gx = np.empty((n, B, C, 3 * h), dtype)
             states = np.empty((n, B, T, h), dtype) if self.return_sequences else None
             caches.append(tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
-                          if train else None)
-            gxs.append(gx)
+                          if mode == "train" else None)
             calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
                                  U[ds], b_h[ds], np.zeros((n, B, h), dtype), gx,
                                  states, caches[i]))
-        # keep the buffers only where they are small and the forward short:
-        # an infer forward that projected the whole sequence in one chunk. A
-        # chunked buffer is ROWS-sized, and after a train forward backward
-        # needs the memory more.
-        self._gx = gxs if not train and C == T else []
         outs = [out for part in _run_each(calls) for out in part]
         if D == 1:
             return outs[0]

@@ -89,12 +89,12 @@ def _le_dtype(arr: np.ndarray) -> np.dtype:
 
 
 def _write_file(path, config: ModelConfig, vocab_text, arrays) -> None:
-    sections = (["vocabulary"] if vocab_text is not None else [])
+    vocab = [] if vocab_text is None else [vocab_text.encode("utf-8")]
     table = [{"name": name, "dtype": _le_dtype(a).str, "shape": list(a.shape)}
              for name, a in arrays]
     header = json.dumps({
         "config": config.to_dict(),
-        "sections": sections + [e["name"] for e in table],
+        "sections": ["vocabulary"] * len(vocab) + [e["name"] for e in table],
         "arrays": table,
     }).encode("utf-8")
     with open(path, "wb") as fh:
@@ -102,14 +102,14 @@ def _write_file(path, config: ModelConfig, vocab_text, arrays) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        if vocab_text is not None:
-            _write_block(fh, vocab_text.encode("utf-8"))
+        for payload in vocab:
+            _write_block(fh, payload)
         for _, a in arrays:
             _write_block(fh, np.ascontiguousarray(a, dtype=_le_dtype(a)).tobytes())
 
 
 def save(model: Model, vocab: Vocabulary, path) -> None:
-    """Write model config, vocabulary, parameters, and running stats."""
+    """Write config, vocabulary, parameters and running stats, checking tokens first."""
     _write_file(path, model.config, vocab.to_text(), model.state_items())
 
 

@@ -22,6 +22,13 @@ class TrainingError(RuntimeError):
     """Training cannot proceed: bad split or non-finite numbers."""
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -33,11 +40,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            _check_integer(name, getattr(self, name), low)
         lr, fraction = self.learning_rate, self.train_fraction
         # rate 0 is allowed: it must leave parameters bitwise unchanged
         if not isinstance(lr, numbers.Real) or not 0 <= lr < float("inf"):
@@ -114,6 +117,7 @@ def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,
     n = len(ids)
     if n == 0:
         raise TrainingError("cannot train on an empty dataset")
+    _check_integer("batch_size", batch_size, 1)
     order = rng.permutation(n)
     total_loss = 0.0
     correct = 0
@@ -135,6 +139,7 @@ def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,
 
 def _infer_batches(model, ids: np.ndarray, batch_size: int):
     """(rows, infer-mode logits) for each batch of ``ids``, in dataset order."""
+    _check_integer("batch_size", batch_size, 1)
     for start in range(0, len(ids), batch_size):
         rows = slice(start, start + batch_size)
         yield rows, model.forward(ids[rows], mode="infer")

@@ -3,6 +3,7 @@ import copy
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -14,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import sentigru
 from sentigru import cli, layers, numerics
 from sentigru.layers import (BidirectionalGru, GruCell, GruSequence,
                              gru_sequence_forward)
+from sentigru.model import ModelConfig, build_model
 
 
 def random_cell(rng, x_dim, h, dtype):
@@ -357,6 +360,68 @@ class TestTwoThreads:
         assert not any(t.is_alive() for t in callers)
         want = [passes(twin, x) for twin, x in zip(twins, xs)]
         assert got == want
+
+    @staticmethod
+    def on_two_threads(call, jobs, rounds):
+        """``call`` on every job, ``rounds`` times over, on each of two threads
+        at once that share whatever ``call`` uses; returns each thread's
+        results. The short switch interval makes the threads interleave inside
+        calls, also in a process pinned to one CPU."""
+        got = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(i):
+            start.wait()
+            got[i] = [call(job) for _ in range(rounds) for job in jobs]
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        return got
+
+    @pytest.mark.parametrize("B", [1, layers.SPLIT_ROWS])
+    def test_shared_model_infers_the_serial_bytes(self, B):
+        """Two threads run infer forwards on one model and get the bytes of a
+        serial run: on the one loop at batch 1, and on two threads per layer
+        at SPLIT_ROWS, with T short enough to project in one chunk."""
+        config = ModelConfig(vocab_size=300, embed_dim=12, seq_len=20,
+                             gru_units=(16, 10, 8))
+        assert config.seq_len <= layers.ROWS // B
+        model = build_model(config, seed=5)
+        rng = np.random.default_rng(5)
+        batches = [rng.integers(0, 300, (B, 20)) for _ in range(max(40 // B, 8))]
+
+        def infer(ids):
+            return model.forward(ids, "infer").tobytes()
+
+        with part_counts() as parts:
+            want = [infer(ids) for ids in batches]
+        assert set(parts) == {1 if B < layers.SPLIT_ROWS else 2}
+        assert self.on_two_threads(infer, batches, 5) == [want * 5] * 2
+
+    def test_shared_model_predicts_the_serial_probabilities(self):
+        """``sentigru.predict`` from two threads on one small model."""
+        model = build_model(ModelConfig(vocab_size=50, embed_dim=6, seq_len=12,
+                                        gru_units=(8, 6, 4)), seed=9)
+        r = random.Random(9)
+        words = ["glad", "sad", "fear", "love", "mad", "wow", "calm", "shock"]
+        texts = [" ".join(r.choice(words) for _ in range(r.randint(1, 12)))
+                 for _ in range(30)]
+        vocab = sentigru.build_vocabulary(text.split() for text in texts)
+
+        def probabilities(text):
+            return sentigru.predict(model, vocab, text)[2].tobytes()
+
+        want = [probabilities(text) for text in texts]
+        assert self.on_two_threads(probabilities, texts, 3) == [want * 3] * 2
 
     def test_train_run_writes_the_same_bytes_on_both_plans(self, tmp_path):
         """``sentigru train`` at batch 16, once on the one loop and once on

@@ -589,3 +589,40 @@ def test_backward_needs_its_own_train_forward(make, before, cause):
     with pytest.raises(ValueError, match=cause):
         layer.backward(grad)
     assert {name: g.tobytes() for name, g in layer.grads().items()} == grads
+
+
+def arrays_held(layer):
+    """Every ndarray reachable from ``layer.__dict__`` through lists, tuples,
+    dicts and the layers it holds, such as a GRU's cells."""
+    held, todo = [], list(vars(layer).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, layers.Layer):
+            todo.extend(vars(value).values())
+    return held
+
+
+@pytest.mark.parametrize("B", [1, layers.SPLIT_ROWS])
+def test_infer_forward_keeps_nothing(B):
+    """After an infer forward a layer holds only its parameters, gradients
+    and BatchNorm buffers, and a GRU layer its stacked U, which every forward
+    refills with the same bytes: nothing that threads sharing the model
+    could write under one another."""
+    model = _tiny_model()
+    ids = np.random.default_rng(23).integers(0, 20, (B, 5))
+    model.forward(ids, "train")
+    model.forward(ids, "infer")
+    for name, layer in model.named_layers:
+        allowed = [*layer.params().values(), *layer.grads().values(),
+                   *layer.buffers().values()]
+        if isinstance(layer, GruSequence):
+            allowed.append(layer._U)
+        extra = [a.shape for a in arrays_held(layer)
+                 if not any(a is b for b in allowed)]
+        assert extra == [], name

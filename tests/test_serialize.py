@@ -359,6 +359,34 @@ class TestLoadProperties:
             pass
 
 
+def _unsavable(token):
+    return any(c in "\t\n" or 0xD800 <= ord(c) <= 0xDFFF for c in token)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tokens=st.lists(st.text(st.one_of(st.characters(),
+                                         st.sampled_from("\t\n\r\ud800\udfff")),
+                               max_size=5), unique=True, max_size=18))
+def test_vocabulary_round_trips_or_save_changes_nothing(tmp_path_factory, tokens):
+    """A vocabulary of any tokens reads back exactly, or save raises
+    ValueError naming a token that holds a tab, a newline or a lone surrogate,
+    and leaves the file already at the path byte for byte."""
+    model = build_model(ModelConfig(vocab_size=20, embed_dim=3, seq_len=5,
+                                    gru_units=(4, 3, 3)))
+    path = tmp_path_factory.mktemp("vocab") / "model.sgru"
+    save(model, build_vocabulary([["kept"]]), path)
+    before = path.read_bytes()
+    vocab = Vocabulary({token: i + 2 for i, token in enumerate(tokens)})
+    if any(map(_unsavable, tokens)):
+        with pytest.raises(ValueError) as error:
+            save(model, vocab, path)
+        assert any(repr(t) in str(error.value) for t in tokens if _unsavable(t))
+        assert path.read_bytes() == before
+    else:
+        save(model, vocab, path)
+        assert load(path)[1].token_to_id == vocab.token_to_id
+
+
 def test_load_peak_memory_is_the_model_itself(tmp_path):
     """Loading allocates the model and little else: the traced peak stays
     within 10% of what the loaded model and vocabulary hold afterwards."""

@@ -14,6 +14,7 @@ from sentigru import (
     build_vocabulary,
     evaluate,
     fit,
+    predict_codes,
     train_epoch,
 )
 from sentigru.corpus import (
@@ -158,6 +159,25 @@ class TestTrainEpoch:
         want_acc = float(np.mean(np.argmax(logits, axis=1) == labels))
         assert loss == pytest.approx(want_loss, abs=1e-6)
         assert acc == pytest.approx(want_acc)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+@pytest.mark.parametrize("run", [
+    lambda model, ids, labels, batch_size: train_epoch(
+        model, ids, labels, Adam(), np.random.default_rng(0), batch_size),
+    lambda model, ids, labels, batch_size: evaluate(model, ids, labels, batch_size),
+    lambda model, ids, labels, batch_size: predict_codes(model, ids, batch_size),
+], ids=["train_epoch", "evaluate", "predict_codes"])
+def test_bad_batch_size_rejected(run, batch_size):
+    """A batch size that is not an integer >= 1 raises as TrainConfig does,
+    before any step, not a silent (0.0, 0.0) or an empty prediction."""
+    model = build_model(SMALL, seed=0)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, SMALL.vocab_size, (5, SMALL.seq_len))
+    params = [p.tobytes() for _, p, _ in model.trainable()]
+    with pytest.raises(ValueError, match="batch_size must be"):
+        run(model, ids, rng.integers(0, 6, 5), batch_size)
+    assert [p.tobytes() for _, p, _ in model.trainable()] == params
 
 
 class TestFit:
