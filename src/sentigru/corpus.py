@@ -188,13 +188,18 @@ class Vocabulary:
                 continue
             token, idx = line.split("\t")
             token_to_id[token] = int(idx)
-        n = len(token_to_id)
+        vocab = cls(token_to_id=token_to_id)
+        vocab.check_ids()
+        return vocab
+
+    def check_ids(self) -> None:
+        """DatasetError unless the ids are 2, 3, ... with none missing or repeated."""
+        n = len(self.token_to_id)
         seen = bytearray(n + 2)
-        for idx in token_to_id.values():
+        for idx in self.token_to_id.values():
             if not 2 <= idx < n + 2 or seen[idx]:
                 raise DatasetError("vocabulary ids must be dense starting at 2")
             seen[idx] = 1
-        return cls(token_to_id=token_to_id)
 
 
 def build_vocabulary(token_sequences, max_size: int = 50_000) -> Vocabulary:

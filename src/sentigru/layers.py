@@ -234,7 +234,7 @@ class GruSequence(Layer):
     per-cell products bit for bit. One part holds every cell, except that two
     cells with at least SPLIT_ROWS rows run as one part each at once: the
     first on the calling thread, the second on a worker thread, started for
-    the call and joined before it returns, while einsum releases the GIL. The
+    the call and joined before it returns, while matmul releases the GIL. The
     plan depends on D and B alone, and no bit depends on it.
 
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
@@ -440,10 +440,14 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 
 # Batch rows from which a two-cell sequence runs its cells on two threads.
 # Below it, handing a direction to another thread costs more than the thread
-# saves: against the one-loop path, a paper-size infer forward on a 2-vCPU
-# Xeon ran 0.50-0.82x as fast at B = 1..8, 0.95-0.99x at B = 12, 1.17-1.36x
-# at B = 16 and 1.63x at B = 64.
-SPLIT_ROWS = 16
+# saves. With the compiled matmul kernel (AVX-512) on a 2-vCPU Xeon, in-process,
+# 10 alternating paper-size runs per batch, two threads against the one loop
+# (median speed ratio, two-thread wins): infer 0.51x (0/10) at B = 8, 0.56x
+# (0/10) at 16, 0.85x (0/10) at 24, 0.95x (3/10) at 32, 1.03x (6/10) at 40,
+# 1.17x (10/10) at 48 and 1.28x (10/10) at 64; a train step 0.57x (0/10) at 8,
+# 0.60x (0/10) at 16, 0.82x (0/10) at 24, 0.89x (2/10) at 32, 0.95x (4/10) at
+# 40, 0.91x (4/10) at 48 and 1.30x (10/10) at 64.
+SPLIT_ROWS = 48
 
 
 def _run_each(calls):
@@ -573,10 +577,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of softmax(logits) against integer labels.
 
     Returns (loss, dlogits) where dlogits = (softmax - onehot) / B, computed
-    with log-sum-exp stabilization.
+    with log-sum-exp stabilization. ``labels`` holds one code per row:
+    shape (B,).
     """
     B, K = logits.shape
     labels = np.asarray(labels)
+    if labels.shape != (B,):
+        raise ValueError(f"labels of shape {labels.shape} for {B} rows of logits")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= K:
         raise ValueError(f"label out of range for {K} classes")
     m = logits.max(axis=1, keepdims=True)

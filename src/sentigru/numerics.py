@@ -1,36 +1,249 @@
 """Dense primitives: matmul, sigmoid, softmax, a finite-difference oracle.
 
-All layer math funnels through :func:`matmul`, an ``einsum`` kernel with no
-BLAS dispatch. Its results are bitwise reproducible run to run, and for every
-operand layout a row of the product does not depend on which other rows share
-the call. When ``b`` is C-contiguous with at least two columns the product
-also equals a naive left-to-right triple loop in the same precision. A
-transposed view such as ``W.T``, or a single column, makes einsum pick another
-reduction order: still row-invariant, but not equal to that loop. The backward
-passes multiply by ``W.T`` and ``U.T`` and rely only on row invariance.
+All layer math funnels through :func:`matmul`, whose products have the bits
+of ``np.einsum`` (never BLAS). They are bitwise reproducible run to run, and
+for every operand layout a row of the product does not depend on which other
+rows share the call. When ``b`` is C-contiguous with at least two columns the
+product also equals a naive left-to-right triple loop in the same precision.
+A transposed view such as ``W.T``, or a single column, makes einsum pick
+another reduction order: still row-invariant, but not equal to that loop. The
+backward passes multiply by ``W.T`` and ``U.T`` and rely only on row
+invariance.
 
 Operands may also carry one leading stack axis, ``(D, m, k) x (D, k, n)``:
 one call computes D independent products. Each ``[d]`` slice of a stacked
 product of C-contiguous operands equals ``matmul(a[d], b[d])`` bit for bit,
 so the GRU steps both directions of a layer with one call and keeps the bits
 of two separate calls.
+
+A compiled kernel, ``matmul.c`` beside this file, computes most products,
+reproducing einsum's two reduction orders for float32 and float64:
+
+- ``b`` C-contiguous with n >= 2 columns, ``a`` of any element strides, 2-d
+  or stacked: each output adds its products over k in order, each product
+  rounded before its add (no fused multiply-add);
+- ``b`` the transposed view of a C-contiguous matrix and ``a`` C-contiguous,
+  2-d: numpy's baseline 4-lane (float) or 2-lane (double) dot loop, with its
+  grouping, zero-padded tail and pairwise lane sum.
+
+Every other product goes to einsum: one column, fewer than ``MIN_ROWS`` rows
+(a batch-1 step, where the ctypes call would cost more than it saves), fewer
+than ``MIN_MACS`` multiply-adds, an empty dimension, another dtype or layout.
+Both paths give the same bits, so which one runs changes only the speed.
+
+The first import compiles the kernel with the ``cc`` on PATH (``CC``) into a
+library named by the sha256 of its source and flags. It goes into this
+package's directory if that is writable, else under ``~/.cache/sentigru``,
+else into a private directory under the system temp directory; it is written
+under a temporary name and renamed into place, so processes importing at
+once are safe, and later imports load it. The import then checks the kernel
+against einsum on a fixed set of probe products. ``KERNEL`` names the path
+in use: the kernel's instruction-set variant ("avx512", "avx2" or "sse3",
+the widest this CPU runs) or "einsum" when there is no compiler, the build
+fails, the CPU is not x86-64, or any probe differs. Setting ``KERNEL`` to
+"einsum" sends every product to einsum. ctypes releases the GIL for the
+call, so products on two threads run at once.
+
+NaNs: every output einsum makes NaN is NaN here too, and every other output
+has the same bits. A NaN output's sign and payload are einsum's as well,
+except where NaNs of different bits meet in one output's sum, such as an
+input NaN and the NaN of an inf - inf: numpy's compiled loops keep one or
+the other by register order, which differs between its own loops, tail
+lengths and alignments, and the kernel does not follow it there.
 """
 
+import ctypes
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+try:                    # hashlib would load OpenSSL: 3.5 MB more resident memory
+    from _sha2 import sha256
+except ImportError:     # Python before 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+MIN_ROWS = 8
+MIN_MACS = 8192
+CC = "cc"
+
+_SOURCE = Path(__file__).with_name("matmul.c")
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_VARIANTS = {"avx512": 4, "avx2": 2, "sse3": 1}    # widest first, as matmul.c's mask
+_ITEMSIZE = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
+_lib = None
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with shape validation; each row's bits depend only on
     that row of ``a`` and on ``b`` (see the module docstring). Both operands
     are 2-d, or both 3-d with the same leading stack size."""
+    _check_shapes(a, b)
+    if (KERNEL != "einsum" and a.shape[-2] >= MIN_ROWS
+            and a.size * b.shape[-1] >= MIN_MACS):
+        out = _product(a, b, KERNEL)
+        if out is not None:
+            return out
+    return np.einsum("...ik,...kj->...ij", a, b)
+
+
+def compiled(a: np.ndarray, b: np.ndarray, variant: str):
+    """The kernel's product of two operands :func:`matmul` accepts, with the
+    named variant of :func:`variants`, however small; None when they are
+    outside the kernel's layouts and dtypes."""
+    _check_shapes(a, b)
+    return _product(a, b, variant)
+
+
+def _check_shapes(a, b) -> None:
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ValueError("matmul expects two 2-d or two 3-d operands, "
                          f"got {a.shape} and {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-    return np.einsum("...ik,...kj->...ij", a, b)
+
+
+def _product(a, b, variant):
+    itemsize = _ITEMSIZE.get(a.dtype)
+    n = b.shape[-1]
+    if (itemsize is None or b.dtype != a.dtype or n < 2 or a.size == 0
+            or not (a.flags.aligned and b.flags.aligned)
+            or any(s % itemsize for s in a.strides)):
+        return None
+    out = np.empty(a.shape[:-1] + (n,), a.dtype)
+    m, k = a.shape[-2:]
+    if b.flags.c_contiguous:
+        D = a.shape[0] if a.ndim == 3 else 1
+        a_sd = a.strides[0] // itemsize if a.ndim == 3 else 0
+        error = _lib.sg_rows(_VARIANTS[variant], itemsize, a.ctypes.data, b.ctypes.data,
+                             out.ctypes.data, D, m, k, n, a_sd,
+                             a.strides[-2] // itemsize, a.strides[-1] // itemsize, k * n)
+    elif a.ndim == 2 and a.flags.c_contiguous and b.T.flags.c_contiguous:
+        error = _lib.sg_dot(_VARIANTS[variant], itemsize, a.ctypes.data, b.ctypes.data,
+                            out.ctypes.data, m, k, n)
+    else:
+        return None
+    if error:
+        raise RuntimeError(f"the {variant} kernel failed: a variant this CPU does "
+                           "not run, or no memory for its packing buffer")
+    return out
+
+
+def _library_dirs():
+    """Where the built library goes: the first of these that is writable."""
+    yield Path(__file__).parent
+    yield Path.home() / ".cache" / "sentigru"
+    private = Path(tempfile.gettempdir()) / f"sentigru-{os.getuid()}"
+    try:
+        private.mkdir(mode=0o700, exist_ok=True)
+        if private.stat().st_uid == os.getuid():    # no one else's library
+            yield private
+    except OSError:
+        pass
+
+
+def _library() -> Path | None:
+    """The kernel library for this source, built first if no directory holds
+    it yet; None without a compiler or a writable directory."""
+    source = _SOURCE.read_bytes()
+    tag = sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    name = f"_matmul-{tag}.so"
+    cc = shutil.which(CC)
+    for directory in _library_dirs():
+        path = directory / name
+        if path.is_file() or (cc is not None and _build(cc, path)):
+            return path
+    return None
+
+
+def _build(cc: str, path: Path) -> bool:
+    """Compile the source into ``path`` by way of a file of this process's
+    own, renamed into place; False when the directory or the build fails."""
+    import subprocess           # only to build: not every import pays for it
+    part = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.part")
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        subprocess.run([cc, *_FLAGS, str(_SOURCE), "-o", str(part)],
+                       capture_output=True, check=True, timeout=300)
+        os.replace(part, path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _probes():
+    """Products covering both orders, both dtypes, tile edges and specials:
+    signed zeros, subnormals, and either infinities and overflow or one NaN
+    (so that no two NaNs of different bits meet). The values come from a
+    fixed integer hash, not numpy.random, which the import need not load."""
+    hashed = np.arange(1 << 14, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for dtype in (np.float32, np.float64):
+        tiny, big = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max / 4
+        for specials in ([0.0, -0.0, tiny, np.inf, -np.inf, big, -big],
+                         [0.0, -0.0, tiny, np.nan]):
+            pool = ((hashed >> np.uint64(40)).astype(dtype) / dtype(1 << 22) - 2).astype(dtype)
+            pool[::19] = np.resize(np.array(specials, dtype), pool[::19].size)
+            used = 0
+
+            def sample(*shape):
+                nonlocal used
+                used += int(np.prod(shape))
+                return pool[used - int(np.prod(shape)):used].reshape(shape)
+
+            for m, k, n in ((9, 37, 70), (13, 5, 2), (8, 16, 33), (11, 1, 17)):
+                yield sample(m, k), sample(k, n)
+                yield sample(k, m).T, sample(k, n)
+                yield sample(m, k), sample(n, k).T
+            yield sample(2, 10, 19), sample(2, 19, 35)
+
+
+def _load() -> str:
+    """Build and load the kernel; returns the variant that passes every probe,
+    or "einsum"."""
+    global _lib
+    if os.name != "posix":
+        return "einsum"
+    try:
+        path = _library()
+        if path is None:
+            return "einsum"
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return "einsum"
+    ptr, size, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+    lib.sg_isas.argtypes = []
+    lib.sg_rows.argtypes = [i, i, ptr, ptr, ptr] + [size] * 8
+    lib.sg_dot.argtypes = [i, i, ptr, ptr, ptr, size, size, size]
+    lib.sg_isas.restype = lib.sg_rows.restype = lib.sg_dot.restype = i
+    runs = lib.sg_isas()
+    variant = next((v for v, bit in _VARIANTS.items() if runs & bit), "einsum")
+    if variant == "einsum":
+        return variant
+    _lib = lib
+    if any(_product(a, b, variant).tobytes()
+           != np.einsum("...ik,...kj->...ij", a, b).tobytes() for a, b in _probes()):
+        _lib = None
+        return "einsum"
+    return variant
+
+
+def variants() -> list[str]:
+    """The kernel's variants this CPU runs, widest first; empty on einsum."""
+    if _lib is None:
+        return []
+    runs = _lib.sg_isas()
+    return [v for v, bit in _VARIANTS.items() if runs & bit]
+
+
+KERNEL = _load()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

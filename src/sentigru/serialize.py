@@ -109,8 +109,16 @@ def _write_file(path, config: ModelConfig, vocab_text, arrays) -> None:
 
 
 def save(model: Model, vocab: Vocabulary, path) -> None:
-    """Write config, vocabulary, parameters and running stats, checking tokens first."""
-    _write_file(path, model.config, vocab.to_text(), model.state_items())
+    """Write config, vocabulary, parameters and running stats. Before the file
+    is opened, a vocabulary that :func:`load` would reject raises ValueError:
+    a token it cannot store, ids not dense from 2, or more ids than the
+    config's ``vocab_size``."""
+    text = vocab.to_text()
+    vocab.check_ids()
+    if vocab.size > model.config.vocab_size:
+        raise ValueError(f"vocabulary of {vocab.size} ids exceeds the config's "
+                         f"vocab_size {model.config.vocab_size}")
+    _write_file(path, model.config, text, model.state_items())
 
 
 def load(path) -> tuple[Model, Vocabulary]:

@@ -117,6 +117,7 @@ def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,
     n = len(ids)
     if n == 0:
         raise TrainingError("cannot train on an empty dataset")
+    _check_labels(ids, labels)
     _check_integer("batch_size", batch_size, 1)
     order = rng.permutation(n)
     total_loss = 0.0
@@ -137,6 +138,11 @@ def train_epoch(model, ids: np.ndarray, labels: np.ndarray, optimizer: Adam,
     return total_loss / n, correct / n
 
 
+def _check_labels(ids, labels) -> None:
+    if len(labels) != len(ids):
+        raise ValueError(f"{len(labels)} labels for {len(ids)} rows of ids")
+
+
 def _infer_batches(model, ids: np.ndarray, batch_size: int):
     """(rows, infer-mode logits) for each batch of ``ids``, in dataset order."""
     _check_integer("batch_size", batch_size, 1)
@@ -151,6 +157,7 @@ def evaluate(model, ids: np.ndarray, labels: np.ndarray,
     n = len(ids)
     if n == 0:
         raise TrainingError("cannot evaluate an empty dataset")
+    _check_labels(ids, labels)
     total_loss = 0.0
     correct = 0
     for rows, logits in _infer_batches(model, ids, batch_size):

@@ -424,23 +424,23 @@ class TestTwoThreads:
         assert self.on_two_threads(probabilities, texts, 3) == [want * 3] * 2
 
     def test_train_run_writes_the_same_bytes_on_both_plans(self, tmp_path):
-        """``sentigru train`` at batch 16, once on the one loop and once on
-        two threads: the same model and history bytes."""
+        """``sentigru train`` at batch SPLIT_ROWS, once on the one loop and
+        once on two threads: the same model and history bytes."""
         r = random.Random(1)
         words = ["glad", "sad", "fear", "love", "mad", "wow", "calm", "shock"]
         data = tmp_path / "repro.csv"
         data.write_text("text,label\n" + "".join(
             " ".join(r.choice(words) for _ in range(6)) + f",{r.randrange(6)}\n"
-            for _ in range(60)))
-        runs = []
+            for _ in range(120)))
+        runs, batch = [], layers.SPLIT_ROWS
         for split in (False, True):
             out, history = tmp_path / f"{split}.sgru", tmp_path / f"{split}.json"
-            one_loop = mock.patch.object(layers, "SPLIT_ROWS", 17)
+            one_loop = mock.patch.object(layers, "SPLIT_ROWS", batch + 1)
             with contextlib.nullcontext() if split else one_loop, \
                     part_counts() as parts:
                 assert cli.main([
                     "train", "--data", str(data), "--out", str(out),
-                    "--history", str(history), "--batch-size", "16",
+                    "--history", str(history), "--batch-size", str(batch),
                     "--epochs", "2", "--seq-len", "8", "--vocab-size", "50",
                     "--embed-dim", "4", "--gru-units", "4,3,3", "--deterministic",
                     "--seed", "3"]) == 0

@@ -520,6 +520,12 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2], [[0], [1]], 1],
+                             ids=["shorter", "longer", "2-d", "scalar"])
+    def test_labels_not_one_per_row(self, labels):
+        with pytest.raises(ValueError, match="labels of shape"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(21)
         logits = rng.standard_normal((3, 4))

@@ -404,3 +404,21 @@ def test_load_peak_memory_is_the_model_itself(tmp_path):
         tracemalloc.stop()
     assert loaded[0].total_param_count() == 2_817_126
     assert peak <= 1.1 * held, (peak, held)
+
+
+@pytest.mark.parametrize("vocab, message", [
+    (Vocabulary({"a": 5}), "dense starting at 2"),
+    (build_vocabulary([["t1", "t2", "t3", "t4", "t5", "t6"]], max_size=50),
+     "vocabulary of 8 ids exceeds the config's vocab_size 5"),
+], ids=["ids not dense", "more ids than vocab_size"])
+def test_save_rejects_a_vocabulary_load_would_reject(tmp_path, vocab, message):
+    """save raises ValueError before it opens the file, so the file already
+    at the path stays byte for byte."""
+    model = build_model(ModelConfig(vocab_size=5, embed_dim=3, seq_len=4,
+                                    gru_units=(4, 3, 3)))
+    path = tmp_path / "model.sgru"
+    save(model, build_vocabulary([["kept"]]), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=message):
+        save(model, vocab, path)
+    assert path.read_bytes() == before

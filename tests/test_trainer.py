@@ -238,3 +238,23 @@ class TestFit:
         model = build_model(cfg, seed=0)
         with pytest.raises(TrainingError, match="empty split"):
             fit(model, corpus, TrainConfig(train_fraction=0.9), vocab)
+
+
+@pytest.mark.parametrize("n_labels", [4, 8])
+@pytest.mark.parametrize("run", [
+    lambda model, ids, labels: train_epoch(
+        model, ids, labels, Adam(), np.random.default_rng(0), batch_size=2),
+    lambda model, ids, labels: evaluate(model, ids, labels, batch_size=2),
+    lambda model, ids, labels: evaluate(model, ids, labels, batch_size=64),
+], ids=["train_epoch", "evaluate", "evaluate-one-batch"])
+def test_labels_of_another_length_rejected(run, n_labels):
+    """Labels shorter or longer than the ids raise ValueError before the
+    first batch: not a silent result from the first rows, not an IndexError,
+    and no parameter moves."""
+    model = build_model(SMALL, seed=0)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, SMALL.vocab_size, (5, SMALL.seq_len))
+    params = [p.tobytes() for _, p, _ in model.trainable()]
+    with pytest.raises(ValueError, match=f"{n_labels} labels for 5 rows"):
+        run(model, ids, rng.integers(0, 6, n_labels))
+    assert [p.tobytes() for _, p, _ in model.trainable()] == params
