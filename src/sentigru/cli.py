@@ -110,7 +110,23 @@ def _settings(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             s[key] = value
+    # before any work: a path names a file, and an output replaces no input
+    # and not the other output
+    files = {k: s[k] for k in ("data", "model", "stopwords", "out", "history")}
+    files["config"] = None if args.config == "paper" else args.config
+    for key, path in files.items():
+        if path is not None and "\0" in path:
+            raise UsageError(f"--{key} {path!r} holds a NUL byte")
+    for out in ("out", "history"):
+        for key, path in files.items():
+            if key != out and None not in (s[out], path) and _same_file(s[out], path):
+                raise UsageError(f"--{out} {s[out]!r} is also --{key}")
     return s
+
+
+def _same_file(a, b) -> bool:
+    a, b = Path(a), Path(b)
+    return a.samefile(b) if a.exists() and b.exists() else a.resolve() == b.resolve()
 
 
 def _require(s: dict, *keys):

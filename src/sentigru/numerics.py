@@ -16,31 +16,32 @@ product of C-contiguous operands equals ``matmul(a[d], b[d])`` bit for bit,
 so the GRU steps both directions of a layer with one call and keeps the bits
 of two separate calls.
 
-A compiled kernel, ``matmul.c`` beside this file, computes most products,
-reproducing einsum's two reduction orders for float32 and float64:
+A compiled kernel, ``matmul.c`` beside this file, computes most float32
+products on x86-64 with einsum's two reduction orders:
 
 - ``b`` C-contiguous with n >= 2 columns, ``a`` of any element strides, 2-d
   or stacked: each output adds its products over k in order, each product
   rounded before its add (no fused multiply-add);
 - ``b`` the transposed view of a C-contiguous matrix and ``a`` C-contiguous,
-  2-d: numpy's baseline 4-lane (float) or 2-lane (double) dot loop, with its
-  grouping, zero-padded tail and pairwise lane sum.
+  2-d: numpy's baseline 4-lane dot loop, with its grouping, zero-padded tail
+  and pairwise lane sum.
 
-Every other product goes to einsum: one column, fewer than ``MIN_ROWS`` rows
-(a batch-1 step, where the ctypes call would cost more than it saves), fewer
-than ``MIN_MACS`` multiply-adds, an empty dimension, another dtype or layout.
-Both paths give the same bits, so which one runs changes only the speed.
+Every other product goes to einsum: float64 or any other dtype, one column,
+fewer than ``MIN_ROWS`` rows (a batch-1 step, where the ctypes call would
+cost more than it saves), fewer than ``MIN_MACS`` multiply-adds, an empty
+dimension or another layout. Both paths give the same bits, so which one
+runs changes only the speed.
 
-The first import compiles the kernel with the ``cc`` on PATH (``CC``) into a
-library named by the sha256 of its source and flags. It goes into this
-package's directory if that is writable, else under ``~/.cache/sentigru``,
-else into a private directory under the system temp directory; it is written
+On x86-64 the first import compiles the kernel with the ``cc`` on PATH
+(``CC``) into a library named by the sha256 of its source and flags, in the
+first of this package's directory, ``~/.cache/sentigru`` and a private
+directory under the system temp directory that can take it. It is written
 under a temporary name and renamed into place, so processes importing at
-once are safe, and later imports load it. The import then checks the kernel
-against einsum on a fixed set of probe products. ``KERNEL`` names the path
-in use: the kernel's instruction-set variant ("avx512", "avx2" or "sse3",
-the widest this CPU runs) or "einsum" when there is no compiler, the build
-fails, the CPU is not x86-64, or any probe differs. Setting ``KERNEL`` to
+once are safe, and later imports load it; a failed build is not retried.
+The import then checks the kernel against einsum on fixed probe products.
+``KERNEL`` names the path in use: the widest instruction-set variant this
+CPU runs ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without
+a compiler, after a failed build or when a probe differs. Setting it to
 "einsum" sends every product to einsum. ctypes releases the GIL for the
 call, so products on two threads run at once.
 
@@ -76,7 +77,7 @@ CC = "cc"
 _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _VARIANTS = {"avx512": 4, "avx2": 2, "sse3": 1}    # widest first, as matmul.c's mask
-_ITEMSIZE = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
+_F32 = np.dtype(np.float32)
 _lib = None
 
 
@@ -96,7 +97,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def compiled(a: np.ndarray, b: np.ndarray, variant: str):
     """The kernel's product of two operands :func:`matmul` accepts, with the
     named variant of :func:`variants`, however small; None when they are
-    outside the kernel's layouts and dtypes."""
+    outside the kernel's layouts or not both float32."""
     _check_shapes(a, b)
     return _product(a, b, variant)
 
@@ -110,22 +111,20 @@ def _check_shapes(a, b) -> None:
 
 
 def _product(a, b, variant):
-    itemsize = _ITEMSIZE.get(a.dtype)
     n = b.shape[-1]
-    if (itemsize is None or b.dtype != a.dtype or n < 2 or a.size == 0
+    if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
-            or any(s % itemsize for s in a.strides)):
+            or any(s % 4 for s in a.strides)):
         return None
     out = np.empty(a.shape[:-1] + (n,), a.dtype)
     m, k = a.shape[-2:]
     if b.flags.c_contiguous:
-        D = a.shape[0] if a.ndim == 3 else 1
-        a_sd = a.strides[0] // itemsize if a.ndim == 3 else 0
-        error = _lib.sg_rows(_VARIANTS[variant], itemsize, a.ctypes.data, b.ctypes.data,
+        D, a_sd = (a.shape[0], a.strides[0] // 4) if a.ndim == 3 else (1, 0)
+        error = _lib.sg_rows(_VARIANTS[variant], a.ctypes.data, b.ctypes.data,
                              out.ctypes.data, D, m, k, n, a_sd,
-                             a.strides[-2] // itemsize, a.strides[-1] // itemsize, k * n)
+                             a.strides[-2] // 4, a.strides[-1] // 4, k * n)
     elif a.ndim == 2 and a.flags.c_contiguous and b.T.flags.c_contiguous:
-        error = _lib.sg_dot(_VARIANTS[variant], itemsize, a.ctypes.data, b.ctypes.data,
+        error = _lib.sg_dot(_VARIANTS[variant], a.ctypes.data, b.ctypes.data,
                             out.ctypes.data, m, k, n)
     else:
         return None
@@ -150,25 +149,30 @@ def _library_dirs():
 
 def _library() -> Path | None:
     """The kernel library for this source, built first if no directory holds
-    it yet; None without a compiler or a writable directory."""
-    source = _SOURCE.read_bytes()
-    tag = sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
-    name = f"_matmul-{tag}.so"
+    it yet; None without a compiler, a directory that can take it or a build
+    that succeeds. A failed build ends the search: it would fail anywhere."""
+    tag = sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()[:16]
     cc = shutil.which(CC)
     for directory in _library_dirs():
-        path = directory / name
-        if path.is_file() or (cc is not None and _build(cc, path)):
-            return path
+        path = directory / f"_matmul-{tag}.so"
+        built = path.is_file() or (cc and _build(cc, path))
+        if built is not None:       # None: no compiler, or no room for the file
+            return path if built else None
     return None
 
 
-def _build(cc: str, path: Path) -> bool:
+def _build(cc: str, path: Path) -> bool | None:
     """Compile the source into ``path`` by way of a file of this process's
-    own, renamed into place; False when the directory or the build fails."""
+    own, renamed into place: whether the build succeeded, or None when the
+    directory cannot take that file and the compiler did not run."""
     import subprocess           # only to build: not every import pays for it
     part = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.part")
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        part.touch(exist_ok=False)
+    except OSError:
+        return None
+    try:
         subprocess.run([cc, *_FLAGS, str(_SOURCE), "-o", str(part)],
                        capture_output=True, check=True, timeout=300)
         os.replace(part, path)
@@ -180,36 +184,35 @@ def _build(cc: str, path: Path) -> bool:
 
 
 def _probes():
-    """Products covering both orders, both dtypes, tile edges and specials:
+    """float32 products covering both orders, tile edges and specials:
     signed zeros, subnormals, and either infinities and overflow or one NaN
     (so that no two NaNs of different bits meet). The values come from a
     fixed integer hash, not numpy.random, which the import need not load."""
     hashed = np.arange(1 << 14, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for dtype in (np.float32, np.float64):
-        tiny, big = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max / 4
-        for specials in ([0.0, -0.0, tiny, np.inf, -np.inf, big, -big],
-                         [0.0, -0.0, tiny, np.nan]):
-            pool = ((hashed >> np.uint64(40)).astype(dtype) / dtype(1 << 22) - 2).astype(dtype)
-            pool[::19] = np.resize(np.array(specials, dtype), pool[::19].size)
-            used = 0
+    tiny, big = np.finfo(_F32).smallest_subnormal, np.finfo(_F32).max / 4
+    for specials in ([0.0, -0.0, tiny, np.inf, -np.inf, big, -big],
+                     [0.0, -0.0, tiny, np.nan]):
+        pool = (hashed >> np.uint64(40)).astype(_F32) / np.float32(1 << 22) - 2
+        pool[::19] = np.resize(np.array(specials, _F32), pool[::19].size)
+        used = 0
 
-            def sample(*shape):
-                nonlocal used
-                used += int(np.prod(shape))
-                return pool[used - int(np.prod(shape)):used].reshape(shape)
+        def sample(*shape):
+            nonlocal used
+            used += int(np.prod(shape))
+            return pool[used - int(np.prod(shape)):used].reshape(shape)
 
-            for m, k, n in ((9, 37, 70), (13, 5, 2), (8, 16, 33), (11, 1, 17)):
-                yield sample(m, k), sample(k, n)
-                yield sample(k, m).T, sample(k, n)
-                yield sample(m, k), sample(n, k).T
-            yield sample(2, 10, 19), sample(2, 19, 35)
+        for m, k, n in ((9, 37, 70), (13, 5, 2), (8, 16, 33), (11, 1, 17)):
+            yield sample(m, k), sample(k, n)
+            yield sample(k, m).T, sample(k, n)
+            yield sample(m, k), sample(n, k).T
+        yield sample(2, 10, 19), sample(2, 19, 35)
 
 
 def _load() -> str:
     """Build and load the kernel; returns the variant that passes every probe,
     or "einsum"."""
     global _lib
-    if os.name != "posix":
+    if os.name != "posix" or os.uname().machine not in ("x86_64", "amd64"):
         return "einsum"
     try:
         path = _library()
@@ -219,17 +222,14 @@ def _load() -> str:
     except OSError:
         return "einsum"
     ptr, size, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
-    lib.sg_isas.argtypes = []
-    lib.sg_rows.argtypes = [i, i, ptr, ptr, ptr] + [size] * 8
-    lib.sg_dot.argtypes = [i, i, ptr, ptr, ptr, size, size, size]
+    lib.sg_rows.argtypes = [i, ptr, ptr, ptr] + [size] * 8
+    lib.sg_dot.argtypes = [i, ptr, ptr, ptr, size, size, size]
     lib.sg_isas.restype = lib.sg_rows.restype = lib.sg_dot.restype = i
-    runs = lib.sg_isas()
-    variant = next((v for v, bit in _VARIANTS.items() if runs & bit), "einsum")
-    if variant == "einsum":
-        return variant
     _lib = lib
-    if any(_product(a, b, variant).tobytes()
-           != np.einsum("...ik,...kj->...ij", a, b).tobytes() for a, b in _probes()):
+    variant = next(iter(variants()), "einsum")
+    if variant == "einsum" or any(
+            _product(a, b, variant).tobytes()
+            != np.einsum("...ik,...kj->...ij", a, b).tobytes() for a, b in _probes()):
         _lib = None
         return "einsum"
     return variant
@@ -237,9 +237,7 @@ def _load() -> str:
 
 def variants() -> list[str]:
     """The kernel's variants this CPU runs, widest first; empty on einsum."""
-    if _lib is None:
-        return []
-    runs = _lib.sg_isas()
+    runs = 0 if _lib is None else _lib.sg_isas()
     return [v for v, bit in _VARIANTS.items() if runs & bit]
 
 

@@ -141,6 +141,47 @@ class TestExitCodes:
         assert err == f"error: {message.format(paths[flag])}\n"
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "d.csv", "--out", "d.csv"], "--out 'd.csv' is also --data"),
+        (["train", "--data", "d.csv", "--out", "m.sgru", "--history", "m.sgru"],
+         "--out 'm.sgru' is also --history"),
+        (["evaluate", "--data", "d.csv", "--model", "m.sgru", "--out", "m.sgru"],
+         "--out 'm.sgru' is also --model"),
+        (["train", "--data", "link.csv", "--out", "m.sgru", "--history", "d.csv"],
+         "--history 'd.csv' is also --data"),
+        (["train", "--data", "d.csv", "--out", "new.sgru", "--history", "sub/../new.sgru"],
+         "--out 'new.sgru' is also --history"),
+        (["predict", "--model", "m.sgru", "--text", "x", "--out", "stop.txt",
+          "--stopwords", "stop.txt"], "--out 'stop.txt' is also --stopwords"),
+        (["summary", "--config", "c.txt", "--out", "c.txt"], "--out 'c.txt' is also --config"),
+    ], ids=["out-data", "out-history", "evaluate-out-model", "history-data-symlink",
+            "new-out-history", "out-stopwords", "out-config"])
+    def test_an_output_never_replaces_an_input(
+            self, tmp_path, data_csv, trained_model, capsys, monkeypatch, argv, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output paths were checked")
+
+        monkeypatch.setattr(trainer, "fit", no_fit)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        inputs = {"d.csv": data_csv.read_bytes(), "m.sgru": trained_model.read_bytes(),
+                  "stop.txt": b"the\n", "c.txt": b"epochs=1\n"}
+        for name, content in inputs.items():
+            (tmp_path / name).write_bytes(content)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "d.csv")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+        assert not (tmp_path / "new.sgru").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "summary"])
+    @pytest.mark.parametrize("key", ["data", "out"])
+    def test_nul_byte_in_a_path_is_one_line(self, tmp_path, capsys, command, key):
+        config = tmp_path / "c.txt"
+        config.write_text(f"{key}=a\0b\n")
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: --{key} 'a\\x00b' holds a NUL byte\n"
+
     @pytest.mark.parametrize("content, message", [
         (b"text,label\nfine,1\ncaf\xe9,2\n", "invalid UTF-8 at row 3"),
         (b"text,label\n" + b"a" * (128 * 1024 + 1) + b",2\n",
