@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: stats, preprocess, train, evaluate, predict, summary.
-Settings resolve in three layers: built-in defaults, then an optional
---config (the "paper" preset or a key=value file), then explicit flags.
+Subcommands: stats, preprocess, train, evaluate, predict, summary; each takes
+--config and one flag per setting it reads (its row of _COMMANDS). Settings
+resolve as defaults, then --config (the "paper" preset or a key=value file),
+then explicit flags. Config files share one key space: an unknown key or a
+bad value is a usage error, and a key the subcommand does not read is dropped.
 Exit codes: 0 success, 1 usage error, 2 data or model error.
 """
 
@@ -43,7 +45,7 @@ _OPTIONS = {
     "model": (str, None, "saved model file"),
     "out": (str, None, "output path (directory for stats)"),
     "history": (str, None, "write per-epoch history JSON here"),
-    "text": (str, None, "text to classify (predict)"),
+    "text": (str, None, "text to classify"),
     "epochs": (int, _TRAIN.epochs, None),
     "batch_size": (int, _TRAIN.batch_size, None),
     "lr": (float, _TRAIN.learning_rate, None),
@@ -101,26 +103,24 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _settings(args) -> dict:
-    s = {key: default for key, (_, default, _) in _OPTIONS.items()}
+def _settings(args, keys) -> dict:
+    """The settings named by ``keys``, the ones the subcommand reads."""
+    s = {key: _OPTIONS[key][1] for key in keys}
     # the "paper" preset is the defaults themselves
     if args.config and args.config != "paper":
-        s.update(_read_config_file(args.config))
-    for key in _OPTIONS:
-        value = getattr(args, key, None)
-        if value is not None:
-            s[key] = value
+        s.update((k, v) for k, v in _read_config_file(args.config).items() if k in s)
+    s.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
     # before any work: a path names a file, and an output replaces no input
     # and not the other output
-    files = {k: s[k] for k in ("data", "model", "stopwords", "out", "history")}
+    files = {k: s.get(k) for k in ("data", "model", "stopwords", "out", "history")}
     files["config"] = None if args.config == "paper" else args.config
     for key, path in files.items():
         if path is not None and "\0" in path:
             raise UsageError(f"--{key} {path!r} holds a NUL byte")
-    for out in ("out", "history"):
+    for out, target in (("out", files["out"]), ("history", files["history"])):
         for key, path in files.items():
-            if key != out and None not in (s[out], path) and _same_file(s[out], path):
-                raise UsageError(f"--{out} {s[out]!r} is also --{key}")
+            if key != out and None not in (target, path) and _same_file(target, path):
+                raise UsageError(f"--{out} {target!r} is also --{key}")
     return s
 
 
@@ -143,27 +143,22 @@ def _parse_units(value) -> tuple:
         raise UsageError(f"bad gru-units value {value!r}, expected e.g. 120,64,64")
 
 
+def _checked(config_class, **fields):
+    """A ModelConfig or TrainConfig; a value it rejects is a usage error."""
+    try:
+        return config_class(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _model_config(s: dict) -> model_mod.ModelConfig:
     dtype = _PRECISIONS.get(s["precision"])
     if dtype is None:
         raise UsageError(f"precision must be f32 or f64, got {s['precision']!r}")
-    try:
-        return model_mod.ModelConfig(
-            vocab_size=s["vocab_size"], embed_dim=s["embed_dim"],
-            seq_len=s["seq_len"], gru_units=_parse_units(s["gru_units"]),
-            dropout_rate=s["dropout"], dtype=dtype)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _train_config(s: dict) -> trainer.TrainConfig:
-    try:
-        return trainer.TrainConfig(
-            epochs=s["epochs"], batch_size=s["batch_size"],
-            learning_rate=s["lr"], seed=s["seed"],
-            train_fraction=s["split"], stratify=s["stratify"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _checked(
+        model_mod.ModelConfig, vocab_size=s["vocab_size"], embed_dim=s["embed_dim"],
+        seq_len=s["seq_len"], gru_units=_parse_units(s["gru_units"]),
+        dropout_rate=s["dropout"], dtype=dtype)
 
 
 def _stoplist(s: dict) -> frozenset:
@@ -195,6 +190,13 @@ def _load_corpus(s: dict) -> corpus_mod.LabeledCorpus:
         raise UsageError("--delimiter must be one character the csv module "
                          f"accepts, got {s['delimiter']!r}: {exc}") from None
     return corpus_mod.load_dataset(s["data"], delimiter=s["delimiter"])
+
+
+def _tokenized(s: dict, max_size: int):
+    """The corpus, the stoplist, each record's tokens and their vocabulary."""
+    corpus, stoplist = _load_corpus(s), _stoplist(s)
+    tokens = [corpus_mod.text_to_tokens(r.text, stoplist) for r in corpus.records]
+    return corpus, stoplist, tokens, corpus_mod.build_vocabulary(tokens, max_size)
 
 
 def _emit(doc, out_path) -> None:
@@ -246,12 +248,9 @@ def _cmd_stats(s: dict) -> int:
 
 
 def _cmd_preprocess(s: dict) -> int:
-    config = _model_config(s)
-    corpus = _load_corpus(s)
-    stoplist = _stoplist(s)
-    token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
-                   for r in corpus.records]
-    vocab = corpus_mod.build_vocabulary(token_lists, max_size=config.vocab_size)
+    config = _checked(model_mod.ModelConfig, vocab_size=s["vocab_size"],
+                      seq_len=s["seq_len"])
+    corpus, _, token_lists, vocab = _tokenized(s, config.vocab_size)
     doc = {
         "seq_len": config.seq_len,
         "vocab_size": vocab.size,
@@ -268,13 +267,13 @@ def _cmd_preprocess(s: dict) -> int:
 
 def _cmd_train(s: dict) -> int:
     _require(s, "data", "out")
-    model_config, train_config = _model_config(s), _train_config(s)
+    model_config = _model_config(s)
+    train_config = _checked(
+        trainer.TrainConfig, epochs=s["epochs"], batch_size=s["batch_size"],
+        learning_rate=s["lr"], seed=s["seed"], train_fraction=s["split"],
+        stratify=s["stratify"])
     _require_writable(s, "out", "history")
-    corpus = _load_corpus(s)
-    stoplist = _stoplist(s)
-    token_lists = [corpus_mod.text_to_tokens(r.text, stoplist)
-                   for r in corpus.records]
-    vocab = corpus_mod.build_vocabulary(token_lists, max_size=model_config.vocab_size)
+    corpus, stoplist, _, vocab = _tokenized(s, model_config.vocab_size)
     model = model_mod.build_model(model_config, seed=train_config.seed)
     history = trainer.fit(model, corpus, train_config, vocab, stoplist)
     serialize.save(model, vocab, s["out"])
@@ -294,8 +293,7 @@ def _cmd_train(s: dict) -> int:
 
 def _cmd_evaluate(s: dict) -> int:
     _require(s, "model")
-    if s["batch_size"] < 1:
-        raise UsageError(f"batch_size must be >= 1, got {s['batch_size']!r}")
+    _checked(trainer.TrainConfig, batch_size=s["batch_size"])
     model, vocab = serialize.load(s["model"])
     corpus = _load_corpus(s)
     stoplist = _stoplist(s)
@@ -323,13 +321,23 @@ def _cmd_predict(s: dict) -> int:
     return 0
 
 
+_CORPUS = ("data", "delimiter", "stopwords", "keep_stopwords", "out")
+_ARCH = ("seq_len", "vocab_size", "embed_dim", "gru_units", "dropout", "precision")
+
+# subcommand -> (function, help, the _OPTIONS keys it reads and takes flags for)
 _COMMANDS = {
-    "stats": (_cmd_stats, "per-label word-frequency tables as JSON"),
-    "preprocess": (_cmd_preprocess, "emit cleaned, tokenized, encoded records"),
-    "train": (_cmd_train, "train a model and save it with its vocabulary"),
-    "evaluate": (_cmd_evaluate, "confusion matrix and metric views as JSON"),
-    "predict": (_cmd_predict, "classify one text with a saved model"),
-    "summary": (_cmd_summary, "per-layer output shapes and parameter counts"),
+    "stats": (_cmd_stats, "per-label word-frequency tables as JSON", (*_CORPUS, "top")),
+    "preprocess": (_cmd_preprocess, "emit cleaned, tokenized, encoded records",
+                   (*_CORPUS, "seq_len", "vocab_size")),
+    "train": (_cmd_train, "train a model and save it with its vocabulary",
+              (*_CORPUS, "history", "deterministic", "epochs", "batch_size",
+               "lr", "seed", "split", "stratify", *_ARCH)),
+    "evaluate": (_cmd_evaluate, "confusion matrix and metric views as JSON",
+                 ("model", *_CORPUS, "batch_size")),
+    "predict": (_cmd_predict, "classify one text with a saved model",
+                ("model", "text", "stopwords", "keep_stopwords", "out")),
+    "summary": (_cmd_summary, "per-layer output shapes and parameter counts",
+                ("model", *_ARCH)),
 }
 
 
@@ -338,17 +346,15 @@ def _build_parser() -> _Parser:
                      description="text sentiment classifier: six emotions, "
                                  "bidirectional recurrent model")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, (func, help_text) in _COMMANDS.items():
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="'paper' preset or key=value file")
-        for key, (kind, _, help_text) in _OPTIONS.items():
+        for key in keys:
+            kind, _, help_text = _OPTIONS[key]
             flag = "--" + key.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, action="store_true", default=None,
-                               help=help_text)
-            else:
-                p.add_argument(flag, type=kind, help=help_text)
+            how = ({"action": "store_true", "default": None} if kind is bool
+                   else {"type": kind})
+            p.add_argument(flag, help=help_text, **how)
     return parser
 
 
@@ -358,7 +364,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        return args.func(_settings(args))
+        func, _, keys = _COMMANDS[args.command]
+        return func(_settings(args, keys))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -137,7 +137,10 @@ def _product(a, b, variant):
 def _library_dirs():
     """Where the built library goes: the first of these that is writable."""
     yield Path(__file__).parent
-    yield Path.home() / ".cache" / "sentigru"
+    try:
+        yield Path.home() / ".cache" / "sentigru"
+    except RuntimeError:    # no HOME, and no passwd entry for this uid
+        pass
     private = Path(tempfile.gettempdir()) / f"sentigru-{os.getuid()}"
     try:
         private.mkdir(mode=0o700, exist_ok=True)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from sentigru import corpus, serialize, trainer
-from sentigru.cli import main
+from sentigru.cli import _OPTIONS, main
 from sentigru.model import MAX_SEQ_LEN, ModelConfig, build_model
 from synth import keyword_corpus, write_csv
 
@@ -153,7 +154,8 @@ class TestExitCodes:
          "--out 'new.sgru' is also --history"),
         (["predict", "--model", "m.sgru", "--text", "x", "--out", "stop.txt",
           "--stopwords", "stop.txt"], "--out 'stop.txt' is also --stopwords"),
-        (["summary", "--config", "c.txt", "--out", "c.txt"], "--out 'c.txt' is also --config"),
+        (["preprocess", "--data", "d.csv", "--config", "c.txt", "--out", "c.txt"],
+         "--out 'c.txt' is also --config"),
     ], ids=["out-data", "out-history", "evaluate-out-model", "history-data-symlink",
             "new-out-history", "out-stopwords", "out-config"])
     def test_an_output_never_replaces_an_input(
@@ -174,7 +176,7 @@ class TestExitCodes:
         assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
         assert not (tmp_path / "new.sgru").exists()
 
-    @pytest.mark.parametrize("command", ["stats", "summary"])
+    @pytest.mark.parametrize("command", ["stats", "preprocess"])
     @pytest.mark.parametrize("key", ["data", "out"])
     def test_nul_byte_in_a_path_is_one_line(self, tmp_path, capsys, command, key):
         config = tmp_path / "c.txt"
@@ -214,8 +216,8 @@ class TestExitCodes:
     def test_seq_len_out_of_range(self, data_csv, tmp_path, capsys, command,
                                   seq_len):
         out = tmp_path / "m.bin"
-        code = main([command, "--data", str(data_csv), "--out", str(out),
-                     "--seq-len", seq_len])
+        inputs = [] if command == "summary" else ["--data", str(data_csv), "--out", str(out)]
+        code = main([command, *inputs, "--seq-len", seq_len])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: seq_len must be") and err.count("\n") == 1
@@ -235,14 +237,15 @@ class TestExitCodes:
         ("train", "--lr", "nan", "learning_rate must be finite and not negative"),
         ("train", "--lr", "inf", "learning_rate must be finite and not negative"),
         ("train", "--seed", "-1", "seed must be >= 0, got -1"),
-        ("preprocess", "--gru-units", "1,2", "gru_units must have exactly 3"),
+        ("train", "--gru-units", "1,2", "gru_units must have exactly 3"),
+        ("preprocess", "--vocab-size", "2", "vocab_size must be >= 3"),
     ])
     def test_bad_setting_is_one_line(self, data_csv, trained_model, tmp_path,
                                      capsys, command, flag, value, message):
         out = tmp_path / "out"
-        code = main([command, "--data", str(data_csv), "--out", str(out),
-                     "--model" if command == "evaluate" else "--text",
-                     str(trained_model), f"{flag}={value}"])
+        model = ["--model", str(trained_model)] if command == "evaluate" else []
+        code = main([command, "--data", str(data_csv), "--out", str(out), *model,
+                     f"{flag}={value}"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -254,13 +257,82 @@ class TestExitCodes:
         ("summary", "--seed", "-1"),
     ])
     def test_unread_training_setting_is_not_checked(
-            self, data_csv, trained_model, capsys, command, flag, value):
-        """summary builds no weights and evaluate reads only --batch-size,
-        so neither rejects a training setting it never reads."""
+            self, data_csv, trained_model, tmp_path, capsys, command, flag, value):
+        """summary builds no weights and evaluate reads only --batch-size:
+        neither takes the flag, and each drops the key from a config file
+        without checking its value."""
         inputs = (["--model", str(trained_model), "--data", str(data_csv)]
                   if command == "evaluate" else [])
-        assert main([command, *inputs, f"{flag}={value}"]) == 0
+        assert main([command, *inputs, f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: unrecognized arguments: {flag}={value}\n")
+        config = tmp_path / "c.txt"
+        config.write_text(f"{flag[2:]}={value}\n")
+        assert main([command, *inputs, "--config", str(config)]) == 0
         assert capsys.readouterr().err.count("error") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["summary", "--out", "t.txt"],
+        ["predict", "--model", "m.sgru", "--text", "hi", "--epochs", "0"],
+        ["stats", "--data", "d.csv", "--model", "m.sgru"],
+        ["evaluate", "--model", "m.sgru", "--data", "d.csv", "--history", "h.json"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_a_flag_the_command_does_not_read_is_refused(
+            self, tmp_path, data_csv, trained_model, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_bytes(data_csv.read_bytes())
+        (tmp_path / "m.sgru").write_bytes(trained_model.read_bytes())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.sgru"]
+
+    # 57 flags across the six subcommands, --config included
+    @pytest.mark.parametrize("command, keys", [
+        ("stats", "data delimiter stopwords keep-stopwords out top"),
+        ("preprocess", "data delimiter stopwords keep-stopwords out seq-len vocab-size"),
+        ("train", "data delimiter stopwords keep-stopwords out history deterministic "
+                  "epochs batch-size lr seed split stratify seq-len vocab-size "
+                  "embed-dim gru-units dropout precision"),
+        ("evaluate", "model data delimiter stopwords keep-stopwords out batch-size"),
+        ("predict", "model text stopwords keep-stopwords out"),
+        ("summary", "model seq-len vocab-size embed-dim gru-units dropout precision"),
+    ])
+    def test_help_lists_only_the_flags_the_command_reads(self, capsys, command, keys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", *(f"--{k}" for k in keys.split())}
+
+    def test_one_config_file_sets_every_key(self, tmp_path, data_csv, trained_model,
+                                            capsys, monkeypatch):
+        """Config files share one key space: each command drops the keys it
+        does not read, and checks only the ones it does."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stop.txt").write_text("the\n")
+        settings = {
+            "data": data_csv, "stopwords": "stop.txt", "keep-stopwords": "no",
+            "model": trained_model, "out": "t.txt", "history": "h.json",
+            "text": "hi", "epochs": "0", "batch-size": "8", "lr": "0.01",
+            "seed": "-1", "seq-len": "8", "vocab-size": "60", "embed-dim": "8",
+            "gru-units": "6,4,4", "dropout": "0.1", "split": "1.5",
+            "stratify": "no", "deterministic": "yes", "precision": "f32",
+            "delimiter": ",", "top": "-1",
+        }
+        assert {k.replace("-", "_") for k in settings} == set(_OPTIONS)
+        (tmp_path / "all.cfg").write_text(
+            "".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["summary", "--config", "all.cfg"]) == 0
+        assert "total" in capsys.readouterr().out
+        assert not (tmp_path / "t.txt").exists()
+        assert main(["preprocess", "--config", "all.cfg"]) == 0
+        assert json.loads((tmp_path / "t.txt").read_text())["seq_len"] == 8
+        assert main(["train", "--config", "all.cfg"]) == 1
+        assert capsys.readouterr().err.startswith("error: epochs must be >= 1")
+        assert not (tmp_path / "h.json").exists()
 
     @pytest.mark.parametrize("command, rows, message", [
         ("train", "", "need at least 2 records to split, got 0"),
@@ -271,8 +343,9 @@ class TestExitCodes:
                                          command, rows, message):
         path = tmp_path / "few.csv"
         path.write_text("text,label\n" + rows)
-        code = main([command, "--data", str(path), "--model", str(trained_model),
-                     "--out", str(tmp_path / "m.bin"), *SMALL_FLAGS])
+        inputs = (["--model", str(trained_model)] if command == "evaluate"
+                  else ["--out", str(tmp_path / "m.bin"), *SMALL_FLAGS])
+        code = main([command, "--data", str(path), *inputs])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
@@ -301,7 +374,8 @@ class TestConfigPrecedence:
 
 class TestPreprocess:
     def test_tokens_and_ids(self, data_csv, capsys):
-        assert main(["preprocess", "--data", str(data_csv), *SMALL_FLAGS]) == 0
+        assert main(["preprocess", "--data", str(data_csv),
+                     "--vocab-size", "60", "--seq-len", "8"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seq_len"] == 8
         assert len(doc["records"]) == 48

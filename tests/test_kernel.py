@@ -261,6 +261,26 @@ def test_a_directory_that_cannot_take_the_library_is_passed_over(tmp_path):
     assert not dirs[2].exists()
 
 
+@pytest.mark.skipif(not X86, reason="the kernel is built only on x86-64")
+def test_no_home_directory_skips_the_home_cache(tmp_path):
+    # HOME unset and a uid with no passwd entry, as in a container run with
+    # an arbitrary uid, where the package directory cannot take the library
+    cc, _ = fake_cc(tmp_path / "bin", 0)
+    tried = []
+
+    def no_room(cc, path):
+        tried.append(path.parent)
+
+    no_home = RuntimeError("Could not determine home directory.")
+    with mock.patch.object(numerics, "CC", str(cc)), \
+            mock.patch.object(numerics, "_FLAGS", numerics._FLAGS + ("-DFRESH_TAG",)), \
+            mock.patch.object(numerics, "_build", no_room), \
+            mock.patch.object(numerics.Path, "home", side_effect=no_home), \
+            mock.patch.object(numerics.tempfile, "gettempdir", lambda: str(tmp_path)):
+        assert numerics._load() == "einsum"
+    assert tried == [SRC / "sentigru", tmp_path / f"sentigru-{os.getuid()}"]
+
+
 def test_another_cpu_never_compiles(tmp_path):
     cc, log = fake_cc(tmp_path / "bin", 0)
     arm = os.uname_result(tuple(os.uname())[:4] + ("aarch64",))
