@@ -4,8 +4,8 @@ The pipeline: clean and tokenize raw text, drop stopwords, encode against
 a frequency-ranked vocabulary, then classify with an embedding + three
 bidirectional recurrent layers + dense stack trained by adaptive-moment
 descent. Everything runs on plain arrays and is bit-reproducible for a
-fixed seed: from batch 48 up, whatever the CPU count, each recurrent layer
-runs its two directions on two threads, with the same bits as one.
+fixed seed: from ``layers.SPLIT_ROWS`` rows up, on any CPU count, each
+recurrent layer runs its two directions on two threads, with the bits of one.
 """
 
 from .corpus import (LABEL_NAMES, OOV_ID, PAD_ID, DatasetError, LabeledCorpus,

@@ -93,13 +93,14 @@ def _read_config_file(path) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = raw.partition("=")
         key = key.strip().replace("-", "_")
         if not sep:
             raise UsageError(f"expected key=value at line {lineno}: {line!r}")
         if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r} at line {lineno}")
-        out[key] = _coerce(key, value.strip())
+        # a tab delimiter is whitespace, which strip() would drop
+        out[key] = _coerce(key, value.strip(" \n" if key == "delimiter" else None))
     return out
 
 
@@ -341,13 +342,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sentigru",
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    # allow_abbrev=False: a flag has one spelling, and no prefix stands for it
+    parser = _Parser(prog="sentigru", allow_abbrev=False,
                      description="text sentiment classifier: six emotions, "
                                  "bidirectional recurrent model")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (_, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="'paper' preset or key=value file")
         for key in keys:
             kind, _, help_text = _OPTIONS[key]
@@ -355,14 +357,17 @@ def _build_parser() -> _Parser:
             how = ({"action": "store_true", "default": None} if kind is bool
                    else {"type": kind})
             p.add_argument(flag, help=help_text, **how)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:   # reported by the subcommand's parser, with its usage
+            subparsers.get(args.command, parser).error(
+                f"unrecognized arguments: {' '.join(unknown)}")
+        if not args.command:
             raise UsageError(parser.format_usage())
         func, _, keys = _COMMANDS[args.command]
         return func(_settings(args, keys))

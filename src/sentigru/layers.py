@@ -157,7 +157,6 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        check_mode(mode)
         mask = None
         if mode == "train" and self.rate > 0.0:
             if rng is None:
@@ -278,7 +277,6 @@ class GruSequence(Layer):
         self._U = np.empty((len(self.cells), h, 3 * h), self.dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        check_mode(mode)
         B, T, _ = x.shape
         if B == 0 or T == 0:
             raise ValueError(f"batch size and sequence length must be >= 1, "
@@ -364,15 +362,15 @@ class GruSequence(Layer):
         h_prev, zr, c, hc = (block[t] for block in caches)
         h = dh.shape[-1]
         z, r = zr[..., :h], zr[..., h:]
-        dz = dh * (h_prev - c)
+        dzr = np.empty_like(zr)                  # [dz | dr], laid out as zr
+        np.multiply(dh, h_prev - c, out=dzr[..., :h])
         dc = dh * (1.0 - z)
         ds_c = dc * (1.0 - c * c)                # at tanh input
-        dr = ds_c * hc
+        np.multiply(ds_c, hc, out=dzr[..., h:])
         dhc = ds_c * r
-        ds_z = dz * z * (1.0 - z)
-        ds_r = dr * r * (1.0 - r)
-        d_gx = np.concatenate([ds_z, ds_r, ds_c], axis=-1)
-        d_gh = np.concatenate([ds_z, ds_r, dhc], axis=-1)
+        ds_zr = dzr * zr * (1.0 - zr)            # at the sigmoid input
+        d_gx = np.concatenate([ds_zr, ds_c], axis=-1)
+        d_gh = np.concatenate([ds_zr, dhc], axis=-1)
         dh_prev = dh * z
         for d, (cell, xd) in enumerate(pairs):
             cell.dW += matmul(xd[:, t].T, d_gx[d])

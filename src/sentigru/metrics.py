@@ -81,17 +81,8 @@ class EvalReport:
             "confusion": self.confusion.counts.tolist(),
             "total": self.confusion.total(),
             "accuracy": self.accuracy,
-            "per_class": [{
-                "label": m.label,
-                "label_name": name(m.label),
-                "support": m.support,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "precision_defined": m.precision_defined,
-                "recall_defined": m.recall_defined,
-                "f1_defined": m.f1_defined,
-            } for m in self.per_class],
+            "per_class": [{"label": m.label, "label_name": name(m.label)} | vars(m)
+                          for m in self.per_class],
             "macro": vars(self.macro).copy(),
             "micro": vars(self.micro).copy(),
             "weighted": vars(self.weighted).copy(),

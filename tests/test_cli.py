@@ -276,6 +276,11 @@ class TestExitCodes:
         ["predict", "--model", "m.sgru", "--text", "hi", "--epochs", "0"],
         ["stats", "--data", "d.csv", "--model", "m.sgru"],
         ["evaluate", "--model", "m.sgru", "--data", "d.csv", "--history", "h.json"],
+        # a flag has one spelling: no prefix of one is taken for it
+        ["summary", "--embed", "10"],
+        ["train", "--data", "d.csv", "--out", "n.sgru", "--epochs", "1", *SMALL_FLAGS,
+         "--batch", "8"],
+        ["evaluate", "--data", "d.csv", "--out", "r.json", "--mod", "m.sgru"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_a_flag_the_command_does_not_read_is_refused(
             self, tmp_path, data_csv, trained_model, capsys, monkeypatch, argv):
@@ -288,6 +293,13 @@ class TestExitCodes:
             f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
         assert "Traceback" not in captured.err and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.sgru"]
+
+    def test_an_unknown_flag_shows_the_subcommand_usage(self, capsys):
+        assert main(["summary", "--out", "t.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --out t.txt\n")
+        assert "\nusage: sentigru summary [-h] [--config CONFIG]" in err
+        assert "{stats,preprocess,train,evaluate,predict,summary}" not in err
 
     # 57 flags across the six subcommands, --config included
     @pytest.mark.parametrize("command, keys", [
@@ -354,6 +366,19 @@ class TestExitCodes:
     def test_multi_character_delimiter(self, data_csv, capsys):
         assert main(["stats", "--data", str(data_csv), "--delimiter", "ab"]) == 1
         assert "--delimiter must be one character" in capsys.readouterr().err
+
+    def test_tab_delimiter_in_a_config_file(self, data_csv, tmp_path, capsys):
+        """A config file sets a tab delimiter as the flag does: the tab is
+        the value, not whitespace around it."""
+        tsv = tmp_path / "train.tsv"
+        tsv.write_text(data_csv.read_text().replace(",", "\t"))
+        assert main(["stats", "--data", str(tsv), "--delimiter", "\t"]) == 0
+        by_flag = capsys.readouterr().out
+        cfg = tmp_path / "tab.cfg"
+        cfg.write_text("delimiter=\t\n")
+        assert main(["stats", "--data", str(tsv), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == by_flag
+        assert json.loads(by_flag)["all"]["entries"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -144,6 +144,12 @@ class TestReportSerialization:
         assert doc["confusion"][2][2] == 1
         assert set(doc["macro"]) == {"precision", "recall", "f1"}
 
+    def test_per_class_key_order(self):
+        report = report_from_predictions(TRUTH, PRED, 3)
+        assert [list(m) for m in report.to_dict(LABEL_NAMES)["per_class"]] == [[
+            "label", "label_name", "support", "precision", "recall", "f1",
+            "precision_defined", "recall_defined", "f1_defined"]] * 3
+
     def test_to_json_round_trips(self):
         report = report_from_predictions(TRUTH, PRED, 3)
         doc = json.loads(json.dumps(report.to_dict()))
