@@ -364,9 +364,11 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown:   # reported by the subcommand's parser, with its usage
-            subparsers.get(args.command, parser).error(
-                f"unrecognized arguments: {' '.join(unknown)}")
+        if unknown:   # what precedes the subcommand is the top-level parser's
+            argv = sys.argv[1:] if argv is None else argv
+            top = argv[:argv.index(args.command)] if args.command else unknown
+            (parser if top else subparsers[args.command]).error(
+                f"unrecognized arguments: {' '.join(top or unknown)}")
         if not args.command:
             raise UsageError(parser.format_usage())
         func, _, keys = _COMMANDS[args.command]

@@ -21,12 +21,14 @@
  *
  * Register tiles hold several outputs at once, but every output goes
  * through the same operations in the same order in every tile and in every
- * instruction-set variant (AVX-512, AVX2 and SSE3, picked at run time), so
- * the variant changes only the speed. Build with -ffp-contract=off: a fused
- * multiply-add rounds once where einsum rounds twice.
+ * instruction-set variant (AVX-512, AVX2 and SSE3), so the variant changes
+ * only the speed. Build with -ffp-contract=off: a fused multiply-add rounds
+ * once where einsum rounds twice.
  *
- * The file includes itself once per instruction set with SG_BODY defined;
- * that second part holds the kernels.
+ * The file includes itself once per variant with SG_BODY defined; that part
+ * holds the kernels and exports each entry as <entry>_<variant> (sg_rows_avx512,
+ * ..., sg_dot_sse3). sg_runs_<variant>() says whether this CPU runs a variant;
+ * numerics calls them once, at import, and binds the entries of those that run.
  */
 #ifndef SG_BODY
 
@@ -34,10 +36,6 @@
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define SG_BASE 1
-#define SG_AVX2 2
-#define SG_AVX512 4
 
 #define SG_CAT_(a, b) a##_##b
 #define SG_CAT(a, b) SG_CAT_(a, b)
@@ -58,7 +56,7 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 /* ---- SSE3: the baseline variant, 128-bit vectors ---- */
 #pragma GCC push_options
 #pragma GCC target("sse3")
-#define ISA base
+#define ISA sse3
 #define MR 2                            /* tile rows */
 #define NV 4                            /* vectors per tile row */
 #define V __m128
@@ -128,50 +126,23 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #include "matmul.c"
 #pragma GCC pop_options
 
-/* The variants this CPU runs, as a mask of SG_BASE, SG_AVX2, SG_AVX512. */
-int sg_isas(void)
+/* Whether this CPU runs each variant. Compiled for the baseline, outside
+ * every target pragma, so that any x86-64 CPU can call them. */
+int sg_runs_sse3(void)
 {
-    static int known = -1;
-    if (known >= 0)
-        return known;
     __builtin_cpu_init();
-    int isas = 0;
-    if (__builtin_cpu_supports("sse3"))
-        isas |= SG_BASE;
-    if ((isas & SG_BASE) && __builtin_cpu_supports("avx2"))
-        isas |= SG_AVX2;
-    if ((isas & SG_AVX2) && __builtin_cpu_supports("avx512f")
-            && __builtin_cpu_supports("avx512vl"))
-        isas |= SG_AVX512;
-    return known = isas;
+    return __builtin_cpu_supports("sse3");
 }
 
-#define SG_PICK(isa, name) ((isa) == SG_AVX512 ? name##_avx512 : \
-                            (isa) == SG_AVX2 ? name##_avx2 : name##_base)
-
-/* c = a b over D stacked products: a[d] is m x k at element strides
- * (a_sd, a_si, a_sk), b[d] is k x n C-contiguous at b + d * b_sd, and c is
- * C-contiguous (D, m, n). Returns 0, or -1 for an isa this CPU cannot run. */
-int sg_rows(int isa, const float *a, const float *b, float *c,
-            ptrdiff_t D, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
-            ptrdiff_t a_sd, ptrdiff_t a_si, ptrdiff_t a_sk, ptrdiff_t b_sd)
+int sg_runs_avx2(void)
 {
-    if (!(sg_isas() & isa) || (isa & (isa - 1)))
-        return -1;
-    for (ptrdiff_t d = 0; d < D; d++)
-        SG_PICK(isa, rows)(a + d * a_sd, a_si, a_sk, b + d * b_sd, c + d * m * n, m, k, n);
-    return 0;
+    return sg_runs_sse3() && __builtin_cpu_supports("avx2");
 }
 
-/* c = a w^T with a (m, k), w (n, k) and c (m, n) C-contiguous. Returns 0,
- * or -1 for an isa this CPU cannot run, or when the packing buffer cannot
- * be allocated. */
-int sg_dot(int isa, const float *a, const float *w, float *c,
-           ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
+int sg_runs_avx512(void)
 {
-    if (!(sg_isas() & isa) || (isa & (isa - 1)))
-        return -1;
-    return SG_PICK(isa, dot)(a, w, c, m, k, n);
+    return sg_runs_avx2() && __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512vl");
 }
 
 #else  /* SG_BODY: the kernels of one instruction set (ISA) */
@@ -229,16 +200,24 @@ INLINE void FN(rows_cols)(const float *a, ptrdiff_t si, ptrdiff_t sk, const floa
         FN(rows_tile)(a + i * si, si, sk, b + j, c + i * n + j, k, n, cols, 1, nv, full);
 }
 
-static void FN(rows)(const float *a, ptrdiff_t si, ptrdiff_t sk, const float *b,
-                     float *c, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
+/* c = a b over D stacked products: a[d] is m x k at element strides
+ * (a_sd, a_si, a_sk), b[d] is k x n C-contiguous at b + d * b_sd, and c is
+ * C-contiguous (D, m, n). */
+void FN(sg_rows)(const float *a, const float *b, float *c, ptrdiff_t D, ptrdiff_t m,
+                 ptrdiff_t k, ptrdiff_t n, ptrdiff_t a_sd, ptrdiff_t a_si, ptrdiff_t a_sk,
+                 ptrdiff_t b_sd)
 {
-    ptrdiff_t j = 0;
-    for (; j + NV * L <= n; j += NV * L)
-        FN(rows_cols)(a, si, sk, b, c, m, k, n, j, NV * L, NV, 1);
-    for (; j + L <= n; j += L)
-        FN(rows_cols)(a, si, sk, b, c, m, k, n, j, L, 1, 1);
-    if (j < n)
-        FN(rows_cols)(a, si, sk, b, c, m, k, n, j, n - j, 1, 0);
+    for (ptrdiff_t d = 0; d < D; d++) {
+        const float *ad = a + d * a_sd, *bd = b + d * b_sd;
+        float *cd = c + d * m * n;
+        ptrdiff_t j = 0;
+        for (; j + NV * L <= n; j += NV * L)
+            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, NV * L, NV, 1);
+        for (; j + L <= n; j += L)
+            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, L, 1, 1);
+        if (j < n)
+            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, n - j, 1, 0);
+    }
 }
 
 /* sg_dot's packed operand: w's rows cut into 16-byte chunks of CH floats
@@ -322,8 +301,10 @@ INLINE void FN(dot_tile)(const float *a, const float *p, float *c, ptrdiff_t k,
     }
 }
 
-static int FN(dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t k,
-                   ptrdiff_t n)
+/* c = a w^T with a (m, k), w (n, k) and c (m, n) C-contiguous. Returns 0, or
+ * -1 when the packing buffer cannot be allocated. */
+int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t k,
+               ptrdiff_t n)
 {
     ptrdiff_t nq = (k + CH - 1) / CH, np = (n + NC - 1) / NC * NC, whole = k / CH;
     float *p = calloc((size_t)(nq * np * CH), sizeof *p);

@@ -48,6 +48,10 @@ class ModelConfig:
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
         object.__setattr__(self, "gru_units", tuple(self.gru_units))
+        # 8 bytes a value whatever the dtype: the initial weights are drawn in float64
+        if state_size(self) * 8 > np.iinfo(np.intp).max:
+            raise ValueError("the model's parameters would take more bytes than "
+                             "numpy can address")
 
     @property
     def np_dtype(self):

@@ -38,10 +38,13 @@ first of this package's directory, ``~/.cache/sentigru`` and a private
 directory under the system temp directory that can take it. It is written
 under a temporary name and renamed into place, so processes importing at
 once are safe, and later imports load it; a failed build is not retried.
-The import then checks the kernel against einsum on fixed probe products.
-``KERNEL`` names the path in use: the widest instruction-set variant this
-CPU runs ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without
-a compiler, after a failed build or when a probe differs. Setting it to
+The library exports each entry once per instruction-set variant, as
+``<entry>_<variant>`` (``sg_rows_avx512``, ``sg_dot_sse3``, ...), and one
+``sg_runs_<variant>()`` that says whether this CPU runs it. The import binds
+the entries of every variant that runs, once, then checks the widest against
+einsum on fixed probe products. ``KERNEL`` names the path in use: that
+variant ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without a
+compiler, after a failed build or when a probe differs. Setting it to
 "einsum" sends every product to einsum. ctypes releases the GIL for the
 call, so products on two threads run at once.
 
@@ -76,9 +79,9 @@ CC = "cc"
 
 _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_VARIANTS = {"avx512": 4, "avx2": 2, "sse3": 1}    # widest first, as matmul.c's mask
+_VARIANTS = ("avx512", "avx2", "sse3")     # widest first
 _F32 = np.dtype(np.float32)
-_lib = None
+_kernels = {}       # {variant: (sg_rows, sg_dot)} of the variants this CPU runs
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,7 +91,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_shapes(a, b)
     if (KERNEL != "einsum" and a.shape[-2] >= MIN_ROWS
             and a.size * b.shape[-1] >= MIN_MACS):
-        out = _product(a, b, KERNEL)
+        out = _product(a, b, KERNEL, _kernels)
         if out is not None:
             return out
     return np.einsum("...ik,...kj->...ij", a, b)
@@ -99,7 +102,7 @@ def compiled(a: np.ndarray, b: np.ndarray, variant: str):
     named variant of :func:`variants`, however small; None when they are
     outside the kernel's layouts or not both float32."""
     _check_shapes(a, b)
-    return _product(a, b, variant)
+    return _product(a, b, variant, _kernels)
 
 
 def _check_shapes(a, b) -> None:
@@ -110,7 +113,7 @@ def _check_shapes(a, b) -> None:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
 
 
-def _product(a, b, variant):
+def _product(a, b, variant, kernels):
     n = b.shape[-1]
     if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
@@ -120,17 +123,13 @@ def _product(a, b, variant):
     m, k = a.shape[-2:]
     if b.flags.c_contiguous:
         D, a_sd = (a.shape[0], a.strides[0] // 4) if a.ndim == 3 else (1, 0)
-        error = _lib.sg_rows(_VARIANTS[variant], a.ctypes.data, b.ctypes.data,
-                             out.ctypes.data, D, m, k, n, a_sd,
-                             a.strides[-2] // 4, a.strides[-1] // 4, k * n)
+        kernels[variant][0](a.ctypes.data, b.ctypes.data, out.ctypes.data, D, m, k, n,
+                            a_sd, a.strides[-2] // 4, a.strides[-1] // 4, k * n)
     elif a.ndim == 2 and a.flags.c_contiguous and b.T.flags.c_contiguous:
-        error = _lib.sg_dot(_VARIANTS[variant], a.ctypes.data, b.ctypes.data,
-                            out.ctypes.data, m, k, n)
+        if kernels[variant][1](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
+            raise RuntimeError(f"no memory for the {variant} kernel's packing buffer")
     else:
         return None
-    if error:
-        raise RuntimeError(f"the {variant} kernel failed: a variant this CPU does "
-                           "not run, or no memory for its packing buffer")
     return out
 
 
@@ -211,37 +210,46 @@ def _probes():
         yield sample(2, 10, 19), sample(2, 19, 35)
 
 
+def _bind(lib: ctypes.CDLL) -> dict:
+    """``{variant: (sg_rows, sg_dot)}`` of a loaded kernel library, for each
+    variant whose ``sg_runs_<variant>()`` is true on this CPU, widest first."""
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    kernels = {}
+    for variant in _VARIANTS:
+        if lib[f"sg_runs_{variant}"]():
+            rows, dot = lib[f"sg_rows_{variant}"], lib[f"sg_dot_{variant}"]
+            rows.argtypes, rows.restype = [ptr] * 3 + [size] * 8, None
+            dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, ctypes.c_int
+            kernels[variant] = rows, dot
+    return kernels
+
+
 def _load() -> str:
-    """Build and load the kernel; returns the variant that passes every probe,
-    or "einsum"."""
-    global _lib
+    """Build, load and bind the kernel; returns its widest variant, installed if
+    that passes every probe, else "einsum" (a probe that differs empties the table)."""
+    global _kernels
     if os.name != "posix" or os.uname().machine not in ("x86_64", "amd64"):
         return "einsum"
     try:
         path = _library()
         if path is None:
             return "einsum"
-        lib = ctypes.CDLL(str(path))
+        kernels = _bind(ctypes.CDLL(str(path)))
     except OSError:
         return "einsum"
-    ptr, size, i = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
-    lib.sg_rows.argtypes = [i, ptr, ptr, ptr] + [size] * 8
-    lib.sg_dot.argtypes = [i, ptr, ptr, ptr, size, size, size]
-    lib.sg_isas.restype = lib.sg_rows.restype = lib.sg_dot.restype = i
-    _lib = lib
-    variant = next(iter(variants()), "einsum")
+    variant = next(iter(kernels), "einsum")
     if variant == "einsum" or any(
-            _product(a, b, variant).tobytes()
+            _product(a, b, variant, kernels).tobytes()
             != np.einsum("...ik,...kj->...ij", a, b).tobytes() for a, b in _probes()):
-        _lib = None
+        _kernels = {}
         return "einsum"
+    _kernels = kernels
     return variant
 
 
 def variants() -> list[str]:
     """The kernel's variants this CPU runs, widest first; empty on einsum."""
-    runs = 0 if _lib is None else _lib.sg_isas()
-    return [v for v, bit in _VARIANTS.items() if runs & bit]
+    return list(_kernels)
 
 
 KERNEL = _load()

@@ -301,6 +301,28 @@ class TestExitCodes:
         assert "\nusage: sentigru summary [-h] [--config CONFIG]" in err
         assert "{stats,preprocess,train,evaluate,predict,summary}" not in err
 
+    def test_a_flag_before_the_subcommand_shows_the_top_level_usage(self, capsys):
+        assert main(["--foo", "summary"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unrecognized arguments: --foo\n"
+                                       "usage: sentigru [-h] {stats,")
+        assert "usage: sentigru summary" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["summary", "train"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--vocab-size", "100000000000000000000"),
+        ("--embed-dim", "100000000000000000000"),
+        ("--gru-units", "100000000000000000000,2,2")])
+    def test_parameters_numpy_cannot_address_are_one_line(
+            self, data_csv, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "m.bin"
+        files = ["--data", str(data_csv), "--out", str(out)] if command == "train" else []
+        assert main([command, *files, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: the model's parameters would take more bytes than "
+                       "numpy can address\n")
+        assert not out.exists()
+
     # 57 flags across the six subcommands, --config included
     @pytest.mark.parametrize("command, keys", [
         ("stats", "data delimiter stopwords keep-stopwords out top"),

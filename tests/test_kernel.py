@@ -152,7 +152,7 @@ def test_float64_stays_on_einsum(layout):
     a, b = operands(layout, 16, 40, 30, sampler(np.float64, 0, "inf"))
     want = einsum(a, b)
     names = numerics.variants()
-    with mock.patch.object(numerics, "_lib", None):     # a call into the kernel raises
+    with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
         for variant in names:
             assert numerics.compiled(a, b, variant) is None
         assert numerics.matmul(a, b).tobytes() == want.tobytes()
@@ -293,10 +293,59 @@ def test_another_cpu_never_compiles(tmp_path):
 
 
 def test_a_probe_that_differs_means_einsum():
-    with mock.patch.object(numerics, "_lib", numerics._lib), \
-            mock.patch.object(numerics, "_product", lambda a, b, _: einsum(a, b) + 1):
+    with mock.patch.object(numerics, "_kernels", numerics._kernels), \
+            mock.patch.object(numerics, "_product", lambda a, b, *_: einsum(a, b) + 1):
         assert numerics._load() == "einsum"
         assert numerics.variants() == []
+
+
+SANITIZED_SHAPES = ((1, 5, 9), (1, 6, 19, 37), (2, 7, 17, 33, 70))    # m, k, n
+SANITIZED_CHILD = """
+import ctypes, itertools, sys
+import numpy as np
+from sentigru import numerics
+from test_kernel import LAYOUTS, SANITIZED_SHAPES, einsum, operands, sampler
+
+numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
+products = 0
+for seed, (layout, m, k, n) in enumerate(itertools.product(LAYOUTS, *SANITIZED_SHAPES)):
+    a, b = operands(layout, m, k, n, sampler(np.float32, seed, "inf"))
+    want = einsum(a, b).tobytes()
+    for variant in numerics.variants():
+        assert numerics.compiled(a, b, variant).tobytes() == want, (variant, layout, m, k, n)
+        products += 1
+print(" ".join(numerics.variants()), products)
+"""
+
+
+def test_sanitized_kernel_has_einsum_bits(tmp_path):
+    """matmul.c built with AddressSanitizer and UBSan, bound with numerics'
+    own helper in a child Python that preloads their runtimes: every variant
+    on every layout above, over tile and tail edges, reads and writes nothing
+    outside its operands and matches einsum byte for byte."""
+    if not X86:
+        pytest.skip("the kernel is built only on x86-64")
+    if shutil.which(numerics.CC) is None:
+        pytest.skip(f"no C compiler {numerics.CC!r} on PATH")
+    runtimes = [subprocess.run([numerics.CC, f"-print-file-name={name}"], text=True,
+                               capture_output=True).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    if not all(os.path.isabs(path) for path in runtimes):
+        pytest.skip(f"{numerics.CC} has no libasan.so or libubsan.so")
+    library = tmp_path / "matmul-sanitized.so"
+    build = subprocess.run([numerics.CC, "-O1", "-g", "-ffp-contract=off",
+                            "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+                            "-shared", "-fPIC", str(numerics._SOURCE), "-o", str(library)],
+                           text=True, capture_output=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    child = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(library)], env=env,
+                           text=True, capture_output=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-4000:]
+    variants, products = child.stdout.split()[:-1], int(child.stdout.split()[-1])
+    cases = len(LAYOUTS) * int(np.prod([len(sizes) for sizes in SANITIZED_SHAPES]))
+    assert variants == numerics.variants() and products == cases * len(variants)
 
 
 def two_step_hash(B):

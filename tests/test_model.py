@@ -56,6 +56,16 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="positive integer"):
             ModelConfig(**{field: value})
 
+    def test_parameters_must_fit_what_numpy_can_address(self):
+        # the float64 initial draws of the largest vocabulary still fit
+        fixed = state_size(ModelConfig(vocab_size=3)) - 3 * 50
+        largest = (np.iinfo(np.intp).max // 8 - fixed) // 50
+        assert ModelConfig(vocab_size=largest).vocab_size == largest
+        for fields in ({"vocab_size": largest + 1}, {"embed_dim": 10**20},
+                       {"gru_units": (10**20, 2, 2)}, {"gru_units": (2, 2, 10**10)}):
+            with pytest.raises(ValueError, match="more bytes than numpy can address"):
+                ModelConfig(**fields)
+
     def test_seq_len_maximum(self):
         assert ModelConfig(seq_len=MAX_SEQ_LEN).seq_len == MAX_SEQ_LEN
         for value in (MAX_SEQ_LEN + 1, 10**12):

@@ -231,8 +231,10 @@ HEADER_EDITS = {
                             "parameter bytes"),
     "vocab_size_1e12_float": (lambda h: h["config"].update(vocab_size=1e12),
                               "positive integer"),
-    "gru_units_huge": (lambda h: h["config"].update(gru_units=[10**9, 3, 3]),
+    "gru_units_huge": (lambda h: h["config"].update(gru_units=[10**8, 3, 3]),
                        "parameter bytes"),
+    "vocab_size_1e20_int": (lambda h: h["config"].update(vocab_size=10**20),
+                            "corrupt model header: .* numpy can address"),
     "dtype_object": (lambda h: h["arrays"][0].update(dtype="|O"), "match"),
     "dtype_int32": (lambda h: h["arrays"][0].update(dtype="<i4"), "match"),
     "dtype_other_float": (lambda h: h["arrays"][0].update(dtype="<f8"), "match"),
