@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import matmul, sigmoid
+from .numerics import gru_backward, gru_workspace, matmul, sigmoid
 
 
 def uniform(rng, limit, shape, dtype) -> np.ndarray:
@@ -236,12 +236,21 @@ class GruSequence(Layer):
     the call and joined before it returns, while matmul releases the GIL. The
     plan depends on D and B alone, and no bit depends on it.
 
+    A float32 backward on the compiled kernel runs each cell's whole time
+    loop as one call, ``numerics.gru_backward``, with the GIL released, so
+    the parts of a split backward overlap completely. It makes the numpy
+    loop's float32 operations in the same order: per step ``dh = carry +
+    grad``, the gate algebra of :meth:`_step_backward`, ``dh_prev = dh z``
+    plus the rounded product ``d_gh U^T``, and each parameter gradient plus
+    the step's rounded product or batch sum, the bias sums taken in order
+    from +0.0. Float64, and ``numerics.KERNEL == "einsum"``, step in numpy.
+
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
     (n, B, C, 3h) buffer per part and call, so peak memory does not grow with T
     or D; ``dx`` is one matmul per cell after the backward loop.
     matmul rows do not depend on which rows share the call, so both give the
     bits of a per-step product. Parameter gradients accumulate per cell in
-    step order.
+    step order, from t = T-1 down to 0 in backward.
 
     A train-mode forward keeps its parts and per-part lists of inputs and
     caches: ``h_prev``, ``z|r``, ``c`` and the recurrent candidate ``hc``, 5h
@@ -250,10 +259,11 @@ class GruSequence(Layer):
     so the memory is back before the layers below run their backward.
 
     The calling thread allocates every array a part keeps past one step
-    (projection buffer, states, cache blocks, ``d_gx``) before it starts the
-    parts, so the worker's malloc arena keeps only per-step temporaries. Each
-    part has blocks of its own: one block sliced between the parts lives
-    until both are done with it, and measured a higher peak RSS in training.
+    (projection buffer, states, cache blocks, ``d_gx``, the compiled
+    backward's workspace) before it starts the parts, so the worker's malloc
+    arena keeps only per-step temporaries. Each part has blocks of its own:
+    one block sliced between the parts lives until both are done with it, and
+    measured a higher peak RSS in training.
 
     Between calls the sequence holds only its cells, the state a train
     forward kept, and ``_U``, the stacked U that every forward refills from
@@ -357,7 +367,8 @@ class GruSequence(Layer):
         The gate algebra runs once over the part's stack. Each cell's
         parameter gradients and its share of dh_prev are 2-d matmuls. d_gx is
         the gradient at the input projection; backward turns it into
-        dx = d_gx W^T.
+        dx = d_gx W^T. This is the reference that ``numerics.gru_backward``
+        follows operation for operation.
         """
         h_prev, zr, c, hc = (block[t] for block in caches)
         h = dh.shape[-1]
@@ -392,26 +403,33 @@ class GruSequence(Layer):
         grad = np.stack([grad[..., :h], self._in_time_order(grad[..., h:])][:D])
         carry = np.zeros((D, B, h), dtype=grad.dtype)
         calls = [partial(self._backward_part, self.cells[ds], xs, caches, i, grad[ds],
-                         carry[ds], np.empty((len(xs[i]), B, T, 3 * h), grad.dtype))
+                         carry[ds], np.empty((len(xs[i]), B, T, 3 * h), grad.dtype),
+                         gru_workspace(xs[i][0], self.cells[ds]))
                  for i, ds in enumerate(parts)]
         dxs = [dx for part in _run_each(calls) for dx in part]
         if D == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_part(self, cells, xs, caches, i, grad, carry, d_gx):
+    def _backward_part(self, cells, xs, caches, i, grad, carry, d_gx, work):
         """The backward time loop over part ``i``, of ``cells``; clears the
         part's entries in the kept ``xs`` and ``caches``, then returns its
-        input gradients."""
+        input gradients. With a ``work`` array each cell's loop is one
+        compiled call, else the part steps in numpy."""
         pairs, blocks = list(zip(cells, xs[i])), caches[i]
         xs[i] = caches[i] = None
         B, T, x_dim = pairs[0][1].shape
-        for t in range(T - 1, -1, -1):
-            if self.return_sequences:
-                dh = carry + grad[:, :, t]
-            else:
-                dh = (carry + grad) if t == T - 1 else carry
-            d_gx[:, :, t], carry = self._step_backward(dh, blocks, t, pairs)
+        if work is not None:
+            for j, (cell, xd) in enumerate(pairs):
+                gru_backward(xd, [block[:, j] for block in blocks], grad[j], carry[j],
+                             d_gx[j], cell, work)
+        else:
+            for t in range(T - 1, -1, -1):
+                if self.return_sequences:
+                    dh = carry + grad[:, :, t]
+                else:
+                    dh = (carry + grad) if t == T - 1 else carry
+                d_gx[:, :, t], carry = self._step_backward(dh, blocks, t, pairs)
         del pairs, blocks                   # their memory is back before dx
         return [matmul(d_gx[j].reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
                 for j, cell in enumerate(cells)]
@@ -438,13 +456,17 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 
 # Batch rows from which a two-cell sequence runs its cells on two threads.
 # Below it, handing a direction to another thread costs more than the thread
-# saves. With the compiled matmul kernel (AVX-512) on a 2-vCPU Xeon, in-process,
-# 10 alternating paper-size runs per batch, two threads against the one loop
-# (median speed ratio, two-thread wins): infer 0.51x (0/10) at B = 8, 0.56x
-# (0/10) at 16, 0.85x (0/10) at 24, 0.95x (3/10) at 32, 1.03x (6/10) at 40,
-# 1.17x (10/10) at 48 and 1.28x (10/10) at 64; a train step 0.57x (0/10) at 8,
-# 0.60x (0/10) at 16, 0.82x (0/10) at 24, 0.89x (2/10) at 32, 0.95x (4/10) at
-# 40, 0.91x (4/10) at 48 and 1.30x (10/10) at 64.
+# saves. With the compiled kernel (AVX-512) and its one-call GRU backward on a
+# 2-vCPU Xeon, in-process, paper-size ops, two threads against the one loop:
+# median speed ratio and two-thread wins over 10 alternating pairs per batch,
+# each run the median of 3 ops, in each of two processes.
+#   B            16         24         32          40          48          64
+#   infer  1  0.52 0/10  0.62 0/10  0.73 0/10  1.15 10/10  1.17 10/10  1.24  6/10
+#          2  0.51 0/10  0.67 0/10  0.69 0/10  0.82  1/10  0.87  3/10  1.05  7/10
+#   train  1  0.77 0/10  0.88 0/10  1.08 8/10  1.21 10/10  1.24 10/10  1.31 10/10
+#          2  0.80 0/10  1.00 5/10  1.07 10/10 1.14  7/10  1.23 10/10  1.24  8/10
+# A train step now wins from 32, but no batch below 48 won 9 of 10 pairs in
+# both modes and both processes, so the crossover stays at 48.
 SPLIT_ROWS = 48
 
 

@@ -25,10 +25,22 @@
  * only the speed. Build with -ffp-contract=off: a fused multiply-add rounds
  * once where einsum rounds twice.
  *
+ * sg_gru_back: one GRU cell's whole backward time loop, t = T-1 down to 0,
+ *   with numpy's bits (sentigru.layers.GruSequence's loop is the reference).
+ *   Each step adds the output gradient to the carry (0 + g at the first
+ *   step), runs the gate algebra as the same float32 -, * and + in numpy's
+ *   order with 1.0f for the constant 1.0, writes d_gx, and sets dh_prev =
+ *   dh z. Then it adds each step's rounded product or sum into a gradient:
+ *   dW += x_t^T d_gx and dU += h_prev^T d_gh in sg_rows' order, db_x and
+ *   db_h += sum over b in order starting from +0.0 (float32 sum(axis=0) for
+ *   any width >= 2), and dh_prev += d_gh U^T in sg_dot's order. It runs no
+ *   exp or tanh. It allocates nothing; ctypes releases the GIL for the call.
+ *
  * The file includes itself once per variant with SG_BODY defined; that part
  * holds the kernels and exports each entry as <entry>_<variant> (sg_rows_avx512,
- * ..., sg_dot_sse3). sg_runs_<variant>() says whether this CPU runs a variant;
- * numerics calls them once, at import, and binds the entries of those that run.
+ * ..., sg_gru_back_sse3). sg_runs_<variant>() says whether this CPU runs a
+ * variant; numerics calls them once, at import, and binds the entries of those
+ * that run.
  */
 #ifndef SG_BODY
 
@@ -72,6 +84,7 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_ZERO _mm_setzero_ps
 #define V_MUL _mm_mul_ps
 #define V_ADD _mm_add_ps
+#define V_SUB _mm_sub_ps
 #define V_BCAST(q) (q)
 #define V_LANE(v, i) (v)
 #include "matmul.c"
@@ -96,6 +109,7 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_ZERO _mm256_setzero_ps
 #define V_MUL _mm256_mul_ps
 #define V_ADD _mm256_add_ps
+#define V_SUB _mm256_sub_ps
 #define V_BCAST(q) _mm256_set_m128(q, q)
 #define V_LANE(v, i) ((i) ? _mm256_extractf128_ps(v, 1) : _mm256_castps256_ps128(v))
 #include "matmul.c"
@@ -119,6 +133,7 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_ZERO _mm512_setzero_ps
 #define V_MUL _mm512_mul_ps
 #define V_ADD _mm512_add_ps
+#define V_SUB _mm512_sub_ps
 #define V_BCAST(q) _mm512_broadcast_f32x4(q)
 #define V_LANE(v, i) ((i) == 0 ? _mm512_extractf32x4_ps(v, 0) : \
         (i) == 1 ? _mm512_extractf32x4_ps(v, 1) : \
@@ -147,12 +162,15 @@ int sg_runs_avx512(void)
 
 #else  /* SG_BODY: the kernels of one instruction set (ISA) */
 
-/* One tile of sg_rows: mr rows by nv vectors of columns. With `full` every
- * column exists; otherwise the last vector holds only the first `cols` - (nv
- * - 1) L of its columns, and the rest are neither read nor written. */
+/* One tile of sg_rows: mr rows by nv vectors of columns, the rows of b and
+ * of c ldb and ldc floats apart. With `full` every column exists; otherwise
+ * the last vector holds only the first `cols` - (nv - 1) L of its columns,
+ * and the rest are neither read nor written. With `add` each output is added
+ * to c, c + product as numpy's +=, instead of stored. */
 INLINE void FN(rows_tile)(const float *a, ptrdiff_t si, ptrdiff_t sk, const float *b,
-                          float *c, ptrdiff_t k, ptrdiff_t n, ptrdiff_t cols,
-                          const int mr, const int nv, const int full)
+                          ptrdiff_t ldb, float *c, ptrdiff_t ldc, ptrdiff_t k,
+                          ptrdiff_t cols, const int mr, const int nv, const int full,
+                          const int add)
 {
     V acc[MR][NV];
     VM last = V_MASK(full ? L : cols - (nv - 1) * L);
@@ -166,8 +184,8 @@ INLINE void FN(rows_tile)(const float *a, ptrdiff_t si, ptrdiff_t sk, const floa
         V bv[NV];
         SG_UNROLL
         for (int v = 0; v < nv; v++)
-            bv[v] = full || v < nv - 1 ? V_LOAD(b + kk * n + v * L)
-                                       : V_LOAD_M(b + kk * n + v * L, last);
+            bv[v] = full || v < nv - 1 ? V_LOAD(b + kk * ldb + v * L)
+                                       : V_LOAD_M(b + kk * ldb + v * L, last);
         SG_UNROLL
         for (int r = 0; r < mr; r++) {
             V av = V_SET1(a[r * si + kk * sk]);
@@ -180,24 +198,43 @@ INLINE void FN(rows_tile)(const float *a, ptrdiff_t si, ptrdiff_t sk, const floa
     for (int r = 0; r < mr; r++) {
         SG_UNROLL
         for (int v = 0; v < nv; v++) {
+            float *cv = c + r * ldc + v * L;
             if (full || v < nv - 1)
-                V_STORE(c + r * n + v * L, acc[r][v]);
+                V_STORE(cv, add ? V_ADD(V_LOAD(cv), acc[r][v]) : acc[r][v]);
             else
-                V_STORE_M(c + r * n + v * L, last, acc[r][v]);
+                V_STORE_M(cv, last, add ? V_ADD(V_LOAD_M(cv, last), acc[r][v]) : acc[r][v]);
         }
     }
 }
 
 /* Every row of the columns j..j+cols-1, in tiles of nv vectors. */
 INLINE void FN(rows_cols)(const float *a, ptrdiff_t si, ptrdiff_t sk, const float *b,
-                          float *c, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n, ptrdiff_t j,
-                          ptrdiff_t cols, const int nv, const int full)
+                          ptrdiff_t ldb, float *c, ptrdiff_t ldc, ptrdiff_t m, ptrdiff_t k,
+                          ptrdiff_t j, ptrdiff_t cols, const int nv, const int full,
+                          const int add)
 {
     ptrdiff_t i = 0;
     for (; i + MR <= m; i += MR)
-        FN(rows_tile)(a + i * si, si, sk, b + j, c + i * n + j, k, n, cols, MR, nv, full);
+        FN(rows_tile)(a + i * si, si, sk, b + j, ldb, c + i * ldc + j, ldc, k, cols, MR,
+                      nv, full, add);
     for (; i < m; i++)
-        FN(rows_tile)(a + i * si, si, sk, b + j, c + i * n + j, k, n, cols, 1, nv, full);
+        FN(rows_tile)(a + i * si, si, sk, b + j, ldb, c + i * ldc + j, ldc, k, cols, 1,
+                      nv, full, add);
+}
+
+/* c = a b, or c += a b with `add`, in sg_rows' order: a is m x k at element
+ * strides (si, sk), b is k x n and c is m x n, their rows ldb and ldc apart. */
+INLINE void FN(rows_product)(const float *a, ptrdiff_t si, ptrdiff_t sk, const float *b,
+                             ptrdiff_t ldb, float *c, ptrdiff_t ldc, ptrdiff_t m,
+                             ptrdiff_t k, ptrdiff_t n, const int add)
+{
+    ptrdiff_t j = 0;
+    for (; j + NV * L <= n; j += NV * L)
+        FN(rows_cols)(a, si, sk, b, ldb, c, ldc, m, k, j, NV * L, NV, 1, add);
+    for (; j + L <= n; j += L)
+        FN(rows_cols)(a, si, sk, b, ldb, c, ldc, m, k, j, L, 1, 1, add);
+    if (j < n)
+        FN(rows_cols)(a, si, sk, b, ldb, c, ldc, m, k, j, n - j, 1, 0, add);
 }
 
 /* c = a b over D stacked products: a[d] is m x k at element strides
@@ -207,17 +244,18 @@ void FN(sg_rows)(const float *a, const float *b, float *c, ptrdiff_t D, ptrdiff_
                  ptrdiff_t k, ptrdiff_t n, ptrdiff_t a_sd, ptrdiff_t a_si, ptrdiff_t a_sk,
                  ptrdiff_t b_sd)
 {
-    for (ptrdiff_t d = 0; d < D; d++) {
-        const float *ad = a + d * a_sd, *bd = b + d * b_sd;
-        float *cd = c + d * m * n;
-        ptrdiff_t j = 0;
-        for (; j + NV * L <= n; j += NV * L)
-            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, NV * L, NV, 1);
-        for (; j + L <= n; j += L)
-            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, L, 1, 1);
-        if (j < n)
-            FN(rows_cols)(ad, a_si, a_sk, bd, cd, m, k, n, j, n - j, 1, 0);
-    }
+    for (ptrdiff_t d = 0; d < D; d++)
+        FN(rows_product)(a + d * a_sd, a_si, a_sk, b + d * b_sd, n, c + d * m * n, n, m, k,
+                         n, 0);
+}
+
+/* c += a b in sg_rows' order, as rows_product: one copy for sg_gru_back's two
+ * products, which keeps the library's build time down. */
+static void FN(rows_add)(const float *a, ptrdiff_t si, ptrdiff_t sk, const float *b,
+                         ptrdiff_t ldb, float *c, ptrdiff_t ldc, ptrdiff_t m, ptrdiff_t k,
+                         ptrdiff_t n)
+{
+    FN(rows_product)(a, si, sk, b, ldb, c, ldc, m, k, n, 1);
 }
 
 /* sg_dot's packed operand: w's rows cut into 16-byte chunks of CH floats
@@ -238,9 +276,9 @@ INLINE V FN(a_chunk)(const float *row, ptrdiff_t q, ptrdiff_t k, const int whole
 }
 
 /* The lane sums of one tile row's NC outputs, each added to zero, into the
- * first `cols` of c. The 128-bit hadds pair lanes as numpy's npyv_sum does:
- * (l0 + l1) + (l2 + l3). */
-INLINE void FN(dot_finish)(V *acc, float *c, ptrdiff_t cols)
+ * first `cols` of c, or added to them with `add` (c + sum, as numpy's +=).
+ * The 128-bit hadds pair lanes as numpy's npyv_sum does: (l0 + l1) + (l2 + l3). */
+INLINE void FN(dot_finish)(V *acc, float *c, ptrdiff_t cols, const int add)
 {
     __m128 x[NC];
     SG_UNROLL
@@ -248,20 +286,24 @@ INLINE void FN(dot_finish)(V *acc, float *c, ptrdiff_t cols)
         x[j] = V_LANE(acc[j / CPV], j % CPV);
     SG_UNROLL
     for (int j = 0; j < NC; j += CH) {
+        if (cols <= j)
+            break;
+        ptrdiff_t left = cols - j < CH ? cols - j : CH;
         float out[4];
         __m128 s = _mm_hadd_ps(_mm_hadd_ps(x[j], x[j + 1]), _mm_hadd_ps(x[j + 2], x[j + 3]));
-        _mm_storeu_ps(out, _mm_add_ps(_mm_setzero_ps(), s));
-        if (cols - j >= CH)
-            memcpy(c + j, out, sizeof out);
-        else if (cols > j)
-            memcpy(c + j, out, (size_t)(cols - j) * sizeof(float));
+        s = _mm_add_ps(_mm_setzero_ps(), s);
+        if (add)
+            s = _mm_add_ps(left == CH ? _mm_loadu_ps(c + j) : q_load_n(c + j, left), s);
+        _mm_storeu_ps(out, s);
+        memcpy(c + j, out, (size_t)left * sizeof(float));
     }
 }
 
-/* One tile of sg_dot: mr rows of c, NC columns starting where p and c point,
- * of which the first `cols` exist. */
+/* One tile of sg_dot: mr rows of c, ldc floats apart, NC columns starting
+ * where p and c point, of which the first `cols` exist. */
 INLINE void FN(dot_tile)(const float *a, const float *p, float *c, ptrdiff_t k,
-                         ptrdiff_t n, ptrdiff_t np, ptrdiff_t cols, const int mr)
+                         ptrdiff_t ldc, ptrdiff_t np, ptrdiff_t cols, const int mr,
+                         const int add)
 {
     ptrdiff_t nq = (k + CH - 1) / CH, groups = k / (4 * CH);
     V acc[MR][NV];
@@ -297,19 +339,14 @@ INLINE void FN(dot_tile)(const float *a, const float *p, float *c, ptrdiff_t k,
     for (int r = 0; r < MR; r++) {
         if (r >= mr)
             break;
-        FN(dot_finish)(acc[r], c + r * n, cols);
+        FN(dot_finish)(acc[r], c + r * ldc, cols, add);
     }
 }
 
-/* c = a w^T with a (m, k), w (n, k) and c (m, n) C-contiguous. Returns 0, or
- * -1 when the packing buffer cannot be allocated. */
-int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t k,
-               ptrdiff_t n)
+/* Packs w (n, k), C-contiguous, into p, which holds zeros on entry. */
+INLINE void FN(dot_pack)(const float *w, float *p, ptrdiff_t k, ptrdiff_t n, ptrdiff_t np)
 {
-    ptrdiff_t nq = (k + CH - 1) / CH, np = (n + NC - 1) / NC * NC, whole = k / CH;
-    float *p = calloc((size_t)(nq * np * CH), sizeof *p);
-    if (!p)
-        return -1;
+    ptrdiff_t nq = (k + CH - 1) / CH, whole = k / CH;
     for (ptrdiff_t j = 0; j < n; j++) {
         for (ptrdiff_t q = 0; q < whole; q++)
             memcpy(p + (q * np + j) * CH, w + j * k + q * CH, 16);
@@ -317,17 +354,125 @@ int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t 
             memcpy(p + (whole * np + j) * CH, w + j * k + whole * CH,
                    (size_t)(k - whole * CH) * sizeof *p);
     }
-    /* rows outside, so a tile's rows of a stay in cache across the columns */
+}
+
+/* c = a w^T, or c += a w^T with `add`, from w packed in p; a (m, k) and c
+ * (m, n) C-contiguous. Rows outside, so a tile's rows of a stay in cache
+ * across the columns. */
+INLINE void FN(dot_rows)(const float *a, const float *p, float *c, ptrdiff_t m,
+                         ptrdiff_t k, ptrdiff_t n, ptrdiff_t np, const int add)
+{
     ptrdiff_t i = 0;
     for (; i + MR <= m; i += MR)
         for (ptrdiff_t j = 0; j < n; j += NC)
             FN(dot_tile)(a + i * k, p + j * CH, c + i * n + j, k, n, np,
-                         n - j < NC ? n - j : NC, MR);
+                         n - j < NC ? n - j : NC, MR, add);
     for (; i < m; i++)
         for (ptrdiff_t j = 0; j < n; j += NC)
             FN(dot_tile)(a + i * k, p + j * CH, c + i * n + j, k, n, np,
-                         n - j < NC ? n - j : NC, 1);
+                         n - j < NC ? n - j : NC, 1, add);
+}
+
+/* c = a w^T with a (m, k), w (n, k) and c (m, n) C-contiguous. Returns 0, or
+ * -1 when the packing buffer cannot be allocated. */
+int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t k,
+               ptrdiff_t n)
+{
+    ptrdiff_t np = (n + NC - 1) / NC * NC;
+    float *p = calloc((size_t)((k + CH - 1) / CH * np * CH), sizeof *p);
+    if (!p)
+        return -1;
+    FN(dot_pack)(w, p, k, n, np);
+    FN(dot_rows)(a, p, c, m, k, n, np, 0);
     free(p);
+    return 0;
+}
+
+/* One row's gate algebra at one step, numpy's operations in numpy's order.
+ * dh (h) holds the carry; g, the row's output gradient, is added to it unless
+ * NULL; dh then becomes dh z. hp, zr = [z | r], c and hc are the row's
+ * caches. The row of d_gx = [ds_z | ds_r | ds_c] and of d_gh = [ds_z | ds_r |
+ * dhc] (3h each) is written, and added to the column sums [ds_z | ds_r | ds_c
+ * | dhc] (4h). */
+INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float *zr,
+                        const float *c, const float *hc, float *dgx, float *dgh,
+                        float *sum, ptrdiff_t h)
+{
+    const V one = V_SET1(1.0f);
+    for (ptrdiff_t j = 0; j < h; j += L) {
+        const int full = h - j >= L;
+        VM m = V_MASK(full ? L : h - j);
+#define LD(q) (full ? V_LOAD((q) + j) : V_LOAD_M((q) + j, m))
+#define ST(q, v) do { if (full) V_STORE((q) + j, v); else V_STORE_M((q) + j, m, v); } while (0)
+        V d = LD(dh);
+        if (g)
+            d = V_ADD(d, LD(g));                              /* carry + grad */
+        V z = LD(zr), r = LD(zr + h), cv = LD(c);
+        V dz = V_MUL(d, V_SUB(LD(hp), cv));
+        V dc = V_MUL(d, V_SUB(one, z));
+        V dsc = V_MUL(dc, V_SUB(one, V_MUL(cv, cv)));         /* at the tanh input */
+        V dr = V_MUL(dsc, LD(hc));
+        V dhc = V_MUL(dsc, r);
+        V dsz = V_MUL(V_MUL(dz, z), V_SUB(one, z));           /* at the sigmoid input */
+        V dsr = V_MUL(V_MUL(dr, r), V_SUB(one, r));
+        ST(dgx, dsz);
+        ST(dgx + h, dsr);
+        ST(dgx + 2 * h, dsc);
+        ST(dgh, dsz);
+        ST(dgh + h, dsr);
+        ST(dgh + 2 * h, dhc);
+        ST(dh, V_MUL(d, z));
+        ST(sum, V_ADD(LD(sum), dsz));
+        ST(sum + h, V_ADD(LD(sum + h), dsr));
+        ST(sum + 2 * h, V_ADD(LD(sum + 2 * h), dsc));
+        ST(sum + 3 * h, V_ADD(LD(sum + 3 * h), dhc));
+#undef LD
+#undef ST
+    }
+}
+
+/* One GRU cell's backward time loop over a (B, T, X) input, t = T-1 down to
+ * 0, with the bits of numpy's loop (see the header). x is read at element
+ * strides (x_sb, x_st, x_si), so a time-reversed view needs no copy. The
+ * forward's caches of step t are (B, h) rows at hp, c and hc + t cs and (B,
+ * 2h) rows [z | r] at zr + 2 t cs. g, the output's gradient, is C-contiguous
+ * (B, T, h) with `seq`, else (B, h) and added at t = T-1 only. dh, (B, h)
+ * zeros on entry, holds dh_prev of t = 0 on return. d_gx, C-contiguous (B,
+ * T, 3h), receives the gradient at the input projection. U and dU (h, 3h),
+ * dW (X, 3h), db_x and db_h (3h) are C-contiguous, and the gradients
+ * accumulate. work holds nwork floats, at least 3h B + 4h + 4 ceil(3h / 4)
+ * ceil(h / 16) 16, which covers every variant's packing of U. Returns 0, or
+ * -1 when work is smaller. */
+int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_si,
+                    const float *hp, const float *zr, const float *c, const float *hc,
+                    ptrdiff_t cs, const float *g, int seq, float *dh, float *dgx,
+                    const float *U, float *dW, float *dU, float *dbx, float *dbh,
+                    float *work, ptrdiff_t nwork, ptrdiff_t B, ptrdiff_t T, ptrdiff_t X,
+                    ptrdiff_t h)
+{
+    ptrdiff_t G = 3 * h, np = (h + NC - 1) / NC * NC, npack = (G + CH - 1) / CH * np * CH;
+    float *dgh = work, *sum = dgh + B * G, *p = sum + 4 * h;
+    if (nwork < B * G + 4 * h + npack)
+        return -1;
+    memset(p, 0, (size_t)npack * sizeof *p);
+    FN(dot_pack)(U, p, G, h, np);
+    for (ptrdiff_t t = T - 1; t >= 0; t--) {
+        const float *hp_t = hp + t * cs;
+        memset(sum, 0, (size_t)(4 * h) * sizeof *sum);
+        for (ptrdiff_t b = 0; b < B; b++)
+            FN(gru_row)(dh + b * h, seq ? g + (b * T + t) * h : t == T - 1 ? g + b * h : NULL,
+                        hp_t + b * h, zr + 2 * t * cs + b * 2 * h, c + t * cs + b * h,
+                        hc + t * cs + b * h, dgx + (b * T + t) * G, dgh + b * G, sum, h);
+        for (ptrdiff_t j = 0; j < G; j++)
+            dbx[j] += sum[j];
+        for (ptrdiff_t j = 0; j < 2 * h; j++)
+            dbh[j] += sum[j];
+        for (ptrdiff_t j = 0; j < h; j++)
+            dbh[2 * h + j] += sum[3 * h + j];
+        FN(rows_add)(x + t * x_st, x_si, x_sb, dgx + t * G, T * G, dW, G, X, B, G);
+        FN(rows_add)(hp_t, 1, h, dgh, G, dU, G, h, B, G);
+        FN(dot_rows)(dgh, p, dh, B, G, h, np, 1);
+    }
     return 0;
 }
 
@@ -349,6 +494,7 @@ int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t 
 #undef V_ZERO
 #undef V_MUL
 #undef V_ADD
+#undef V_SUB
 #undef V_BCAST
 #undef V_LANE
 

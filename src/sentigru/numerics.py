@@ -37,8 +37,9 @@ On x86-64 the first import compiles the kernel with the ``cc`` on PATH
 first of this package's directory, ``~/.cache/sentigru`` and a private
 directory under the system temp directory that can take it. It is written
 under a temporary name and renamed into place, so processes importing at
-once are safe, and later imports load it; a failed build is not retried.
-The library exports each entry once per instruction-set variant, as
+once are safe, and later imports load it; a failed build is not retried. A
+build in this package's directory removes the libraries of earlier sources
+there. The library exports each entry once per instruction-set variant, as
 ``<entry>_<variant>`` (``sg_rows_avx512``, ``sg_dot_sse3``, ...), and one
 ``sg_runs_<variant>()`` that says whether this CPU runs it. The import binds
 the entries of every variant that runs, once, then checks the widest against
@@ -47,6 +48,17 @@ variant ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without a
 compiler, after a failed build or when a probe differs. Setting it to
 "einsum" sends every product to einsum. ctypes releases the GIL for the
 call, so products on two threads run at once.
+
+The kernel's third entry, :func:`gru_backward`, runs a whole GRU cell's
+backward time loop in one call with the GIL released, so the two directions
+of a layer on two threads overlap completely. Its gate algebra uses only
+float32 ``-``, ``*`` and ``+``, in numpy's order and with numpy's rounded
+constants; each step's products are the two orders above, and each bias
+gradient adds a sum over the batch taken in order from +0.0, which is
+numpy's ``sum(axis=0)`` for rows at least two wide. Each step's product or
+sum is rounded, then added into the gradient. So it has the numpy loop's
+bits by construction; float64 and ``KERNEL == "einsum"`` run that loop. It is
+bound and dropped with its variant's products, whose probes cover its orders.
 
 NaNs: every output einsum makes NaN is NaN here too, and every other output
 has the same bits. A NaN output's sign and payload are einsum's as well,
@@ -81,7 +93,7 @@ _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _VARIANTS = ("avx512", "avx2", "sse3")     # widest first
 _F32 = np.dtype(np.float32)
-_kernels = {}       # {variant: (sg_rows, sg_dot)} of the variants this CPU runs
+_kernels = {}       # {variant: (sg_rows, sg_dot, sg_gru_back)} this CPU runs
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,7 +178,9 @@ def _library() -> Path | None:
 def _build(cc: str, path: Path) -> bool | None:
     """Compile the source into ``path`` by way of a file of this process's
     own, renamed into place: whether the build succeeded, or None when the
-    directory cannot take that file and the compiler did not run."""
+    directory cannot take that file and the compiler did not run. A build
+    into the source's own directory removes the libraries of earlier sources
+    there; the shared directories keep theirs, which other installs may use."""
     import subprocess           # only to build: not every import pays for it
     part = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.part")
     try:
@@ -178,11 +192,18 @@ def _build(cc: str, path: Path) -> bool | None:
         subprocess.run([cc, *_FLAGS, str(_SOURCE), "-o", str(part)],
                        capture_output=True, check=True, timeout=300)
         os.replace(part, path)
-        return True
     except (OSError, subprocess.SubprocessError):
         return False
     finally:
         part.unlink(missing_ok=True)
+    if path.parent == _SOURCE.parent:
+        for old in path.parent.glob("_matmul-*.so"):
+            try:
+                if old != path:
+                    old.unlink()
+            except OSError:         # gone already, or not ours to remove
+                pass
+    return True
 
 
 def _probes():
@@ -211,16 +232,21 @@ def _probes():
 
 
 def _bind(lib: ctypes.CDLL) -> dict:
-    """``{variant: (sg_rows, sg_dot)}`` of a loaded kernel library, for each
-    variant whose ``sg_runs_<variant>()`` is true on this CPU, widest first."""
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    """``{variant: (sg_rows, sg_dot, sg_gru_back)}`` of a loaded kernel
+    library, for each variant whose ``sg_runs_<variant>()`` is true on this
+    CPU, widest first."""
+    ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     kernels = {}
     for variant in _VARIANTS:
         if lib[f"sg_runs_{variant}"]():
-            rows, dot = lib[f"sg_rows_{variant}"], lib[f"sg_dot_{variant}"]
+            rows, dot, back = (lib[f"sg_{entry}_{variant}"]
+                               for entry in ("rows", "dot", "gru_back"))
             rows.argtypes, rows.restype = [ptr] * 3 + [size] * 8, None
-            dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, ctypes.c_int
-            kernels[variant] = rows, dot
+            dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, c_int
+            back.argtypes = [ptr, *[size] * 3, *[ptr] * 4, size, ptr, c_int, *[ptr] * 8,
+                             *[size] * 5]
+            back.restype = c_int
+            kernels[variant] = rows, dot, back
     return kernels
 
 
@@ -255,16 +281,59 @@ def variants() -> list[str]:
 KERNEL = _load()
 
 
+def gru_workspace(x: np.ndarray, cells):
+    """Scratch for :func:`gru_backward` of GRU ``cells`` over ``x`` or its
+    time-reversed view; None where that backward runs in numpy instead:
+    ``KERNEL == "einsum"``, another dtype than float32, or an ``x`` or cell
+    array the kernel cannot read (unaligned, or a cell array that is not
+    C-contiguous)."""
+    arrays = [a for cell in cells for a in (cell.U, *cell.grads().values())]
+    if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
+            or any(s % 4 for s in x.strides) or not all(
+                a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
+                for a in arrays)):
+        return None
+    h = cells[0].U.shape[0]
+    packed = -(-3 * h // 4) * 4 * -(-h // 16) * 16     # U for every variant
+    return np.empty(3 * h * x.shape[0] + 4 * h + packed, _F32)
+
+
+def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
+    """A GRU cell's whole backward time loop, t = T-1 down to 0, in one
+    kernel call with the GIL released, with the bits of the numpy loop in
+    ``layers.GruSequence`` (``matmul.c`` states the order).
+
+    ``x`` is the cell's (B, T, x_dim) input, any strides; ``caches`` its
+    forward's (h_prev, z|r, c, hc) blocks, each (T, B, w*h) with C-contiguous
+    steps, those of z|r twice as far apart as the others'; ``grad`` the
+    (B, T, h) or final (B, h) output gradient; ``carry`` (B, h) zeros. ``d_gx`` (B, T, 3h) receives the gradient at the input
+    projection, and ``cell``'s dW, dU, db_x and db_h accumulate. ``work``
+    comes from :func:`gru_workspace`.
+    """
+    B, T, x_dim = x.shape
+    h_prev, zr, c, hc = caches
+    status = _kernels[KERNEL][2](
+        x.ctypes.data, *(s // 4 for s in x.strides), h_prev.ctypes.data, zr.ctypes.data,
+        c.ctypes.data, hc.ctypes.data, h_prev.strides[0] // 4, grad.ctypes.data,
+        grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
+        *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h, work)),
+        work.size, B, T, x_dim, carry.shape[-1])
+    if status:
+        raise ValueError(f"a workspace of {work.size} floats is too small")
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x), evaluated without overflow on either tail.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
     otherwise. ``minimum(x, -x)`` is -|x| that passes a NaN through with its
-    own sign and payload, so every output bit, NaN included, equals the
-    per-branch evaluation.
+    own sign and payload. The numerator is ``maximum(e, x >= 0)``, without a
+    branch: e lies in [0, 1], so that is 1 for x >= 0 and e otherwise, and
+    ``maximum`` passes e's NaN through. So every output bit, NaN included,
+    equals the per-branch evaluation.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1, e) / (1 + e)
+    return np.maximum(e, (x >= 0).astype(e.dtype)) / (1 + e)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_bits
-from sentigru import numerics
-from sentigru.layers import softmax_cross_entropy
+from sentigru import layers, numerics
+from sentigru.layers import GruCell, GruSequence, softmax_cross_entropy
 from sentigru.model import ModelConfig, build_model
 from sentigru.trainer import Adam
 
@@ -64,7 +64,8 @@ def sampler(dtype, seed, specials):
     """Draws standard normals with about 5% replaced by the chosen specials:
     "inf" (signed zeros, subnormals, infinities and values that overflow),
     "nan" (signed zeros, subnormals and one NaN of random bits: the only NaN
-    bits the product can hold) or "mixed" (all of these, two NaNs)."""
+    bits the product can hold), "mixed" (all of these, two NaNs) or "finite"
+    (signed zeros and subnormals only)."""
     rng = np.random.default_rng(seed)
     info = np.finfo(dtype)
     uint = np.uint32 if dtype == np.float32 else np.uint64
@@ -77,7 +78,8 @@ def sampler(dtype, seed, specials):
 
     inf = [np.inf, -np.inf, info.max / 2, -info.max / 2]
     pool = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal * 3]
-    pool += {"inf": inf, "nan": [a_nan()], "mixed": inf + [a_nan(), a_nan()]}[specials]
+    pool += {"inf": inf, "nan": [a_nan()], "mixed": inf + [a_nan(), a_nan()],
+             "finite": []}[specials]
     pool = np.array(pool, dtype)
 
     def sample(*shape):
@@ -145,6 +147,124 @@ def test_lane_sum_keeps_einsum_nan_sign(dtype):
     want = einsum(a, w.T)
     for variant in numerics.variants():
         assert numerics.compiled(a, w.T, variant).tobytes() == want.tobytes()
+
+
+def gru_grads(kernel, B, T, x_dim, h, cells, split, return_sequences, seed,
+              specials="inf", dtype=np.float32):
+    """A train forward and backward of a GruSequence of ``cells`` cells with
+    ``numerics.KERNEL`` set to ``kernel``, on the two-thread plan where
+    ``split``: the number of compiled backward calls, and dx and every
+    gradient. The input, the output gradient and the gradients' starting
+    values come from ``sampler(dtype, seed, specials)``."""
+    sample = sampler(dtype, seed, specials)
+    rng = np.random.default_rng(seed)
+    seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
+                      return_sequences)
+    for name, value in seq.params().items():
+        if "b_" in name:
+            value[...] = rng.standard_normal(value.shape) / 2
+    for g in seq.grads().values():
+        g[...] = sample(*g.shape)
+    calls, backward = [], layers.gru_backward
+
+    def counted(*args):
+        calls.append(args)
+        return backward(*args)
+
+    plan = mock.patch.object(layers, "SPLIT_ROWS", 1 if split else B + 1)
+    with plan, mock.patch.object(numerics, "KERNEL", kernel), \
+            mock.patch.object(layers, "gru_backward", counted):
+        out = seq.forward(sample(B, T, x_dim), "train")
+        dx = seq.backward(sample(*out.shape))
+    return len(calls), [dx, *(g.copy() for g in seq.grads().values())]
+
+
+def assert_same_bits(got, want):
+    """Byte for byte. Infinities in the inputs make NaNs, and where NaNs of
+    different bits meet which one a sum keeps depends on register order (see
+    numerics): there the NaNs must match, and every other value byte for byte."""
+    for a, b in zip(got, want, strict=True):
+        assert_einsum_bits(a, b, "mixed" if np.isnan(b).any() else "inf")
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+@settings(deadline=None, max_examples=40)
+@given(B=st.integers(1, 70), T=st.one_of(st.integers(1, 20), st.just(79)),
+       x_dim=st.one_of(st.integers(1, 6), st.just(50)),
+       h=st.one_of(st.integers(1, 5), st.just(64)), cells=st.integers(1, 2),
+       split=st.booleans(), return_sequences=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), specials=st.sampled_from(["finite", "inf"]))
+@example(B=64, T=79, x_dim=50, h=64, cells=2, split=True, return_sequences=True, seed=0,
+         specials="finite")
+@example(B=70, T=20, x_dim=6, h=64, cells=2, split=False, return_sequences=False, seed=1,
+         specials="inf")
+@example(B=1, T=79, x_dim=1, h=1, cells=1, split=False, return_sequences=True, seed=2,
+         specials="inf")
+def test_gru_backward_has_the_numpy_loops_bits(B, T, x_dim, h, cells, split,
+                                               return_sequences, seed, specials):
+    """The compiled backward of every variant against the numpy loop: dx
+    and every cell gradient, on both plans."""
+    args = B, T, x_dim, h, cells, split, return_sequences, seed, specials
+    calls, want = gru_grads("einsum", *args)
+    assert calls == 0
+    for variant in numerics.variants():
+        calls, got = gru_grads(variant, *args)
+        assert calls == cells
+        assert_same_bits(got, want)
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+def test_gru_backward_signed_zeros():
+    """A final-state gradient of -0.0, which the carry add turns into +0.0;
+    and a batch column of -0.0 at the sigmoid input, whose bias sums,
+    taken from +0.0, are +0.0, so the -0.0 gradients they add to become
+    +0.0 (a sum started from the first row would leave them -0.0)."""
+    B, h = 3, 2
+    x = np.random.default_rng(0).standard_normal((B, 1, 2)).astype(np.float32)
+    for return_sequences in (False, True):
+        grads = []
+        for kernel in ["einsum", *numerics.variants()]:
+            cell = GruCell(2, h, np.random.default_rng(1))
+            # the candidate of unit 0 is tanh(+0.0) at t = 0, so its dz is dh * +0.0
+            cell.W[:, 2 * h] = 0
+            for g in cell.grads().values():
+                g[...] = -0.0
+            seq = GruSequence(cell, return_sequences)
+            with mock.patch.object(numerics, "KERNEL", kernel):
+                out = seq.forward(x, "train")
+                grad = np.full(out.shape, -0.0, np.float32)
+                if return_sequences:
+                    grad[..., 0] = -x[..., 0] ** 2 - 1                  # dz = -0.0
+                dx = seq.backward(grad)
+            if return_sequences:
+                assert not np.signbit([cell.db_x[0], cell.db_h[0]]).any()
+            grads.append([dx.tobytes()] + [g.tobytes() for g in cell.grads().values()])
+        assert all(g == grads[0] for g in grads)
+
+
+@pytest.mark.parametrize("dtype, kernel", [(np.float64, numerics.KERNEL),
+                                           (np.float32, "einsum")])
+@pytest.mark.parametrize("split", [False, True])
+def test_gru_backward_stays_in_numpy_for_float64_and_einsum(dtype, kernel, split):
+    with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
+        calls, _ = gru_grads(kernel, 12, 5, 3, 4, 2, split, True, 0, "inf", dtype)
+    assert calls == 0
+
+
+def test_gru_backward_of_a_cell_array_the_kernel_cannot_read_is_numpys():
+    """A cell gradient that is not C-contiguous gets no workspace, so its
+    backward steps in numpy and gives the same bytes."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((9, 4, 3)).astype(np.float32)
+    grads = []
+    for order in "CF":
+        cell = GruCell(3, 5, np.random.default_rng(1))
+        cell.dU = np.zeros(cell.U.shape, np.float32, order=order)
+        seq = GruSequence(cell, True)
+        assert (numerics.gru_workspace(x, seq.cells) is None) == (order == "F" or not BUILDS)
+        out = seq.forward(x, "train")
+        grads.append([seq.backward(np.cos(out)).tobytes(), cell.dU.tobytes(), cell.dW.tobytes()])
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -261,6 +381,44 @@ def test_a_directory_that_cannot_take_the_library_is_passed_over(tmp_path):
     assert not dirs[2].exists()
 
 
+def test_a_build_in_the_package_directory_removes_older_libraries(tmp_path):
+    """A build beside the source removes the libraries of earlier sources
+    there, and no other file. A load builds nothing and removes nothing, and
+    a build in a shared directory leaves that directory's libraries, which
+    another install may load."""
+    cc, log = fake_cc(tmp_path / "bin", 0)
+    package, shared = tmp_path / "package", tmp_path / "shared"
+    older = ["_matmul-0123456789abcdef.so", "_matmul-fedcba9876543210.so"]
+    others = ["_matmul-0123456789abcdef.so.12.0a0b0c0d.part", "_matmul.c", "other.so"]
+    for directory in (package, shared):
+        directory.mkdir()
+        for name in older + others:
+            (directory / name).write_text("old")
+    source = package / "matmul.c"
+    source.write_bytes(numerics._SOURCE.read_bytes())
+
+    def names(directory):
+        return sorted(p.name for p in directory.iterdir())
+
+    def library(*dirs):
+        with mock.patch.object(numerics, "CC", str(cc)), \
+                mock.patch.object(numerics, "_SOURCE", source), \
+                mock.patch.object(numerics, "_library_dirs", lambda: iter(dirs)):
+            return numerics._library()
+
+    path = library(shared, package)
+    assert path.parent == shared and calls(log) == 1
+    assert names(shared) == sorted(older + others + [path.name])
+    path.unlink()
+    path = library(package, shared)
+    assert path.parent == package and calls(log) == 2
+    assert names(package) == sorted(others + ["matmul.c", path.name])
+    assert names(shared) == sorted(older + others)
+    (package / older[0]).write_text("old")
+    assert library(package, shared) == path and calls(log) == 2
+    assert (package / older[0]).exists()
+
+
 @pytest.mark.skipif(not X86, reason="the kernel is built only on x86-64")
 def test_no_home_directory_skips_the_home_cache(tmp_path):
     # HOME unset and a uid with no passwd entry, as in a container run with
@@ -316,13 +474,31 @@ for seed, (layout, m, k, n) in enumerate(itertools.product(LAYOUTS, *SANITIZED_S
         products += 1
 print(" ".join(numerics.variants()), products)
 """
+# B, T, x_dim, h, cells, split, return_sequences: tile and vector tails of every variant
+SANITIZED_GRU_SHAPES = ((1, 9), (1, 3), (1, 19), (1, 5, 17), (1, 2), (False, True),
+                        (False, True))
+SANITIZED_GRU_CHILD = """
+import ctypes, itertools, sys
+from sentigru import numerics
+from test_kernel import SANITIZED_GRU_SHAPES, assert_same_bits, gru_grads
+
+numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
+runs = 0
+for seed, shape in enumerate(itertools.product(*SANITIZED_GRU_SHAPES)):
+    want = gru_grads("einsum", *shape, seed)[1]
+    for variant in numerics.variants():
+        calls, got = gru_grads(variant, *shape, seed)
+        assert calls == shape[4], (variant, shape)
+        assert_same_bits(got, want)
+        runs += 1
+print(" ".join(numerics.variants()), runs)
+"""
 
 
-def test_sanitized_kernel_has_einsum_bits(tmp_path):
-    """matmul.c built with AddressSanitizer and UBSan, bound with numerics'
-    own helper in a child Python that preloads their runtimes: every variant
-    on every layout above, over tile and tail edges, reads and writes nothing
-    outside its operands and matches einsum byte for byte."""
+@pytest.fixture(scope="module")
+def sanitized(tmp_path_factory):
+    """matmul.c built with AddressSanitizer and UBSan, and the environment of
+    a child Python that preloads their runtimes; skips where that cannot be."""
     if not X86:
         pytest.skip("the kernel is built only on x86-64")
     if shutil.which(numerics.CC) is None:
@@ -332,7 +508,7 @@ def test_sanitized_kernel_has_einsum_bits(tmp_path):
                 for name in ("libasan.so", "libubsan.so")]
     if not all(os.path.isabs(path) for path in runtimes):
         pytest.skip(f"{numerics.CC} has no libasan.so or libubsan.so")
-    library = tmp_path / "matmul-sanitized.so"
+    library = tmp_path_factory.mktemp("sanitized") / "matmul-sanitized.so"
     build = subprocess.run([numerics.CC, "-O1", "-g", "-ffp-contract=off",
                             "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
                             "-shared", "-fPIC", str(numerics._SOURCE), "-o", str(library)],
@@ -340,12 +516,35 @@ def test_sanitized_kernel_has_einsum_bits(tmp_path):
     assert build.returncode == 0, build.stderr
     env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
                PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
-    child = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(library)], env=env,
+    return library, env
+
+
+def run_sanitized(code, sanitized):
+    """Runs ``code`` in the sanitized child with the library's path as its
+    argument; returns its output's words: the variants, then a count."""
+    library, env = sanitized
+    child = subprocess.run([sys.executable, "-c", code, str(library)], env=env,
                            text=True, capture_output=True, timeout=300)
     assert child.returncode == 0, child.stderr[-4000:]
-    variants, products = child.stdout.split()[:-1], int(child.stdout.split()[-1])
+    words = child.stdout.split()
+    assert words[:-1] == numerics.variants()
+    return int(words[-1])
+
+
+def test_sanitized_kernel_has_einsum_bits(sanitized):
+    """matmul.c built with AddressSanitizer and UBSan, bound with numerics'
+    own helper in a child Python that preloads their runtimes: every variant
+    on every layout above, over tile and tail edges, reads and writes nothing
+    outside its operands and matches einsum byte for byte."""
     cases = len(LAYOUTS) * int(np.prod([len(sizes) for sizes in SANITIZED_SHAPES]))
-    assert variants == numerics.variants() and products == cases * len(variants)
+    assert run_sanitized(SANITIZED_CHILD, sanitized) == cases * len(numerics.variants())
+
+
+def test_sanitized_gru_backward_has_numpy_bits(sanitized):
+    """The compiled GRU backward of every variant under the same sanitizers,
+    over batch, width and time edges on both plans, against the numpy loop."""
+    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
+    assert run_sanitized(SANITIZED_GRU_CHILD, sanitized) == cases * len(numerics.variants())
 
 
 def two_step_hash(B):

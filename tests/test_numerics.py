@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from sentigru import layers
+from sentigru import layers, numerics
 from sentigru.model import ModelConfig, build_model
 from sentigru.numerics import GradCheckReport, grad_check, matmul, sigmoid, softmax
 
@@ -35,7 +35,8 @@ class TestMatmul:
     @pytest.mark.parametrize("B", [2, layers.SPLIT_ROWS])
     def test_model_products_stay_in_the_proven_set(self, B):
         """No product of a tiny model's train step, on either GRU plan, has a
-        C-contiguous right operand of one column."""
+        C-contiguous right operand of one column. On the einsum path, where
+        the GRU backward steps in numpy, so that its products pass here too."""
         cfg = ModelConfig(vocab_size=50, embed_dim=4, seq_len=8, gru_units=(4, 3, 3))
         model = build_model(cfg, seed=3)
         seen = []
@@ -45,7 +46,8 @@ class TestMatmul:
             return matmul(a, b)
 
         ids = np.random.default_rng(3).integers(0, 50, (B, 8))
-        with mock.patch.object(layers, "matmul", recorded):
+        with mock.patch.object(layers, "matmul", recorded), \
+                mock.patch.object(numerics, "KERNEL", "einsum"):
             logits = model.forward(ids, "train")
             model.backward(np.ones_like(logits))
         assert len(seen) > 100 and not any(seen)
