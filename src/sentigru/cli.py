@@ -99,8 +99,12 @@ def _read_config_file(path) -> dict:
             raise UsageError(f"expected key=value at line {lineno}: {line!r}")
         if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r} at line {lineno}")
-        # a tab delimiter is whitespace, which strip() would drop
-        out[key] = _coerce(key, value.strip(" \n" if key == "delimiter" else None))
+        # a tab delimiter is whitespace, which strip() would drop; a space
+        # is written in one pair of quotes, delimiter=" " or delimiter=' '
+        value = value.strip(" \n" if key == "delimiter" else None)
+        if key == "delimiter" and len(value) >= 2 and value[0] == value[-1] in "\"'":
+            value = value[1:-1]
+        out[key] = _coerce(key, value)
     return out
 
 

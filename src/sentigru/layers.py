@@ -27,11 +27,12 @@ laid out [update | reset | candidate] along the 3h axis.
 over opposite time directions, which is the bidirectional layer
 (:class:`BidirectionalGru` builds it from a forward and a backward cell). It
 takes the layer input once, starts every state at zero and computes in its
-cells' dtype. A single time loop steps both directions in lockstep, so a
-bidirectional layer makes one gate operation per step for both directions
-instead of one each. At batch 1 the per-call overhead of numpy outweighs the
-arithmetic, so halving the calls is what speeds up inference; the bits stay
-those of one direction at a time.
+cells' dtype. On the compiled kernel a float32 cell's whole time loop is one
+call. Where the loop steps in numpy instead, a single time loop steps both
+directions in lockstep, so a bidirectional layer makes one gate operation per
+step for both directions instead of one each. At batch 1 the per-call
+overhead of numpy outweighs the arithmetic, so halving the calls is what
+speeds up that loop; the bits stay those of one direction at a time.
 Input projections are computed in time chunks of about ``ROWS`` rows into
 one buffer per call rather than for the whole sequence at once, so holding
 both directions does not raise peak memory at large batches.
@@ -48,7 +49,8 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import gru_backward, gru_workspace, matmul, sigmoid
+from .numerics import (gru_backward, gru_forward, gru_forward_workspace, gru_workspace,
+                       matmul, sigmoid)
 
 
 def uniform(rng, limit, shape, dtype) -> np.ndarray:
@@ -233,8 +235,22 @@ class GruSequence(Layer):
     per-cell products bit for bit. One part holds every cell, except that two
     cells with at least SPLIT_ROWS rows run as one part each at once: the
     first on the calling thread, the second on a worker thread, started for
-    the call and joined before it returns, while matmul releases the GIL. The
-    plan depends on D and B alone, and no bit depends on it.
+    the call and joined before it returns, while the kernel calls release the
+    GIL. The plan depends on D and B alone, and no bit depends on it.
+
+    A float32 forward on the compiled kernel, with ``numerics.UFUNC_LOOPS``
+    bound, runs each cell's time loop over a projection chunk (the whole
+    sequence up to ROWS rows) as one call, ``numerics.gru_forward``, with the
+    GIL released, so the parts of a split forward overlap completely. It
+    makes the float32 operations of :meth:`_step` in the same order: ``gh =
+    h_prev U + b_h`` with U's product in matmul's order, the gates
+    ``sigmoid(gx + gh)`` as ``numerics.sigmoid`` composes it, ``c =
+    tanh(gx_c + r hc)`` and ``h = z h_prev + (1 - z) c``, calling numpy's own
+    float32 loops of ``np.exp`` and ``np.tanh``. It writes the states and
+    the cache blocks in place. Called so, those loops raise no numpy
+    floating-point warning. Float64, ``numerics.KERNEL == "einsum"`` and
+    unbound loops step in numpy; its scratch is allocated per call, like
+    every other buffer.
 
     A float32 backward on the compiled kernel runs each cell's whole time
     loop as one call, ``numerics.gru_backward``, with the GIL released, so
@@ -260,8 +276,8 @@ class GruSequence(Layer):
 
     The calling thread allocates every array a part keeps past one step
     (projection buffer, states, cache blocks, ``d_gx``, the compiled
-    backward's workspace) before it starts the parts, so the worker's malloc
-    arena keeps only per-step temporaries. Each part has blocks of its own:
+    forward's and backward's workspaces) before it starts the parts, so the
+    worker's malloc arena keeps only per-step temporaries. Each part has blocks of its own:
     one block sliced between the parts lives until both are done with it, and
     measured a higher peak RSS in training.
 
@@ -314,7 +330,8 @@ class GruSequence(Layer):
                           if mode == "train" else None)
             calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
                                  U[ds], b_h[ds], np.zeros((n, B, h), dtype), gx,
-                                 states, caches[i]))
+                                 states, caches[i],
+                                 gru_forward_workspace(self.cells[ds], B)))
         outs = [out for part in _run_each(calls) for out in part]
         if D == 1:
             return outs[0]
@@ -325,9 +342,11 @@ class GruSequence(Layer):
         reversed when they are per step, as is for a final state."""
         return a[:, ::-1] if self.return_sequences else a
 
-    def _forward_part(self, pairs, U, b_h, ht, gx, states, caches):
+    def _forward_part(self, pairs, U, b_h, ht, gx, states, caches, work):
         """The time loop over one part's (cell, input) pairs; returns its
-        (n, B, T, h) states or (n, B, h) final state."""
+        (n, B, T, h) states or (n, B, h) final state. With a ``work`` array
+        each cell's loop over a projection chunk is one compiled call, else
+        the part steps in numpy."""
         B, T, x_dim = pairs[0][1].shape
         C = gx.shape[2]
         for t0 in range(0, T, C):
@@ -335,6 +354,13 @@ class GruSequence(Layer):
             for j, (cell, xd) in enumerate(pairs):
                 rows = xd[:, t0:t0 + c].reshape(B * c, x_dim)
                 gx[j, :, :c] = cell.input_projection(rows).reshape(B, c, -1)
+            if work is not None:
+                for j, (cell, _) in enumerate(pairs):
+                    gru_forward(gx[j, :, :c], cell, ht[j],
+                                None if states is None else states[j, :, t0:t0 + c],
+                                None if caches is None else
+                                [block[t0:t0 + c, j] for block in caches], work)
+                continue
             for k in range(c):
                 t = t0 + k
                 slots = None if caches is None else [block[t] for block in caches]
@@ -456,18 +482,21 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 
 # Batch rows from which a two-cell sequence runs its cells on two threads.
 # Below it, handing a direction to another thread costs more than the thread
-# saves. With the compiled kernel (AVX-512) and its one-call GRU backward on a
-# 2-vCPU Xeon, in-process, paper-size ops, two threads against the one loop:
-# median speed ratio and two-thread wins over 10 alternating pairs per batch,
-# each run the median of 3 ops, in each of two processes.
-#   B            16         24         32          40          48          64
-#   infer  1  0.52 0/10  0.62 0/10  0.73 0/10  1.15 10/10  1.17 10/10  1.24  6/10
-#          2  0.51 0/10  0.67 0/10  0.69 0/10  0.82  1/10  0.87  3/10  1.05  7/10
-#   train  1  0.77 0/10  0.88 0/10  1.08 8/10  1.21 10/10  1.24 10/10  1.31 10/10
-#          2  0.80 0/10  1.00 5/10  1.07 10/10 1.14  7/10  1.23 10/10  1.24  8/10
-# A train step now wins from 32, but no batch below 48 won 9 of 10 pairs in
-# both modes and both processes, so the crossover stays at 48.
-SPLIT_ROWS = 48
+# saves. With the compiled kernel (AVX-512), its one-call GRU forward and its
+# one-call backward on a 2-vCPU Xeon, in-process, paper-size ops (an infer
+# forward; a train forward, loss and backward), two threads against the one
+# loop: median speed ratio and two-thread wins over 10 alternating pairs per
+# batch, each run the median of 3 ops, in each of two processes.
+#   B            16          24          32          40          48          64
+#   infer  1  1.57 10/10  1.62 10/10  1.63 10/10  1.56  9/10  1.69 10/10  1.61 10/10
+#          2  1.56 10/10  1.64 10/10  1.62 10/10  1.71 10/10  1.49  9/10  1.72 10/10
+#   train  1  1.57 10/10  1.60 10/10  1.58 10/10  1.61 10/10  1.57 10/10  1.67 10/10
+#          2  1.57 10/10  1.40  8/10  1.54 10/10  1.43 10/10  1.42 10/10  1.53 10/10
+# Batch 16 won 10 of 10 pairs in both modes and both processes, so the
+# crossover is 16, down from 48 while the forward held the GIL per step.
+# Below the measured range one process read infer 0.84 (4/10) at batch 1,
+# 1.22 (9/10) at 4 and 1.41 (9/10) at 8, and train 1.25 (9/10) at 4.
+SPLIT_ROWS = 16
 
 
 def _run_each(calls):

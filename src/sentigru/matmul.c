@@ -36,9 +36,26 @@
  *   any width >= 2), and dh_prev += d_gh U^T in sg_dot's order. It runs no
  *   exp or tanh. It allocates nothing; ctypes releases the GIL for the call.
  *
+ * sg_gru_fwd: one GRU cell's forward time loop, t = 0 to T-1, with numpy's
+ *   bits (GruSequence._step is the reference). Each step makes the numpy
+ *   step's float32 operations in its order, with 1.0f for the constants:
+ *   gh = h_prev U in sg_rows' order at any batch, then + b_h; s = gx + gh
+ *   over the z and r columns, and their sigmoid as numerics.sigmoid composes
+ *   it, e = exp(minimum(s, -s)), then maximum(e, s >= 0) / (1 + e); c =
+ *   tanh(gx_c + r hc) with hc the candidate columns of gh; h = z h_prev +
+ *   (1 - z) c. It writes every state or only the last, and in train mode the
+ *   four cache blocks sg_gru_back reads, in place at their strides. It
+ *   computes no exp or tanh of its own: numerics passes numpy's float32
+ *   inner loops of np.exp and np.tanh, read from the ufunc objects and
+ *   checked at import, and each step calls each once over the batch's
+ *   contiguous arguments into a separate output, as numpy's own call does.
+ *   Called from here, those loops run outside numpy's error handling: they
+ *   raise no numpy floating-point warning, and np.errstate does not apply.
+ *   It allocates nothing; ctypes releases the GIL for the call.
+ *
  * The file includes itself once per variant with SG_BODY defined; that part
  * holds the kernels and exports each entry as <entry>_<variant> (sg_rows_avx512,
- * ..., sg_gru_back_sse3). sg_runs_<variant>() says whether this CPU runs a
+ * ..., sg_gru_fwd_sse3). sg_runs_<variant>() says whether this CPU runs a
  * variant; numerics calls them once, at import, and binds the entries of those
  * that run.
  */
@@ -63,6 +80,20 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
     return _mm_loadu_ps(t);
 }
 
+/* numpy's inner loop of a ufunc, as its ufunc object lists it: args, the
+ * element count and the byte steps of each operand, and the loop's data. */
+typedef void (*sg_loop)(char **args, const ptrdiff_t *dims, const ptrdiff_t *steps,
+                        void *data);
+
+/* out[i] = f(in[i]) over n contiguous floats, by numpy's float32 loop f; in
+ * and out do not overlap, as in numpy's own call with a fresh output. */
+static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff_t n)
+{
+    char *args[2] = {(char *)in, (char *)out};
+    ptrdiff_t steps[2] = {sizeof *in, sizeof *out};
+    f(args, &n, steps, data);
+}
+
 #define SG_BODY
 
 /* ---- SSE3: the baseline variant, 128-bit vectors ---- */
@@ -85,6 +116,10 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_MUL _mm_mul_ps
 #define V_ADD _mm_add_ps
 #define V_SUB _mm_sub_ps
+#define V_DIV _mm_div_ps
+#define V_MIN _mm_min_ps
+#define V_MAX _mm_max_ps
+#define V_GE0(s, one) _mm_and_ps(_mm_cmpge_ps(s, _mm_setzero_ps()), one)
 #define V_BCAST(q) (q)
 #define V_LANE(v, i) (v)
 #include "matmul.c"
@@ -110,6 +145,10 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_MUL _mm256_mul_ps
 #define V_ADD _mm256_add_ps
 #define V_SUB _mm256_sub_ps
+#define V_DIV _mm256_div_ps
+#define V_MIN _mm256_min_ps
+#define V_MAX _mm256_max_ps
+#define V_GE0(s, one) _mm256_and_ps(_mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GE_OQ), one)
 #define V_BCAST(q) _mm256_set_m128(q, q)
 #define V_LANE(v, i) ((i) ? _mm256_extractf128_ps(v, 1) : _mm256_castps256_ps128(v))
 #include "matmul.c"
@@ -134,6 +173,11 @@ INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
 #define V_MUL _mm512_mul_ps
 #define V_ADD _mm512_add_ps
 #define V_SUB _mm512_sub_ps
+#define V_DIV _mm512_div_ps
+#define V_MIN _mm512_min_ps
+#define V_MAX _mm512_max_ps
+#define V_GE0(s, one) _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(s, _mm512_setzero_ps(), \
+        _CMP_GE_OQ), one)
 #define V_BCAST(q) _mm512_broadcast_f32x4(q)
 #define V_LANE(v, i) ((i) == 0 ? _mm512_extractf32x4_ps(v, 0) : \
         (i) == 1 ? _mm512_extractf32x4_ps(v, 1) : \
@@ -388,6 +432,13 @@ int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t 
     return 0;
 }
 
+/* The row loops below step over the columns j of an n wide row L at a time:
+ * COLUMNS(n) says whether L are left (`full`) and masks those that are (`m`);
+ * LD and ST read and write the vector at column j of a row, past n nothing. */
+#define COLUMNS(n) const int full = (n) - j >= L; VM m = V_MASK(full ? L : (n) - j)
+#define LD(q) (full ? V_LOAD((q) + j) : V_LOAD_M((q) + j, m))
+#define ST(q, v) do { if (full) V_STORE((q) + j, v); else V_STORE_M((q) + j, m, v); } while (0)
+
 /* One row's gate algebra at one step, numpy's operations in numpy's order.
  * dh (h) holds the carry; g, the row's output gradient, is added to it unless
  * NULL; dh then becomes dh z. hp, zr = [z | r], c and hc are the row's
@@ -400,10 +451,7 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
 {
     const V one = V_SET1(1.0f);
     for (ptrdiff_t j = 0; j < h; j += L) {
-        const int full = h - j >= L;
-        VM m = V_MASK(full ? L : h - j);
-#define LD(q) (full ? V_LOAD((q) + j) : V_LOAD_M((q) + j, m))
-#define ST(q, v) do { if (full) V_STORE((q) + j, v); else V_STORE_M((q) + j, m, v); } while (0)
+        COLUMNS(h);
         V d = LD(dh);
         if (g)
             d = V_ADD(d, LD(g));                              /* carry + grad */
@@ -426,8 +474,6 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
         ST(sum + h, V_ADD(LD(sum + h), dsr));
         ST(sum + 2 * h, V_ADD(LD(sum + 2 * h), dsc));
         ST(sum + 3 * h, V_ADD(LD(sum + 3 * h), dhc));
-#undef LD
-#undef ST
     }
 }
 
@@ -476,6 +522,112 @@ int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_
     return 0;
 }
 
+/* One row of a forward step up to the exp: s = gx + (gh + b_h) over the 2h
+ * columns of z and r, written as sigmoid's exp argument minimum(s, -s) into
+ * ng and its numerator floor (s >= 0) into ge; and the recurrent candidate
+ * hc = gh + b_h. -s is formed as 0 - s, which differs from numpy's negation
+ * only where minimum does not pick it: s <= 0, or NaN, which minimum passes
+ * through (the second operand, as numpy's minimum keeps its first). */
+INLINE void FN(fwd_pre)(const float *gx, const float *gh, const float *bh, float *ng,
+                        float *ge, float *hc, ptrdiff_t h)
+{
+    const V zero = V_ZERO(), one = V_SET1(1.0f);
+    for (ptrdiff_t j = 0; j < 2 * h; j += L) {
+        COLUMNS(2 * h);
+        V s = V_ADD(LD(gx), V_ADD(LD(gh), LD(bh)));
+        ST(ng, V_MIN(V_SUB(zero, s), s));
+        ST(ge, V_GE0(s, one));
+    }
+    for (ptrdiff_t j = 0; j < h; j += L) {
+        COLUMNS(h);
+        ST(hc, V_ADD(LD(gh + 2 * h), LD(bh + 2 * h)));
+    }
+}
+
+/* One row after the exp e: [z | r] = maximum(e, ge) / (1 + e), and the tanh
+ * argument q = gx_c + r hc. The max keeps e where either is NaN or both are
+ * equal, as numpy's maximum(e, ge) does. */
+INLINE void FN(fwd_gates)(const float *gx, const float *e, const float *ge, const float *hc,
+                          float *zr, float *q, ptrdiff_t h)
+{
+    const V one = V_SET1(1.0f);
+    for (ptrdiff_t j = 0; j < h; j += L) {
+        COLUMNS(h);
+        V z = V_DIV(V_MAX(LD(ge), LD(e)), V_ADD(one, LD(e)));
+        V r = V_DIV(V_MAX(LD(ge + h), LD(e + h)), V_ADD(one, LD(e + h)));
+        ST(zr, z);
+        ST(zr + h, r);
+        ST(q, V_ADD(LD(gx + 2 * h), V_MUL(r, LD(hc))));
+    }
+}
+
+/* One row's new state h = z h_prev + (1 - z) c, read from and written to ht,
+ * and written to o1 and o2 too where they are not NULL. */
+INLINE void FN(fwd_state)(float *ht, const float *zr, const float *c, float *o1, float *o2,
+                          ptrdiff_t h)
+{
+    const V one = V_SET1(1.0f);
+    for (ptrdiff_t j = 0; j < h; j += L) {
+        COLUMNS(h);
+        V z = LD(zr);
+        V hn = V_ADD(V_MUL(z, LD(ht)), V_MUL(V_SUB(one, z), LD(c)));
+        ST(ht, hn);
+        if (o1)
+            ST(o1, hn);
+        if (o2)
+            ST(o2, hn);
+    }
+}
+
+/* One GRU cell's forward time loop over T steps, t = 0 to T-1, with the bits
+ * of numpy's loop (see the header). gx, the input projection x W + b_x, is
+ * (B, T, 3h) at element strides (gx_sb, gx_st) with C-contiguous rows. ht,
+ * C-contiguous (B, h), holds h_prev of the first step and receives the last
+ * state. Unless out is NULL, the state of step t of row b goes to out + b o_sb
+ * + t o_st. Unless hp is NULL the step's caches go where sg_gru_back reads
+ * them: (B, h) rows at hp, c and hc + t cs and (B, 2h) rows [z | r] at zr + 2
+ * t cs. U (h, 3h) and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's
+ * float32 loops of np.exp and np.tanh, with their data. work holds nwork
+ * floats, at least 14h B. Returns 0, or -1 when work is smaller. */
+int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const float *U,
+                   const float *bh, float *ht, float *out, ptrdiff_t o_sb, ptrdiff_t o_st,
+                   float *hp, float *zr, float *c, float *hc, ptrdiff_t cs, sg_loop exp_f,
+                   void *exp_d, sg_loop tanh_f, void *tanh_d, float *work, ptrdiff_t nwork,
+                   ptrdiff_t B, ptrdiff_t T, ptrdiff_t h)
+{
+    ptrdiff_t G = 3 * h;
+    /* gh (3h), ng, ge and e (2h each), q (h) and, without caches, the step's
+     * [z | r], c and hc (4h), per row */
+    float *gh = work, *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
+    float *q = e + 2 * h * B, *own = q + h * B;
+    if (nwork < 14 * h * B)
+        return -1;
+    if (hp)
+        memcpy(hp, ht, (size_t)(B * h) * sizeof *ht);
+    for (ptrdiff_t t = 0; t < T; t++) {
+        const float *gx_t = gx + t * gx_st;
+        float *zr_t = hp ? zr + 2 * t * cs : own, *c_t = hp ? c + t * cs : own + 2 * h * B;
+        float *hc_t = hp ? hc + t * cs : own + 3 * h * B;
+        FN(sg_rows)(ht, U, gh, 1, B, h, G, 0, h, 1, 0);
+        for (ptrdiff_t b = 0; b < B; b++)
+            FN(fwd_pre)(gx_t + b * gx_sb, gh + b * G, bh, ng + b * 2 * h, ge + b * 2 * h,
+                        hc_t + b * h, h);
+        sg_apply(exp_f, exp_d, ng, e, 2 * h * B);
+        for (ptrdiff_t b = 0; b < B; b++)
+            FN(fwd_gates)(gx_t + b * gx_sb, e + b * 2 * h, ge + b * 2 * h, hc_t + b * h,
+                          zr_t + b * 2 * h, q + b * h, h);
+        sg_apply(tanh_f, tanh_d, q, c_t, h * B);
+        for (ptrdiff_t b = 0; b < B; b++)
+            FN(fwd_state)(ht + b * h, zr_t + b * 2 * h, c_t + b * h,
+                          out ? out + b * o_sb + t * o_st : NULL,
+                          hp && t + 1 < T ? hp + (t + 1) * cs + b * h : NULL, h);
+    }
+    return 0;
+}
+
+#undef COLUMNS
+#undef LD
+#undef ST
 #undef CH
 #undef CPV
 #undef NC
@@ -495,6 +647,10 @@ int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_
 #undef V_MUL
 #undef V_ADD
 #undef V_SUB
+#undef V_DIV
+#undef V_MIN
+#undef V_MAX
+#undef V_GE0
 #undef V_BCAST
 #undef V_LANE
 

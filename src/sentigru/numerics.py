@@ -60,6 +60,22 @@ sum is rounded, then added into the gradient. So it has the numpy loop's
 bits by construction; float64 and ``KERNEL == "einsum"`` run that loop. It is
 bound and dropped with its variant's products, whose probes cover its orders.
 
+The fourth entry, :func:`gru_forward`, runs a GRU cell's forward time loop
+over a projection chunk in one call with the GIL released, making the numpy
+step's float32 operations in its order (``matmul.c`` states it). Its exp and
+tanh are numpy's own: at import this module reads the float32 inner loops of
+``np.exp`` and ``np.tanh`` from numpy's public ``PyUFuncObject`` layout
+(``functions`` at byte 32, ``data`` at 40, ``ntypes`` at 48; the loop is
+entry ``types.index("f->f")``) and passes them on each call. It binds them,
+as ``UFUNC_LOOPS``, only if the object's ``ntypes`` is ``len(ufunc.types)``
+and each loop gives its ufunc's own bytes on a short fixed vector of special
+values: signed zeros, infinities, NaNs, subnormals and both tails. The layout
+was checked on numpy 2.4.6, where ``tools/sweep_ufunc_loops.py`` found both
+loops equal to their ufuncs on all 2^32 inputs. Otherwise, and for float64
+and ``KERNEL == "einsum"``, the forward steps in numpy. A loop called from
+the kernel runs outside numpy's error handling: it raises no floating-point
+warning, and ``np.errstate`` does not apply to it.
+
 NaNs: every output einsum makes NaN is NaN here too, and every other output
 has the same bits. A NaN output's sign and payload are einsum's as well,
 except where NaNs of different bits meet in one output's sum, such as an
@@ -93,7 +109,8 @@ _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _VARIANTS = ("avx512", "avx2", "sse3")     # widest first
 _F32 = np.dtype(np.float32)
-_kernels = {}       # {variant: (sg_rows, sg_dot, sg_gru_back)} this CPU runs
+# {variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd)} this CPU runs
+_kernels = {}
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,21 +249,23 @@ def _probes():
 
 
 def _bind(lib: ctypes.CDLL) -> dict:
-    """``{variant: (sg_rows, sg_dot, sg_gru_back)}`` of a loaded kernel
-    library, for each variant whose ``sg_runs_<variant>()`` is true on this
-    CPU, widest first."""
+    """``{variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd)}`` of a loaded
+    kernel library, for each variant whose ``sg_runs_<variant>()`` is true on
+    this CPU, widest first."""
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     kernels = {}
     for variant in _VARIANTS:
         if lib[f"sg_runs_{variant}"]():
-            rows, dot, back = (lib[f"sg_{entry}_{variant}"]
-                               for entry in ("rows", "dot", "gru_back"))
+            rows, dot, back, fwd = (lib[f"sg_{entry}_{variant}"]
+                                    for entry in ("rows", "dot", "gru_back", "gru_fwd"))
             rows.argtypes, rows.restype = [ptr] * 3 + [size] * 8, None
             dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, c_int
             back.argtypes = [ptr, *[size] * 3, *[ptr] * 4, size, ptr, c_int, *[ptr] * 8,
                              *[size] * 5]
-            back.restype = c_int
-            kernels[variant] = rows, dot, back
+            fwd.argtypes = [ptr, size, size, *[ptr] * 4, size, size, *[ptr] * 4, size,
+                            *[ptr] * 5, *[size] * 4]
+            back.restype = fwd.restype = c_int
+            kernels[variant] = rows, dot, back, fwd
     return kernels
 
 
@@ -279,6 +298,70 @@ def variants() -> list[str]:
 
 
 KERNEL = _load()
+
+# numpy's ufunc object, from its public header: the loop table at byte 32,
+# the loops' data at 40 and their count at 48
+_FUNCTIONS, _DATA, _NTYPES = 32, 40, 48
+_LOOP = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 4)
+
+
+def _loop_probe() -> np.ndarray:
+    """float32 inputs for the loop check: signed zeros and infinities, NaNs of
+    either sign, subnormals, exp's and tanh's tails, then a fixed sweep."""
+    info = np.finfo(_F32)
+    tiny, big = info.smallest_subnormal, info.smallest_normal
+    nans = np.array([0x7FC00001, 0xFFC00000, 0x7FA00000], np.uint32).view(_F32)
+    special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, big - tiny, -big, info.max,
+               -info.max, 1e-30, -1e-8, 88.72, 88.73, -87.34, -103.9, -104.0, 9.0, -9.01,
+               10.0, -20.0]
+    return np.concatenate([nans, np.array(special, _F32),
+                           np.linspace(-12, 12, 61, dtype=_F32)])
+
+
+def _ufunc_loop(ufunc: np.ufunc, types: str):
+    """numpy's own inner loop of ``ufunc`` for the ``types`` entry, read from
+    the ufunc object, as ``(function, data)`` addresses; None unless the
+    object's loop count is ``len(ufunc.types)``, the entry is not NULL and
+    the loop, called as float32 -> float32 on contiguous arrays, gives the
+    ufunc's own bytes on :func:`_loop_probe`. Its arrays leave room past the
+    probe for wider elements, so a loop of another type reads and writes only
+    within them."""
+    if ctypes.c_int.from_address(id(ufunc) + _NTYPES).value != len(ufunc.types):
+        return None
+    i = ufunc.types.index(types)
+    functions, data = (ctypes.c_void_p.from_address(id(ufunc) + at).value
+                       for at in (_FUNCTIONS, _DATA))
+    loop = (ctypes.c_void_p.from_address(functions + 8 * i).value,
+            data and ctypes.c_void_p.from_address(data + 8 * i).value)
+    if not loop[0]:
+        return None
+    probe = _loop_probe()
+    x, out = (np.zeros(probe.size + 16, _F32) for _ in range(2))
+    x[:probe.size] = probe
+    _apply(loop, x, out, probe.size)
+    with np.errstate(all="ignore"):
+        want = ufunc(probe)
+    return loop if out[:probe.size].tobytes() == want.tobytes() else None
+
+
+def _apply(loop, x: np.ndarray, out: np.ndarray, n: int) -> None:
+    """numpy's inner loop ``(function, data)`` over the first ``n`` float32
+    values of ``x`` into ``out``, both contiguous, as the kernel calls it."""
+    args = (ctypes.c_void_p * 2)(x.ctypes.data, out.ctypes.data)
+    _LOOP(loop[0])(args, (ctypes.c_ssize_t * 1)(n), (ctypes.c_ssize_t * 2)(4, 4), loop[1])
+
+
+def _ufunc_loops(types: str = "f->f"):
+    """The ``types`` loops of ``np.exp`` and ``np.tanh`` by
+    :func:`_ufunc_loop`; None unless both pass."""
+    loops = tuple(_ufunc_loop(ufunc, types) for ufunc in (np.exp, np.tanh))
+    return None if None in loops else loops
+
+
+# numpy's float32 loops of np.exp and np.tanh, each as (function, data)
+# addresses, for the compiled GRU forward; None on einsum, or where the check
+# in _ufunc_loop fails, and then the forward steps in numpy
+UFUNC_LOOPS = None if KERNEL == "einsum" else _ufunc_loops()
 
 
 def gru_workspace(x: np.ndarray, cells):
@@ -318,6 +401,43 @@ def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
         grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
         *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h, work)),
         work.size, B, T, x_dim, carry.shape[-1])
+    if status:
+        raise ValueError(f"a workspace of {work.size} floats is too small")
+
+
+def gru_forward_workspace(cells, B: int):
+    """Scratch for :func:`gru_forward` of GRU ``cells`` at batch ``B``; None
+    where that forward steps in numpy instead: ``KERNEL == "einsum"``, no
+    bound ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the
+    kernel cannot read (unaligned or not C-contiguous)."""
+    if KERNEL == "einsum" or UFUNC_LOOPS is None or not all(
+            a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
+            for cell in cells for a in (cell.U, cell.b_h)):
+        return None
+    return np.empty(14 * cells[0].U.shape[0] * B, _F32)
+
+
+def gru_forward(gx, cell, ht, states, caches, work) -> None:
+    """A GRU cell's forward time loop over ``gx``'s steps in one kernel call
+    with the GIL released, with the bits of the numpy loop in
+    ``layers.GruSequence`` (``matmul.c`` states the order).
+
+    ``gx`` is the cell's (B, T, 3h) input projection with C-contiguous rows;
+    ``ht`` the C-contiguous (B, h) state before the first step, which
+    receives the last. ``states``, a (B, T, h) view with C-contiguous rows,
+    receives every step's state unless None. ``caches`` are None or the
+    (h_prev, z|r, c, hc) blocks the backward reads, as for
+    :func:`gru_backward`. ``work`` comes from :func:`gru_forward_workspace`.
+    """
+    B, T, _ = gx.shape
+    out = (None, 0, 0) if states is None else (
+        states.ctypes.data, *(s // 4 for s in states.strides[:2]))
+    blocks = (None,) * 4 if caches is None else [a.ctypes.data for a in caches]
+    status = _kernels[KERNEL][3](
+        gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
+        cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks,
+        0 if caches is None else caches[0].strides[0] // 4,
+        *UFUNC_LOOPS[0], *UFUNC_LOOPS[1], work.ctypes.data, work.size, B, T, ht.shape[-1])
     if status:
         raise ValueError(f"a workspace of {work.size} floats is too small")
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -401,6 +402,24 @@ class TestExitCodes:
         assert main(["stats", "--data", str(tsv), "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == by_flag
         assert json.loads(by_flag)["all"]["entries"]
+
+    @pytest.mark.parametrize("quoted", ['" "', "' '"])
+    def test_space_delimiter_in_a_config_file(self, data_csv, tmp_path, capsys, quoted):
+        """A config file sets a space delimiter in one pair of quotes, as
+        the flag does; other quoted delimiters lose their quotes too."""
+        ssv = tmp_path / "train.ssv"
+        with open(data_csv, newline="") as src, open(ssv, "w", newline="") as dst:
+            csv.writer(dst, delimiter=" ").writerows(csv.reader(src))
+        assert main(["stats", "--data", str(ssv), "--delimiter", " "]) == 0
+        by_flag = capsys.readouterr().out
+        assert json.loads(by_flag)["all"]["entries"]
+        cfg = tmp_path / "space.cfg"
+        cfg.write_text(f"delimiter={quoted}\n")
+        assert main(["stats", "--data", str(ssv), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == by_flag
+        cfg.write_text(f"delimiter={quoted[0]},{quoted[0]}\n")
+        assert main(["stats", "--data", str(data_csv), "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["all"]["entries"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

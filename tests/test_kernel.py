@@ -38,6 +38,7 @@ def test_kernel_active_where_it_builds():
     if not BUILDS:
         pytest.skip("the kernel builds only on x86-64 with a C compiler")
     assert numerics.KERNEL == numerics.variants()[0] != "einsum"
+    assert numerics.UFUNC_LOOPS is not None
 
 
 LAYOUTS = ("contiguous", "a transposed", "x[:, ::-1][:, t].T", "rows strided",
@@ -267,6 +268,94 @@ def test_gru_backward_of_a_cell_array_the_kernel_cannot_read_is_numpys():
     assert grads[0] == grads[1]
 
 
+def gru_forwards(kernel, B, T, x_dim, h, cells, split, return_sequences, seed,
+                 specials="inf", dtype=np.float32):
+    """An infer and a train forward of a GruSequence of ``cells`` cells with
+    ``numerics.KERNEL`` set to ``kernel``, on the two-thread plan where
+    ``split``: the number of compiled forward calls, and both outputs and
+    every cache block the train forward kept."""
+    sample = sampler(dtype, seed, specials)
+    rng = np.random.default_rng(seed)
+    seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
+                      return_sequences)
+    for name, value in seq.params().items():
+        if "b_" in name:
+            value[...] = rng.standard_normal(value.shape) / 2
+    x = sample(B, T, x_dim)
+    calls, forward = [], layers.gru_forward
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    plan = mock.patch.object(layers, "SPLIT_ROWS", 1 if split else B + 1)
+    with plan, mock.patch.object(numerics, "KERNEL", kernel), \
+            mock.patch.object(layers, "gru_forward", counted):
+        infer = seq.forward(x, "infer")
+        train = seq.forward(x, "train")
+    return len(calls), [infer, train, *(block for part in seq._kept[2] for block in part)]
+
+
+def projection_chunks(B, T):
+    return -(-T // max(1, min(T, layers.ROWS // B)))
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+@settings(deadline=None, max_examples=40)
+@given(B=st.integers(1, 70), T=st.one_of(st.integers(1, 20), st.just(79)),
+       x_dim=st.one_of(st.integers(1, 6), st.just(50)),
+       h=st.one_of(st.integers(1, 5), st.just(64)), cells=st.integers(1, 2),
+       split=st.booleans(), return_sequences=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), specials=st.sampled_from(["finite", "inf", "nan"]))
+@example(B=64, T=79, x_dim=50, h=64, cells=2, split=True, return_sequences=True, seed=0,
+         specials="finite")
+@example(B=70, T=20, x_dim=6, h=64, cells=2, split=False, return_sequences=False, seed=1,
+         specials="inf")
+@example(B=1, T=79, x_dim=50, h=64, cells=2, split=False, return_sequences=True, seed=2,
+         specials="finite")
+@example(B=1, T=79, x_dim=1, h=1, cells=1, split=True, return_sequences=False, seed=3,
+         specials="inf")
+@example(B=1, T=20, x_dim=6, h=5, cells=2, split=True, return_sequences=False, seed=4,
+         specials="nan")
+def test_gru_forward_has_the_numpy_loops_bits(B, T, x_dim, h, cells, split,
+                                              return_sequences, seed, specials):
+    """The compiled forward of every variant against the numpy loop: the
+    infer and train outputs and every cache block, on both plans. One call
+    per cell and projection chunk in each of the two forwards."""
+    args = B, T, x_dim, h, cells, split, return_sequences, seed, specials
+    calls, want = gru_forwards("einsum", *args)
+    assert calls == 0
+    for variant in numerics.variants():
+        calls, got = gru_forwards(variant, *args)
+        assert calls == 2 * cells * projection_chunks(B, T)
+        assert_same_bits(got, want)
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+def test_a_wrong_loop_fails_the_check_and_the_forward_stays_in_numpy():
+    """numpy's float64 loops of np.exp and np.tanh, and a loop count read
+    from the wrong place, fail the import check; with no bound loops the
+    forward steps in numpy and gives the same bytes."""
+    assert numerics._ufunc_loops("d->d") is None
+    with mock.patch.object(numerics, "_NTYPES", 16):        # nin, not ntypes
+        assert numerics._ufunc_loops() is None
+    assert numerics._ufunc_loops() == numerics.UFUNC_LOOPS
+    args = 9, 7, 3, 5, 2, False, True, 0
+    with mock.patch.object(numerics, "UFUNC_LOOPS", numerics._ufunc_loops("d->d")):
+        calls, got = gru_forwards(numerics.KERNEL, *args)
+    assert calls == 0
+    assert_same_bits(got, gru_forwards("einsum", *args)[1])
+
+
+@pytest.mark.parametrize("dtype, kernel", [(np.float64, numerics.KERNEL),
+                                           (np.float32, "einsum")])
+@pytest.mark.parametrize("split", [False, True])
+def test_gru_forward_stays_in_numpy_for_float64_and_einsum(dtype, kernel, split):
+    with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
+        calls, _ = gru_forwards(kernel, 12, 5, 3, 4, 2, split, True, 0, "inf", dtype)
+    assert calls == 0
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_float64_stays_on_einsum(layout):
     a, b = operands(layout, 16, 40, 30, sampler(np.float64, 0, "inf"))
@@ -477,18 +566,21 @@ print(" ".join(numerics.variants()), products)
 # B, T, x_dim, h, cells, split, return_sequences: tile and vector tails of every variant
 SANITIZED_GRU_SHAPES = ((1, 9), (1, 3), (1, 19), (1, 5, 17), (1, 2), (False, True),
                         (False, True))
+# run with the library, then gru_grads or gru_forwards and its calls per cell
 SANITIZED_GRU_CHILD = """
 import ctypes, itertools, sys
 from sentigru import numerics
-from test_kernel import SANITIZED_GRU_SHAPES, assert_same_bits, gru_grads
+import test_kernel
+from test_kernel import SANITIZED_GRU_SHAPES, assert_same_bits
 
 numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
+run, per_cell = getattr(test_kernel, sys.argv[2]), int(sys.argv[3])
 runs = 0
 for seed, shape in enumerate(itertools.product(*SANITIZED_GRU_SHAPES)):
-    want = gru_grads("einsum", *shape, seed)[1]
+    want = run("einsum", *shape, seed)[1]
     for variant in numerics.variants():
-        calls, got = gru_grads(variant, *shape, seed)
-        assert calls == shape[4], (variant, shape)
+        calls, got = run(variant, *shape, seed)
+        assert calls == per_cell * shape[4], (variant, shape)
         assert_same_bits(got, want)
         runs += 1
 print(" ".join(numerics.variants()), runs)
@@ -519,11 +611,12 @@ def sanitized(tmp_path_factory):
     return library, env
 
 
-def run_sanitized(code, sanitized):
-    """Runs ``code`` in the sanitized child with the library's path as its
-    argument; returns its output's words: the variants, then a count."""
+def run_sanitized(code, sanitized, *args):
+    """Runs ``code`` in the sanitized child with the library's path and
+    ``args`` as its arguments; returns its output's words: the variants, then
+    a count."""
     library, env = sanitized
-    child = subprocess.run([sys.executable, "-c", code, str(library)], env=env,
+    child = subprocess.run([sys.executable, "-c", code, str(library), *args], env=env,
                            text=True, capture_output=True, timeout=300)
     assert child.returncode == 0, child.stderr[-4000:]
     words = child.stdout.split()
@@ -544,7 +637,17 @@ def test_sanitized_gru_backward_has_numpy_bits(sanitized):
     """The compiled GRU backward of every variant under the same sanitizers,
     over batch, width and time edges on both plans, against the numpy loop."""
     cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
-    assert run_sanitized(SANITIZED_GRU_CHILD, sanitized) == cases * len(numerics.variants())
+    runs = run_sanitized(SANITIZED_GRU_CHILD, sanitized, "gru_grads", "1")
+    assert runs == cases * len(numerics.variants())
+
+
+def test_sanitized_gru_forward_has_numpy_bits(sanitized):
+    """The compiled GRU forward of every variant, calling numpy's exp and
+    tanh loops, under the same sanitizers and over the same edges, in both
+    modes, against the numpy loop."""
+    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
+    runs = run_sanitized(SANITIZED_GRU_CHILD, sanitized, "gru_forwards", "2")
+    assert runs == cases * len(numerics.variants())
 
 
 def two_step_hash(B):
