@@ -282,10 +282,10 @@ class GruSequence(Layer):
     measured a higher peak RSS in training.
 
     Between calls the sequence holds only its cells, the state a train
-    forward kept, and ``_U``, the stacked U that every forward refills from
-    the cells: forwards on several threads at once write the same bytes into
-    it, provided no thread changes the parameters meanwhile. Every other
-    buffer is allocated per call.
+    forward kept, and ``_U``, the stacked U that every forward stepping in
+    numpy refills from the cells: forwards on several threads at once write
+    the same bytes into it, provided no thread changes the parameters
+    meanwhile. Every other buffer is allocated per call.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -312,8 +312,6 @@ class GruSequence(Layer):
                              f"{self.dtype}")
         D, h, dtype = len(self.cells), self.hidden_size, self.dtype
         xs = (x, x[:, ::-1])[:D]
-        U = np.stack([cell.U for cell in self.cells], out=self._U)
-        b_h = np.stack([cell.b_h for cell in self.cells])[:, None, :]
         C = max(1, min(T, ROWS // B))
         parts = ([slice(0, 1), slice(1, 2)] if D == 2 and B >= SPLIT_ROWS
                  else [slice(0, D)])
@@ -328,10 +326,14 @@ class GruSequence(Layer):
             states = np.empty((n, B, T, h), dtype) if self.return_sequences else None
             caches.append(tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
                           if mode == "train" else None)
+            work = gru_forward_workspace(self.cells[ds], B)
+            U = b_h = None                       # read by the numpy loop alone
+            if work is None:
+                U = np.stack([cell.U for cell in self.cells[ds]], out=self._U[ds])
+                b_h = np.stack([cell.b_h for cell in self.cells[ds]])[:, None, :]
             calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
-                                 U[ds], b_h[ds], np.zeros((n, B, h), dtype), gx,
-                                 states, caches[i],
-                                 gru_forward_workspace(self.cells[ds], B)))
+                                 U, b_h, np.zeros((n, B, h), dtype), gx, states,
+                                 caches[i], work))
         outs = [out for part in _run_each(calls) for out in part]
         if D == 1:
             return outs[0]
@@ -346,7 +348,7 @@ class GruSequence(Layer):
         """The time loop over one part's (cell, input) pairs; returns its
         (n, B, T, h) states or (n, B, h) final state. With a ``work`` array
         each cell's loop over a projection chunk is one compiled call, else
-        the part steps in numpy."""
+        the part steps in numpy with the stacked ``U`` and ``b_h``."""
         B, T, x_dim = pairs[0][1].shape
         C = gx.shape[2]
         for t0 in range(0, T, C):
@@ -496,6 +498,13 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 # crossover is 16, down from 48 while the forward held the GIL per step.
 # Below the measured range one process read infer 0.84 (4/10) at batch 1,
 # 1.22 (9/10) at 4 and 1.41 (9/10) at 8, and train 1.25 (9/10) at 4.
+# The crossover assumes the bound UFUNC_LOOPS. A float32 forward without
+# them steps in numpy, holding the GIL per step, and there two threads read
+# infer 0.59 (0/6) at batch 16 and 0.74 (0/6) at 32, train 0.81 (2/6) and
+# 1.14 (4/6), over 6 pairs in one process. float64 steps in numpy too but
+# won with two threads there: infer 1.42 (5/6) and 1.80 (6/6), train 1.34
+# and 1.33 (6/6). So the constant does not depend on the loops: CI fails
+# where they do not bind, and float64 keeps its gain.
 SPLIT_ROWS = 16
 
 

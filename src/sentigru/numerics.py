@@ -351,10 +351,10 @@ def _apply(loop, x: np.ndarray, out: np.ndarray, n: int) -> None:
     _LOOP(loop[0])(args, (ctypes.c_ssize_t * 1)(n), (ctypes.c_ssize_t * 2)(4, 4), loop[1])
 
 
-def _ufunc_loops(types: str = "f->f"):
-    """The ``types`` loops of ``np.exp`` and ``np.tanh`` by
-    :func:`_ufunc_loop`; None unless both pass."""
-    loops = tuple(_ufunc_loop(ufunc, types) for ufunc in (np.exp, np.tanh))
+def _ufunc_loops():
+    """The float32 loops of ``np.exp`` and ``np.tanh`` by :func:`_ufunc_loop`;
+    None unless both pass."""
+    loops = tuple(_ufunc_loop(ufunc, "f->f") for ufunc in (np.exp, np.tanh))
     return None if None in loops else loops
 
 

@@ -336,12 +336,13 @@ def test_a_wrong_loop_fails_the_check_and_the_forward_stays_in_numpy():
     """numpy's float64 loops of np.exp and np.tanh, and a loop count read
     from the wrong place, fail the import check; with no bound loops the
     forward steps in numpy and gives the same bytes."""
-    assert numerics._ufunc_loops("d->d") is None
+    for ufunc in (np.exp, np.tanh):
+        assert numerics._ufunc_loop(ufunc, "d->d") is None
     with mock.patch.object(numerics, "_NTYPES", 16):        # nin, not ntypes
         assert numerics._ufunc_loops() is None
     assert numerics._ufunc_loops() == numerics.UFUNC_LOOPS
     args = 9, 7, 3, 5, 2, False, True, 0
-    with mock.patch.object(numerics, "UFUNC_LOOPS", numerics._ufunc_loops("d->d")):
+    with mock.patch.object(numerics, "UFUNC_LOOPS", None):
         calls, got = gru_forwards(numerics.KERNEL, *args)
     assert calls == 0
     assert_same_bits(got, gru_forwards("einsum", *args)[1])

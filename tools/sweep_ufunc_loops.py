@@ -15,7 +15,6 @@ mismatch or when the loops are not bound (no compiled kernel, or a failed
 import check).
 """
 
-import argparse
 import sys
 import time
 
@@ -23,28 +22,25 @@ import numpy as np
 
 from sentigru import numerics
 
+# values per chunk: 16 MB arrays of inputs and of outputs
+CHUNK = 1 << 22
 
-def sweep(ufunc, loop, chunk: int) -> int:
+
+def sweep(ufunc, loop) -> int:
     """Mismatches of ``loop`` against ``ufunc`` over all 2^32 patterns."""
-    offsets = np.arange(chunk, dtype=np.uint32)
-    out = np.empty(chunk, np.float32)
+    offsets = np.arange(CHUNK, dtype=np.uint32)
+    out = np.empty(CHUNK, np.float32)
     mismatches = 0
     with np.errstate(all="ignore"):
-        for start in range(0, 1 << 32, chunk):
+        for start in range(0, 1 << 32, CHUNK):
             x = (offsets + np.uint32(start)).view(np.float32)
-            numerics._apply(loop, x, out, chunk)
+            numerics._apply(loop, x, out, CHUNK)
             mismatches += int(np.count_nonzero(out.view(np.uint32)
                                                != ufunc(x).view(np.uint32)))
     return mismatches
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--chunk-bits", type=int, default=22,
-                        help="log2 of the values per chunk (default 22: 16 MB arrays)")
-    args = parser.parse_args()
-    if not 4 <= args.chunk_bits <= 32:
-        parser.error("--chunk-bits runs from 4 to 32")
     print(f"numpy {np.__version__}, kernel {numerics.KERNEL}")
     if numerics.UFUNC_LOOPS is None:
         print("no bound loops: the forward steps in numpy")
@@ -52,7 +48,7 @@ def main() -> int:
     total = 0
     for ufunc, loop in zip((np.exp, np.tanh), numerics.UFUNC_LOOPS):
         start = time.perf_counter()
-        mismatches = sweep(ufunc, loop, 1 << args.chunk_bits)
+        mismatches = sweep(ufunc, loop)
         total += mismatches
         print(f"{ufunc.__name__}: {mismatches} mismatches in 2^32 values, "
               f"{time.perf_counter() - start:.1f} s")
