@@ -53,9 +53,20 @@
  *   raise no numpy floating-point warning, and np.errstate does not apply.
  *   It allocates nothing; ctypes releases the GIL for the call.
  *
+ * sg_adam: one Adam step over a parameter's n contiguous floats with the bits
+ *   of trainer.Adam's numpy step, in one pass. It makes numpy's float32
+ *   operations in numpy's order: m = m b1, then m + (1 - b1) g; v = v b2,
+ *   then v + (1 - b2) (g g); then p - (lr (m / c1)) / (sqrt(v / c2) + eps).
+ *   Each scalar arrives rounded to float32 as numpy rounds a Python float
+ *   against a float32 array (NEP 50), so an lr past float32's range is inf
+ *   and one below its smallest subnormal is 0, as in numpy. Every operation
+ *   is correctly rounded, and -ffp-contract=off keeps each product rounded
+ *   before its add, as numpy rounds it; a fused multiply-add would round
+ *   once. It allocates nothing; ctypes releases the GIL for the call.
+ *
  * The file includes itself once per variant with SG_BODY defined; that part
  * holds the kernels and exports each entry as <entry>_<variant> (sg_rows_avx512,
- * ..., sg_gru_fwd_sse3). sg_runs_<variant>() says whether this CPU runs a
+ * ..., sg_adam_sse3). sg_runs_<variant>() says whether this CPU runs a
  * variant; numerics calls them once, at import, and binds the entries of those
  * that run.
  */
@@ -117,6 +128,7 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_ADD _mm_add_ps
 #define V_SUB _mm_sub_ps
 #define V_DIV _mm_div_ps
+#define V_SQRT _mm_sqrt_ps
 #define V_MIN _mm_min_ps
 #define V_MAX _mm_max_ps
 #define V_GE0(s, one) _mm_and_ps(_mm_cmpge_ps(s, _mm_setzero_ps()), one)
@@ -146,6 +158,7 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_ADD _mm256_add_ps
 #define V_SUB _mm256_sub_ps
 #define V_DIV _mm256_div_ps
+#define V_SQRT _mm256_sqrt_ps
 #define V_MIN _mm256_min_ps
 #define V_MAX _mm256_max_ps
 #define V_GE0(s, one) _mm256_and_ps(_mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GE_OQ), one)
@@ -174,6 +187,7 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_ADD _mm512_add_ps
 #define V_SUB _mm512_sub_ps
 #define V_DIV _mm512_div_ps
+#define V_SQRT _mm512_sqrt_ps
 #define V_MIN _mm512_min_ps
 #define V_MAX _mm512_max_ps
 #define V_GE0(s, one) _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(s, _mm512_setzero_ps(), \
@@ -625,6 +639,26 @@ int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const floa
     return 0;
 }
 
+/* One Adam step over n contiguous floats of a parameter p, its moments m1
+ * and m2 (the header's m and v) and its gradient g, with numpy's bits. s
+ * holds the float32 scalars b1, 1 - b1, b2, 1 - b2, lr, c1, c2 and eps. */
+void FN(sg_adam)(float *p, float *m1, float *m2, const float *g, ptrdiff_t n,
+                 const float *s)
+{
+    const V b1 = V_SET1(s[0]), a1 = V_SET1(s[1]), b2 = V_SET1(s[2]), a2 = V_SET1(s[3]);
+    const V lr = V_SET1(s[4]), c1 = V_SET1(s[5]), c2 = V_SET1(s[6]), eps = V_SET1(s[7]);
+    for (ptrdiff_t j = 0; j < n; j += L) {
+        COLUMNS(n);
+        V gj = LD(g);
+        V mj = V_ADD(V_MUL(LD(m1), b1), V_MUL(a1, gj));
+        V vj = V_ADD(V_MUL(LD(m2), b2), V_MUL(a2, V_MUL(gj, gj)));
+        V step = V_DIV(V_MUL(lr, V_DIV(mj, c1)), V_ADD(V_SQRT(V_DIV(vj, c2)), eps));
+        ST(m1, mj);
+        ST(m2, vj);
+        ST(p, V_SUB(LD(p), step));
+    }
+}
+
 #undef COLUMNS
 #undef LD
 #undef ST
@@ -648,6 +682,7 @@ int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const floa
 #undef V_ADD
 #undef V_SUB
 #undef V_DIV
+#undef V_SQRT
 #undef V_MIN
 #undef V_MAX
 #undef V_GE0

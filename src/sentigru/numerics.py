@@ -76,6 +76,13 @@ and ``KERNEL == "einsum"``, the forward steps in numpy. A loop called from
 the kernel runs outside numpy's error handling: it raises no floating-point
 warning, and ``np.errstate`` does not apply to it.
 
+The fifth entry, :func:`adam_step`, runs one Adam update of a float32
+parameter array and its two moments in one pass with the GIL released. Its
+operations are ``*``, ``+``, ``-``, ``/`` and ``sqrt``, all correctly
+rounded, made in numpy's order on numpy's float32 scalars, so it has the
+numpy step's bits by construction; float64 and ``KERNEL == "einsum"`` step
+in numpy.
+
 NaNs: every output einsum makes NaN is NaN here too, and every other output
 has the same bits. A NaN output's sign and payload are einsum's as well,
 except where NaNs of different bits meet in one output's sum, such as an
@@ -109,7 +116,7 @@ _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _VARIANTS = ("avx512", "avx2", "sse3")     # widest first
 _F32 = np.dtype(np.float32)
-# {variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd)} this CPU runs
+# {variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd, sg_adam)} this CPU runs
 _kernels = {}
 
 
@@ -249,15 +256,16 @@ def _probes():
 
 
 def _bind(lib: ctypes.CDLL) -> dict:
-    """``{variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd)}`` of a loaded
-    kernel library, for each variant whose ``sg_runs_<variant>()`` is true on
-    this CPU, widest first."""
+    """``{variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd, sg_adam)}`` of a
+    loaded kernel library, for each variant whose ``sg_runs_<variant>()`` is
+    true on this CPU, widest first."""
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     kernels = {}
     for variant in _VARIANTS:
         if lib[f"sg_runs_{variant}"]():
-            rows, dot, back, fwd = (lib[f"sg_{entry}_{variant}"]
-                                    for entry in ("rows", "dot", "gru_back", "gru_fwd"))
+            rows, dot, back, fwd, adam = (
+                lib[f"sg_{entry}_{variant}"]
+                for entry in ("rows", "dot", "gru_back", "gru_fwd", "adam"))
             rows.argtypes, rows.restype = [ptr] * 3 + [size] * 8, None
             dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, c_int
             back.argtypes = [ptr, *[size] * 3, *[ptr] * 4, size, ptr, c_int, *[ptr] * 8,
@@ -265,7 +273,8 @@ def _bind(lib: ctypes.CDLL) -> dict:
             fwd.argtypes = [ptr, size, size, *[ptr] * 4, size, size, *[ptr] * 4, size,
                             *[ptr] * 5, *[size] * 4]
             back.restype = fwd.restype = c_int
-            kernels[variant] = rows, dot, back, fwd
+            adam.argtypes, adam.restype = [ptr] * 4 + [size, ptr], None
+            kernels[variant] = rows, dot, back, fwd, adam
     return kernels
 
 
@@ -440,6 +449,25 @@ def gru_forward(gx, cell, ht, states, caches, work) -> None:
         *UFUNC_LOOPS[0], *UFUNC_LOOPS[1], work.ctypes.data, work.size, B, T, ht.shape[-1])
     if status:
         raise ValueError(f"a workspace of {work.size} floats is too small")
+
+
+def adam_step(p, m, v, g, scalars) -> bool:
+    """One Adam update of parameter ``p`` and its moments ``m`` and ``v``
+    from gradient ``g``, in place, in one kernel call with the GIL released,
+    with the bits of ``trainer.Adam``'s numpy step (``matmul.c`` states the
+    order). ``scalars`` are the Python floats b1, 1 - b1, b2, 1 - b2, lr, c1,
+    c2 and eps, each rounded to float32 here as numpy rounds them against a
+    float32 array. Returns False, and touches nothing, where the step runs in
+    numpy instead: ``KERNEL == "einsum"``, or arrays that are not all float32,
+    C-contiguous, aligned, writeable and of ``p``'s shape."""
+    if KERNEL == "einsum" or not all(
+            a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
+            and a.flags.writeable and a.shape == p.shape for a in (p, m, v, g)):
+        return False
+    s = np.array(scalars, _F32)
+    _kernels[KERNEL][4](p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,
+                        p.size, s.ctypes.data)
+    return True
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .layers import softmax_cross_entropy
+from .numerics import adam_step
 
 
 class TrainingError(RuntimeError):
@@ -60,7 +61,7 @@ class EpochRecord:
     seconds: float
 
     def __post_init__(self):
-        if self.train_loss < 0 or self.val_loss < 0:
+        if not (self.train_loss >= 0 and self.val_loss >= 0):     # NaN too
             raise ValueError("losses must be non-negative")
         if not (0 <= self.train_acc <= 1 and 0 <= self.val_acc <= 1):
             raise ValueError("accuracies must lie in [0, 1]")
@@ -90,7 +91,9 @@ class Adam:
     def step(self, triples) -> None:
         """One update, in place, on model.trainable() (name, param, grad) triples.
 
-        A non-finite gradient raises before any parameter moves.
+        A non-finite gradient raises before any parameter moves. A float32
+        array steps in one compiled pass with this loop's bits
+        (:func:`~sentigru.numerics.adam_step`); the loop below is the reference.
         """
         for name, _, g in triples:
             if not np.all(np.isfinite(g)):
@@ -99,11 +102,14 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        scalars = (b1, 1.0 - b1, b2, 1.0 - b2, self.learning_rate, c1, c2, self.epsilon)
         for name, p, g in triples:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
+            if adam_step(p, m, v, g, scalars):
+                continue
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -209,6 +215,9 @@ def fit(model, corpus: corpus_mod.LabeledCorpus, config: TrainConfig,
         train_loss, train_acc = train_epoch(
             model, train_ids, train_y, optimizer, rng, config.batch_size)
         val_loss, val_acc = evaluate(model, val_ids, val_y, config.batch_size)
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss {val_loss!r} "
+                                f"after epoch {epoch}")
         history.append(EpochRecord(
             epoch, train_loss, train_acc, val_loss, val_acc,
             time.perf_counter() - t0))

@@ -119,6 +119,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["1e30", "1e39"])
+    def test_a_rate_that_blows_up_the_parameters_is_one_line(
+            self, tmp_path, capsys, lr):
+        """60 rows, one step: the parameters become non-finite and so does
+        the validation loss. One line, exit 2, and no model or history."""
+        data = tmp_path / "d.csv"
+        write_csv(keyword_corpus(per_class=10, seed=2), data)
+        out, hist = tmp_path / "m.bin", tmp_path / "h.json"
+        code = main(["train", "--data", str(data), "--out", str(out), "--history",
+                     str(hist), "--lr", lr, "--epochs", "1", *SMALL_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: non-finite validation loss nan after epoch 1\n"
+        assert not out.exists() and not hist.exists()
+
     @pytest.mark.parametrize("flag, target, message", [
         ("--out", "dir", "--out '{}' is a directory"),
         ("--out", "absent/m.bin", "--out '{}': its directory does not exist"),

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_bits
-from sentigru import layers, numerics
+from sentigru import layers, numerics, trainer
 from sentigru.layers import GruCell, GruSequence, softmax_cross_entropy
 from sentigru.model import ModelConfig, build_model
 from sentigru.trainer import Adam
@@ -65,8 +65,9 @@ def sampler(dtype, seed, specials):
     """Draws standard normals with about 5% replaced by the chosen specials:
     "inf" (signed zeros, subnormals, infinities and values that overflow),
     "nan" (signed zeros, subnormals and one NaN of random bits: the only NaN
-    bits the product can hold), "mixed" (all of these, two NaNs) or "finite"
-    (signed zeros and subnormals only)."""
+    bits the product can hold), "mixed" (all of these, two NaNs), "finite"
+    (signed zeros and subnormals only) or "big" (those and the finite values
+    that overflow)."""
     rng = np.random.default_rng(seed)
     info = np.finfo(dtype)
     uint = np.uint32 if dtype == np.float32 else np.uint64
@@ -80,7 +81,7 @@ def sampler(dtype, seed, specials):
     inf = [np.inf, -np.inf, info.max / 2, -info.max / 2]
     pool = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal * 3]
     pool += {"inf": inf, "nan": [a_nan()], "mixed": inf + [a_nan(), a_nan()],
-             "finite": []}[specials]
+             "finite": [], "big": inf[2:]}[specials]
     pool = np.array(pool, dtype)
 
     def sample(*shape):
@@ -355,6 +356,81 @@ def test_gru_forward_stays_in_numpy_for_float64_and_einsum(dtype, kernel, split)
     with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
         calls, _ = gru_forwards(kernel, 12, 5, 3, 4, 2, split, True, 0, "inf", dtype)
     assert calls == 0
+
+
+def adam_inputs(n, seed, dtype=np.float32, strided=False):
+    """A parameter, its two moments and its gradient, n values each, for
+    :func:`adam_steps`: the parameter holds signed zeros, subnormals and a
+    NaN; the first moment and the gradient finite values up to half the
+    largest, whose square overflows; the second moment infinities. The
+    gradient is a view of every second value where ``strided``."""
+    p = sampler(dtype, seed, "nan")(n)
+    m = sampler(dtype, seed + 1, "big")(n)
+    v = np.abs(sampler(dtype, seed + 2, "inf")(n))
+    g = sampler(dtype, seed + 3, "big")(n, 2 if strided else 1)[:, 0]
+    return p, m, v, g
+
+
+def adam_steps(kernel, inputs, t, lr):
+    """One Adam step of rate ``lr`` as step ``t`` on copies of ``inputs``,
+    with ``numerics.KERNEL`` set to ``kernel``: the number of compiled
+    calls, and the parameter and both moments after it."""
+    p, m, v = (a.copy() for a in inputs[:3])
+    g = inputs[3]
+    opt = Adam(lr)
+    opt.t, opt.m["w"], opt.v["w"] = t - 1, m, v
+    calls, step = [], trainer.adam_step
+
+    def counted(*args):
+        calls.append(step(*args))
+        return calls[-1]
+
+    with mock.patch.object(numerics, "KERNEL", kernel), \
+            mock.patch.object(trainer, "adam_step", counted):
+        opt.step([("w", p, g)])
+    assert opt.t == t
+    return sum(calls), [p, m, v]
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+@settings(deadline=None, max_examples=30)
+@given(n=st.sampled_from([*range(1, 41), *range(2_500_000, 2_500_016)]),
+       t=st.sampled_from([1, 2, 7, 10_000]), lr=st.sampled_from([0.0, 1e-3, 0.5, 1e-46, 1e39]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2_500_000, t=1, lr=1e-3, seed=0)           # the paper's embedding
+@example(n=2_500_015, t=10_000, lr=1e39, seed=1)      # every variant's longest tail
+@example(n=33, t=2, lr=0.0, seed=2)
+def test_adam_has_the_numpy_steps_bits(n, t, lr, seed):
+    """The compiled Adam step of every variant against the numpy step: the
+    parameter and both moments, byte for byte where no NaN meets another."""
+    inputs = adam_inputs(n, seed)
+    calls, want = adam_steps("einsum", inputs, t, lr)
+    assert calls == 0
+    for variant in numerics.variants():
+        calls, got = adam_steps(variant, inputs, t, lr)
+        assert calls == 1
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype, kernel, strided", [(np.float64, numerics.KERNEL, False),
+                                                    (np.float32, "einsum", False),
+                                                    (np.float32, numerics.KERNEL, True)])
+def test_adam_stays_in_numpy_for_float64_einsum_and_a_strided_gradient(dtype, kernel,
+                                                                       strided):
+    with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
+        calls, _ = adam_steps(kernel, adam_inputs(9, 0, dtype, strided), 2, 1e-3)
+    assert calls == 0
+
+
+def test_adam_writes_no_read_only_parameter():
+    """The numpy step refuses a read-only parameter; the compiled one must
+    not write it either."""
+    p, _, _, g = adam_inputs(9, 0)
+    p.setflags(write=False)
+    before = p.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        Adam().step([("w", p, g)])
+    assert p.tobytes() == before
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -649,6 +725,32 @@ def test_sanitized_gru_forward_has_numpy_bits(sanitized):
     cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
     runs = run_sanitized(SANITIZED_GRU_CHILD, sanitized, "gru_forwards", "2")
     assert runs == cases * len(numerics.variants())
+
+
+# run with the library: sizes 1 to 33 reach every variant's masked tail
+SANITIZED_ADAM_CHILD = """
+import ctypes, sys
+from sentigru import numerics
+from test_kernel import adam_inputs, adam_steps, assert_same_bits
+
+numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
+runs = 0
+for n in range(1, 34):
+    inputs = adam_inputs(n, n)
+    want = adam_steps("einsum", inputs, 7, 0.5)[1]
+    for variant in numerics.variants():
+        calls, got = adam_steps(variant, inputs, 7, 0.5)
+        assert calls == 1, (variant, n)
+        assert_same_bits(got, want)
+        runs += 1
+print(" ".join(numerics.variants()), runs)
+"""
+
+
+def test_sanitized_adam_has_numpy_bits(sanitized):
+    """The compiled Adam step of every variant under the same sanitizers, over
+    sizes 1 to 33, against the numpy step."""
+    assert run_sanitized(SANITIZED_ADAM_CHILD, sanitized) == 33 * len(numerics.variants())
 
 
 def two_step_hash(B):

@@ -68,6 +68,7 @@ class TestEpochRecord:
     @pytest.mark.parametrize("bad", [
         {"train_loss": -0.1}, {"val_loss": -1.0},
         {"train_acc": 1.5}, {"val_acc": -0.2},
+        {"train_loss": float("nan")}, {"val_loss": float("nan")},
     ])
     def test_rejects_bad_values(self, bad):
         base = dict(epoch=1, train_loss=1.0, train_acc=0.5,
@@ -77,45 +78,67 @@ class TestEpochRecord:
 
 
 class TestAdamStep:
+    """The numpy step on float64; TestAdamStepFloat32 runs every case on
+    float32, where the step is one compiled pass wherever the kernel builds
+    (tests/test_kernel.py counts those passes)."""
+    dtype = np.float64
+    oracle_tolerance = 1e-12
+
+    def array(self, values):
+        return np.array(values, self.dtype)
+
     def test_matches_scalar_oracle_over_ten_steps(self):
         rng = np.random.default_rng(7)
-        grads_seq = rng.standard_normal((10, 4))
-        initial = rng.standard_normal(4)
+        grads_seq = rng.standard_normal((10, 4)).astype(self.dtype)
+        initial = rng.standard_normal(4).astype(self.dtype)
         params = {"w": initial.copy()}
         opt = Adam(learning_rate=0.05)
         for g in grads_seq:
             opt.step([("w", params["w"], g.copy())])
         for j in range(4):
             want = scalar_adam(initial[j], grads_seq[:, j], lr=0.05)
-            assert abs(params["w"][j] - want) <= 1e-12
+            assert abs(params["w"][j] - want) <= self.oracle_tolerance
 
     def test_first_step_moves_by_signed_rate(self):
-        params = {"w": np.zeros(3)}
-        g = np.array([4.0, -2.0, 0.5])
+        params = {"w": np.zeros(3, self.dtype)}
+        g = self.array([4.0, -2.0, 0.5])
         Adam().step([("w", params["w"], g.copy())])
         # with bias correction the first update is lr * g / (|g| + eps)
         assert params["w"] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
     def test_zero_gradient_leaves_parameter_untouched(self):
-        w = np.array([1.0, -2.0, 3.0])
+        w = self.array([1.0, -2.0, 3.0])
         params = {"w": w.copy()}
-        Adam().step([("w", params["w"], np.zeros(3))])
+        Adam().step([("w", params["w"], np.zeros(3, self.dtype))])
         assert np.array_equal(params["w"], w)
 
     def test_non_finite_gradient_names_the_parameter(self):
-        params = {"w": np.ones(2), "dense.b": np.ones(2)}
-        grads = {"w": np.ones(2), "dense.b": np.array([1.0, np.nan])}
+        names = ("w", "gru.U", "dense.b")
+        params = {k: self.array([1.0, 2.0]) for k in names}
+        opt = Adam()
+        opt.step([(k, params[k], self.array([1.0, -1.0])) for k in names])
+        state = [(k, a.tobytes()) for store in (params, opt.m, opt.v)
+                 for k, a in store.items()]
+        grads = {k: self.array([1.0, 1.0]) for k in names}
+        grads["dense.b"][1] = np.nan                # the last triple
         with pytest.raises(TrainingError, match="dense.b"):
-            Adam().step([(k, params[k], grads[k]) for k in params])
-        # the failure must abort before any parameter moves
-        assert np.array_equal(params["w"], np.ones(2))
+            opt.step([(k, params[k], grads[k]) for k in names])
+        # the failure must abort before any parameter or moment moves
+        assert [(k, a.tobytes()) for store in (params, opt.m, opt.v)
+                for k, a in store.items()] == state
+        assert opt.t == 1
 
     def test_step_counter_advances(self):
         opt = Adam()
-        params = {"w": np.zeros(1)}
+        params = {"w": np.zeros(1, self.dtype)}
         for expected in (1, 2, 3):
-            opt.step([("w", params["w"], np.ones(1))])
+            opt.step([("w", params["w"], np.ones(1, self.dtype))])
             assert opt.t == expected
+
+
+class TestAdamStepFloat32(TestAdamStep):
+    dtype = np.float32
+    oracle_tolerance = 1e-5
 
 
 class TestTrainEpoch:
@@ -229,6 +252,17 @@ class TestFit:
         loss, acc = evaluate(model, val_ids, val_y, tc.batch_size)
         assert history[-1].val_loss == loss
         assert history[-1].val_acc == acc
+
+    @pytest.mark.parametrize("lr", [1e30, 1e39])
+    def test_a_rate_that_blows_up_the_parameters_raises(self, lr):
+        """A finite rate whose one step makes the parameters non-finite (1e39
+        rounds to an infinite float32) leaves a NaN validation loss: that
+        raises, as a NaN train loss does, and returns no history."""
+        corpus, vocab = small_fit_setup()
+        model = build_model(dataclasses.replace(SMALL, vocab_size=vocab.size), seed=0)
+        with pytest.raises(TrainingError, match="non-finite validation loss nan "
+                                                "after epoch 1"):
+            fit(model, corpus, TrainConfig(epochs=1, learning_rate=lr), vocab)
 
     def test_empty_validation_split_raises(self):
         corpus = LabeledCorpus(records=(LabeledRecord("a b", 0),
