@@ -80,8 +80,8 @@ The fifth entry, :func:`adam_step`, runs one Adam update of a float32
 parameter array and its two moments in one pass with the GIL released. Its
 operations are ``*``, ``+``, ``-``, ``/`` and ``sqrt``, all correctly
 rounded, made in numpy's order on numpy's float32 scalars, so it has the
-numpy step's bits by construction; float64 and ``KERNEL == "einsum"`` step
-in numpy.
+numpy step's bits by construction; float64, ``KERNEL == "einsum"`` and a
+rate numpy does not treat as a weak Python scalar step in numpy.
 
 NaNs: every output einsum makes NaN is NaN here too, and every other output
 has the same bits. A NaN output's sign and payload are einsum's as well,
@@ -455,14 +455,17 @@ def adam_step(p, m, v, g, scalars) -> bool:
     """One Adam update of parameter ``p`` and its moments ``m`` and ``v``
     from gradient ``g``, in place, in one kernel call with the GIL released,
     with the bits of ``trainer.Adam``'s numpy step (``matmul.c`` states the
-    order). ``scalars`` are the Python floats b1, 1 - b1, b2, 1 - b2, lr, c1,
-    c2 and eps, each rounded to float32 here as numpy rounds them against a
+    order). ``scalars`` are b1, 1 - b1, b2, 1 - b2, lr, c1, c2 and eps, each
+    rounded to float32 here as numpy rounds a Python float or int against a
     float32 array. Returns False, and touches nothing, where the step runs in
-    numpy instead: ``KERNEL == "einsum"``, or arrays that are not all float32,
-    C-contiguous, aligned, writeable and of ``p``'s shape."""
-    if KERNEL == "einsum" or not all(
-            a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
-            and a.flags.writeable and a.shape == p.shape for a in (p, m, v, g)):
+    numpy instead: ``KERNEL == "einsum"``; a scalar that is not exactly a
+    Python float or int (``np.float64`` subclasses float but is not weakly
+    typed, so numpy would make the step in float64); or arrays that are not
+    all float32, C-contiguous, aligned, writeable and of ``p``'s shape."""
+    if KERNEL == "einsum" or not all(type(x) in (float, int) for x in scalars) \
+            or not all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
+                       and a.flags.writeable and a.shape == p.shape
+                       for a in (p, m, v, g)):
         return False
     s = np.array(scalars, _F32)
     _kernels[KERNEL][4](p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,

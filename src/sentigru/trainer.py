@@ -61,7 +61,7 @@ class EpochRecord:
     seconds: float
 
     def __post_init__(self):
-        if not (self.train_loss >= 0 and self.val_loss >= 0):     # NaN too
+        if self.train_loss < 0 or self.val_loss < 0:
             raise ValueError("losses must be non-negative")
         if not (0 <= self.train_acc <= 1 and 0 <= self.val_acc <= 1):
             raise ValueError("accuracies must lie in [0, 1]")

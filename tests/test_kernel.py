@@ -412,14 +412,19 @@ def test_adam_has_the_numpy_steps_bits(n, t, lr, seed):
         assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("dtype, kernel, strided", [(np.float64, numerics.KERNEL, False),
-                                                    (np.float32, "einsum", False),
-                                                    (np.float32, numerics.KERNEL, True)])
+@pytest.mark.parametrize("dtype, kernel, strided, lr", [
+    (np.float64, numerics.KERNEL, False, 1e-3),
+    (np.float32, "einsum", False, 1e-3),
+    (np.float32, numerics.KERNEL, True, 1e-3),
+    (np.float32, numerics.KERNEL, False, np.float64(1e-3)),   # strongly typed: float64 step
+])
 def test_adam_stays_in_numpy_for_float64_einsum_and_a_strided_gradient(dtype, kernel,
-                                                                       strided):
+                                                                       strided, lr):
+    inputs = adam_inputs(9, 0, dtype, strided)
     with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
-        calls, _ = adam_steps(kernel, adam_inputs(9, 0, dtype, strided), 2, 1e-3)
+        calls, got = adam_steps(kernel, inputs, 2, lr)
     assert calls == 0
+    assert_same_bits(got, adam_steps("einsum", inputs, 2, lr)[1])
 
 
 def test_adam_writes_no_read_only_parameter():
