@@ -5,7 +5,9 @@ Subcommands: stats, preprocess, train, evaluate, predict, summary; each takes
 resolve as defaults, then --config (the "paper" preset or a key=value file),
 then explicit flags. Config files share one key space: an unknown key or a
 bad value is a usage error, and a key the subcommand does not read is dropped.
-Exit codes: 0 success, 1 usage error, 2 data or model error.
+Exit codes: 0 success, 1 usage error, 2 data or model error. A failure is
+one `error:` line on stderr: numpy's floating-point warnings are off, so a
+run whose values overflow says so only in that line.
 """
 
 import argparse
@@ -14,6 +16,8 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics, serialize, trainer, wordstats
@@ -376,7 +380,8 @@ def main(argv=None) -> int:
         if not args.command:
             raise UsageError(parser.format_usage())
         func, _, keys = _COMMANDS[args.command]
-        return func(_settings(args, keys))
+        with np.errstate(all="ignore"):
+            return func(_settings(args, keys))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

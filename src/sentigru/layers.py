@@ -44,13 +44,15 @@ only thread the package starts, and none outlives the call that started it;
 it makes the same float operations, so no bit depends on the batch choosing it.
 """
 
+import contextvars
 import threading
 from functools import partial
 
 import numpy as np
 
-from .numerics import (gru_backward, gru_forward, gru_forward_workspace, gru_workspace,
-                       matmul, sigmoid)
+from .numerics import (batch_norm_apply, batch_norm_backward, batch_norm_stats,
+                       gru_backward, gru_forward, gru_forward_workspace, gru_workspace,
+                       matmul, scatter_add, sigmoid)
 
 
 def uniform(rng, limit, shape, dtype) -> np.ndarray:
@@ -139,8 +141,9 @@ class Embedding(Layer):
     def backward(self, grad: np.ndarray) -> None:
         (ids,) = self._take()
         # scatter-add: rows referenced several times accumulate
-        np.add.at(self.d_weight, ids.reshape(-1),
-                  grad.reshape(-1, self.embed_dim))
+        ids, rows = ids.reshape(-1), grad.reshape(-1, self.embed_dim)
+        if not scatter_add(self.d_weight, ids, rows):
+            np.add.at(self.d_weight, ids, rows)
         return None
 
     def params(self):
@@ -512,15 +515,16 @@ def _run_each(calls):
     """Call the first of ``calls`` on this thread and the second, if any, on
     a thread started for this call and joined before it returns; returns
     their results in order. An exception from either propagates once both
-    are done."""
+    are done. The thread runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds on both."""
     if len(calls) == 1:
         return [calls[0]()]
     here, there = calls
-    second, error = [], []
+    second, error, context = [], [], contextvars.copy_context()
 
     def work():
         try:
-            second.append(there())
+            second.append(context.run(there))
         except BaseException as exc:
             error.append(exc)
 
@@ -545,7 +549,14 @@ class BidirectionalGru(GruSequence):
 
 
 class BatchNorm(Layer):
-    """Per-channel normalization over all leading dims of (..., C) input."""
+    """Per-channel normalization over all leading dims of (..., C) input.
+
+    A train forward keeps its input, mean and ``inv_std``; backward makes
+    ``xc`` and ``xn`` again with the forward's operations, so the same bits.
+    On the kernel a float32 layer's (N, C) passes are compiled (see
+    ``numerics.batch_norm_stats``, ``batch_norm_apply`` and
+    ``batch_norm_backward``) with the bits of the numpy expressions here,
+    which stay the reference."""
 
     momentum = 0.9              # weight of the old moving statistics
     epsilon = 1e-5              # added to the variance before its root
@@ -567,8 +578,8 @@ class BatchNorm(Layer):
         if mode == "train":
             if flat.shape[0] < 2:
                 raise ValueError("batch norm needs at least 2 samples in train mode")
-            mean = flat.mean(axis=0)
-            var = flat.var(axis=0)       # biased
+            stats = batch_norm_stats(flat)
+            mean, var = stats or (flat.mean(axis=0), flat.var(axis=0))    # biased
             self.moving_mean *= self.momentum
             self.moving_mean += (1.0 - self.momentum) * mean
             self.moving_var *= self.momentum
@@ -576,23 +587,29 @@ class BatchNorm(Layer):
         else:
             mean = self.moving_mean
             var = self.moving_var
-        xc = flat - mean
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xn = xc * inv_std
-        self._keep(mode, xc, inv_std, xn)
-        return (self.gamma * xn + self.beta).reshape(shape)
+        self._keep(mode, flat, mean, inv_std)
+        out = batch_norm_apply(flat, mean, inv_std, self.gamma, self.beta)
+        if out is None:
+            out = self.gamma * ((flat - mean) * inv_std) + self.beta
+        return out.reshape(shape)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xc, inv_std, xn = self._take()
+        flat, mean, inv_std = self._take()
         shape = grad.shape
         d = grad.reshape(-1, self.channels)
-        n = d.shape[0]
-        self.d_gamma += (d * xn).sum(axis=0)
-        self.d_beta += d.sum(axis=0)
-        dxn = d * self.gamma
-        dvar = (dxn * xc * -0.5 * inv_std ** 3).sum(axis=0)
-        dmean = (-dxn * inv_std).sum(axis=0) + dvar * (-2.0 * xc).mean(axis=0)
-        dx = dxn * inv_std + dvar * 2.0 * xc / n + dmean / n
+        dx = batch_norm_backward(d, flat, mean, inv_std, self.gamma, self.d_gamma,
+                                 self.d_beta)
+        if dx is None:
+            n = d.shape[0]
+            xc = flat - mean
+            xn = xc * inv_std
+            self.d_gamma += (d * xn).sum(axis=0)
+            self.d_beta += d.sum(axis=0)
+            dxn = d * self.gamma
+            dvar = (dxn * xc * -0.5 * inv_std ** 3).sum(axis=0)
+            dmean = (-dxn * inv_std).sum(axis=0) + dvar * (-2.0 * xc).mean(axis=0)
+            dx = dxn * inv_std + dvar * 2.0 * xc / n + dmean / n
         return dx.reshape(shape)
 
     def params(self):

@@ -64,6 +64,20 @@
  *   before its add, as numpy rounds it; a fused multiply-add would round
  *   once. It allocates nothing; ctypes releases the GIL for the call.
  *
+ * sg_bn_sums, sg_bn_out, sg_bn_back and sg_bn_dx: the (N, C) passes of
+ *   sentigru.layers.BatchNorm's forward and backward with numpy's bits, over
+ *   C-contiguous rows of C >= 2 channels. Each column sum starts at +0.0 and
+ *   adds the rows in order, which is float32 sum(axis=0) for C >= 2 (one
+ *   column numpy sums pairwise). Each elementwise operation is numpy's, in
+ *   numpy's order, with its Python constants rounded to float32, and -x is a
+ *   sign flip, as numpy negates. numerics makes the per-channel (C,) math
+ *   between the passes in numpy: the divisions by N, the moving statistics,
+ *   1 / sqrt(var + eps) and inv_std ** 3.
+ *
+ * sg_embed_back: np.add.at(dW, ids, g) for rows of E floats, as numpy makes
+ *   it: dW[ids[i]] = dW[ids[i]] + g[i] for i in order. It writes nothing when
+ *   an id lies outside the table.
+ *
  * The file includes itself once per variant with SG_BODY defined; that part
  * holds the kernels and exports each entry as <entry>_<variant> (sg_rows_avx512,
  * ..., sg_adam_sse3). sg_runs_<variant>() says whether this CPU runs a
@@ -129,6 +143,7 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_SUB _mm_sub_ps
 #define V_DIV _mm_div_ps
 #define V_SQRT _mm_sqrt_ps
+#define V_NEG(v) _mm_xor_ps(v, _mm_set1_ps(-0.0f))
 #define V_MIN _mm_min_ps
 #define V_MAX _mm_max_ps
 #define V_GE0(s, one) _mm_and_ps(_mm_cmpge_ps(s, _mm_setzero_ps()), one)
@@ -159,6 +174,7 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_SUB _mm256_sub_ps
 #define V_DIV _mm256_div_ps
 #define V_SQRT _mm256_sqrt_ps
+#define V_NEG(v) _mm256_xor_ps(v, _mm256_set1_ps(-0.0f))
 #define V_MIN _mm256_min_ps
 #define V_MAX _mm256_max_ps
 #define V_GE0(s, one) _mm256_and_ps(_mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GE_OQ), one)
@@ -188,6 +204,8 @@ static void sg_apply(sg_loop f, void *data, const float *in, float *out, ptrdiff
 #define V_SUB _mm512_sub_ps
 #define V_DIV _mm512_div_ps
 #define V_SQRT _mm512_sqrt_ps
+#define V_NEG(v) _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), \
+        _mm512_set1_epi32((int)0x80000000)))
 #define V_MIN _mm512_min_ps
 #define V_MAX _mm512_max_ps
 #define V_GE0(s, one) _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(s, _mm512_setzero_ps(), \
@@ -659,6 +677,95 @@ void FN(sg_adam)(float *p, float *m1, float *m2, const float *g, ptrdiff_t n,
     }
 }
 
+/* BatchNorm's column sums over the n rows of x (n, c) into s (c): of x, or
+ * with mean (c) not NULL of the squares (x - mean)^2, as numpy's var. */
+void FN(sg_bn_sums)(const float *x, const float *mean, ptrdiff_t n, ptrdiff_t c, float *s)
+{
+    memset(s, 0, (size_t)c * sizeof *s);
+    for (ptrdiff_t i = 0; i < n * c; i += c)
+        for (ptrdiff_t j = 0; j < c; j += L) {
+            COLUMNS(c);
+            V v = LD(x + i);
+            if (mean) {
+                v = V_SUB(v, LD(mean));
+                v = V_MUL(v, v);
+            }
+            ST(s, V_ADD(LD(s), v));
+        }
+}
+
+/* BatchNorm's output gamma ((x - mean) inv) + beta over (n, c) rows of x into
+ * out, from mean, inv (1 / sqrt(var + eps)), gamma and beta (c). */
+void FN(sg_bn_out)(const float *x, const float *mean, const float *inv, const float *gamma,
+                   const float *beta, ptrdiff_t n, ptrdiff_t c, float *out)
+{
+    for (ptrdiff_t i = 0; i < n * c; i += c)
+        for (ptrdiff_t j = 0; j < c; j += L) {
+            COLUMNS(c);
+            V xn = V_MUL(V_SUB(LD(x + i), LD(mean)), LD(inv));
+            ST(out + i, V_ADD(V_MUL(LD(gamma), xn), LD(beta)));
+        }
+}
+
+/* BatchNorm's backward column sums over the (n, c) rows of the output
+ * gradient d and the input x, into s (5c). With xc = x - mean, xn = xc inv
+ * and dxn = d gamma they are the sums of d xn, of d, of ((dxn xc) -0.5) k3
+ * (k3 = inv ** 3), of (-dxn) inv and of -2 xc. */
+void FN(sg_bn_back)(const float *d, const float *x, const float *mean, const float *inv,
+                    const float *gamma, const float *k3, ptrdiff_t n, ptrdiff_t c, float *s)
+{
+    const V half = V_SET1(-0.5f), two = V_SET1(-2.0f);
+    memset(s, 0, (size_t)(5 * c) * sizeof *s);
+    for (ptrdiff_t i = 0; i < n * c; i += c)
+        for (ptrdiff_t j = 0; j < c; j += L) {
+            COLUMNS(c);
+            V dv = LD(d + i), xc = V_SUB(LD(x + i), LD(mean)), iv = LD(inv);
+            V dxn = V_MUL(dv, LD(gamma));
+            ST(s, V_ADD(LD(s), V_MUL(dv, V_MUL(xc, iv))));
+            ST(s + c, V_ADD(LD(s + c), dv));
+            ST(s + 2 * c, V_ADD(LD(s + 2 * c), V_MUL(V_MUL(V_MUL(dxn, xc), half), LD(k3))));
+            ST(s + 3 * c, V_ADD(LD(s + 3 * c), V_MUL(V_NEG(dxn), iv)));
+            ST(s + 4 * c, V_ADD(LD(s + 4 * c), V_MUL(two, xc)));
+        }
+}
+
+/* BatchNorm's input gradient dx = ((d gamma) inv + (a xc) / nf) + b over the
+ * (n, c) rows of d and x, with xc = x - mean and a, b (c) from numpy: a =
+ * dvar 2 and b = dmean / n; nf is n as a float. */
+void FN(sg_bn_dx)(const float *d, const float *x, const float *mean, const float *inv,
+                  const float *gamma, const float *a, const float *b, float nf, ptrdiff_t n,
+                  ptrdiff_t c, float *dx)
+{
+    const V nv = V_SET1(nf);
+    for (ptrdiff_t i = 0; i < n * c; i += c)
+        for (ptrdiff_t j = 0; j < c; j += L) {
+            COLUMNS(c);
+            V xc = V_SUB(LD(x + i), LD(mean));
+            V t = V_ADD(V_MUL(V_MUL(LD(d + i), LD(gamma)), LD(inv)),
+                        V_DIV(V_MUL(LD(a), xc), nv));
+            ST(dx + i, V_ADD(t, LD(b)));
+        }
+}
+
+/* np.add.at(dw, ids, g) over n ids and rows of e floats: dw[ids[i]] =
+ * dw[ids[i]] + g[i] in order. Returns 0, or -1 and writes nothing when an id
+ * lies outside [0, v). */
+int FN(sg_embed_back)(float *dw, const ptrdiff_t *ids, const float *g, ptrdiff_t n,
+                      ptrdiff_t e, ptrdiff_t v)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (ids[i] < 0 || ids[i] >= v)
+            return -1;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        float *row = dw + ids[i] * e;
+        for (ptrdiff_t j = 0; j < e; j += L) {
+            COLUMNS(e);
+            ST(row, V_ADD(LD(row), LD(g + i * e)));
+        }
+    }
+    return 0;
+}
+
 #undef COLUMNS
 #undef LD
 #undef ST
@@ -683,6 +790,7 @@ void FN(sg_adam)(float *p, float *m1, float *m2, const float *g, ptrdiff_t n,
 #undef V_SUB
 #undef V_DIV
 #undef V_SQRT
+#undef V_NEG
 #undef V_MIN
 #undef V_MAX
 #undef V_GE0

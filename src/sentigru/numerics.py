@@ -83,6 +83,17 @@ rounded, made in numpy's order on numpy's float32 scalars, so it has the
 numpy step's bits by construction; float64, ``KERNEL == "einsum"`` and a
 rate numpy does not treat as a weak Python scalar step in numpy.
 
+The BatchNorm entries (:func:`batch_norm_stats`, :func:`batch_norm_apply`,
+:func:`batch_norm_backward`) make a float32 layer's (N, C) passes, and
+:func:`scatter_add` the embedding's ``np.add.at``, each in one call per pass
+with the GIL released. Their column sums start at +0.0 and add the rows in
+order, which is numpy's ``sum(axis=0)`` for C >= 2, and their elementwise
+operations are numpy's in numpy's order; the (C,) math between the passes,
+the divisions by N included, stays in numpy. So they too have numpy's bits
+by construction; float64, ``KERNEL == "einsum"``, one channel and arrays the
+kernel cannot read stay in numpy. Like the loops above, they raise no numpy
+floating-point warning.
+
 NaNs: every output einsum makes NaN is NaN here too, and every other output
 has the same bits. A NaN output's sign and payload are einsum's as well,
 except where NaNs of different bits meet in one output's sum, such as an
@@ -116,7 +127,7 @@ _SOURCE = Path(__file__).with_name("matmul.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _VARIANTS = ("avx512", "avx2", "sse3")     # widest first
 _F32 = np.dtype(np.float32)
-# {variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd, sg_adam)} this CPU runs
+# {variant: {entry: function}} of the variants this CPU runs (see _bind)
 _kernels = {}
 
 
@@ -159,10 +170,10 @@ def _product(a, b, variant, kernels):
     m, k = a.shape[-2:]
     if b.flags.c_contiguous:
         D, a_sd = (a.shape[0], a.strides[0] // 4) if a.ndim == 3 else (1, 0)
-        kernels[variant][0](a.ctypes.data, b.ctypes.data, out.ctypes.data, D, m, k, n,
+        kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, D, m, k, n,
                             a_sd, a.strides[-2] // 4, a.strides[-1] // 4, k * n)
     elif a.ndim == 2 and a.flags.c_contiguous and b.T.flags.c_contiguous:
-        if kernels[variant][1](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
+        if kernels[variant]["dot"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
             raise RuntimeError(f"no memory for the {variant} kernel's packing buffer")
     else:
         return None
@@ -255,26 +266,36 @@ def _probes():
         yield sample(2, 10, 19), sample(2, 19, 35)
 
 
+_ptr, _size, _int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+# each entry's ctypes argument and result types
+_ENTRIES = {
+    "rows": ([_ptr] * 3 + [_size] * 8, None),
+    "dot": ([_ptr] * 3 + [_size] * 3, _int),
+    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 4, _size, _ptr, _int, *[_ptr] * 8,
+                  *[_size] * 5], _int),
+    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 4, _size,
+                 *[_ptr] * 5, *[_size] * 4], _int),
+    "adam": ([_ptr] * 4 + [_size, _ptr], None),
+    "bn_sums": ([_ptr, _ptr, _size, _size, _ptr], None),
+    "bn_out": ([_ptr] * 5 + [_size] * 2 + [_ptr], None),
+    "bn_back": ([_ptr] * 6 + [_size] * 2 + [_ptr], None),
+    "bn_dx": ([_ptr] * 7 + [ctypes.c_float] + [_size] * 2 + [_ptr], None),
+    "embed_back": ([_ptr] * 3 + [_size] * 3, _int),
+}
+
+
 def _bind(lib: ctypes.CDLL) -> dict:
-    """``{variant: (sg_rows, sg_dot, sg_gru_back, sg_gru_fwd, sg_adam)}`` of a
-    loaded kernel library, for each variant whose ``sg_runs_<variant>()`` is
-    true on this CPU, widest first."""
-    ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+    """``{variant: {entry: function}}`` of a loaded kernel library, every entry
+    of ``_ENTRIES`` for each variant whose ``sg_runs_<variant>()`` is true on
+    this CPU, widest first."""
     kernels = {}
     for variant in _VARIANTS:
         if lib[f"sg_runs_{variant}"]():
-            rows, dot, back, fwd, adam = (
-                lib[f"sg_{entry}_{variant}"]
-                for entry in ("rows", "dot", "gru_back", "gru_fwd", "adam"))
-            rows.argtypes, rows.restype = [ptr] * 3 + [size] * 8, None
-            dot.argtypes, dot.restype = [ptr] * 3 + [size] * 3, c_int
-            back.argtypes = [ptr, *[size] * 3, *[ptr] * 4, size, ptr, c_int, *[ptr] * 8,
-                             *[size] * 5]
-            fwd.argtypes = [ptr, size, size, *[ptr] * 4, size, size, *[ptr] * 4, size,
-                            *[ptr] * 5, *[size] * 4]
-            back.restype = fwd.restype = c_int
-            adam.argtypes, adam.restype = [ptr] * 4 + [size, ptr], None
-            kernels[variant] = rows, dot, back, fwd, adam
+            kernels[variant] = {}
+            for entry, (argtypes, restype) in _ENTRIES.items():
+                function = lib[f"sg_{entry}_{variant}"]
+                function.argtypes, function.restype = argtypes, restype
+                kernels[variant][entry] = function
     return kernels
 
 
@@ -373,6 +394,11 @@ def _ufunc_loops():
 UFUNC_LOOPS = None if KERNEL == "einsum" else _ufunc_loops()
 
 
+def _readable(*arrays) -> bool:
+    """Whether the kernel can read each array: float32, C-contiguous, aligned."""
+    return all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned for a in arrays)
+
+
 def gru_workspace(x: np.ndarray, cells):
     """Scratch for :func:`gru_backward` of GRU ``cells`` over ``x`` or its
     time-reversed view; None where that backward runs in numpy instead:
@@ -381,9 +407,7 @@ def gru_workspace(x: np.ndarray, cells):
     C-contiguous)."""
     arrays = [a for cell in cells for a in (cell.U, *cell.grads().values())]
     if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
-            or any(s % 4 for s in x.strides) or not all(
-                a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
-                for a in arrays)):
+            or any(s % 4 for s in x.strides) or not _readable(*arrays)):
         return None
     h = cells[0].U.shape[0]
     packed = -(-3 * h // 4) * 4 * -(-h // 16) * 16     # U for every variant
@@ -404,7 +428,7 @@ def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
     """
     B, T, x_dim = x.shape
     h_prev, zr, c, hc = caches
-    status = _kernels[KERNEL][2](
+    status = _kernels[KERNEL]["gru_back"](
         x.ctypes.data, *(s // 4 for s in x.strides), h_prev.ctypes.data, zr.ctypes.data,
         c.ctypes.data, hc.ctypes.data, h_prev.strides[0] // 4, grad.ctypes.data,
         grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
@@ -419,9 +443,8 @@ def gru_forward_workspace(cells, B: int):
     where that forward steps in numpy instead: ``KERNEL == "einsum"``, no
     bound ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the
     kernel cannot read (unaligned or not C-contiguous)."""
-    if KERNEL == "einsum" or UFUNC_LOOPS is None or not all(
-            a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
-            for cell in cells for a in (cell.U, cell.b_h)):
+    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(
+            *(a for cell in cells for a in (cell.U, cell.b_h))):
         return None
     return np.empty(14 * cells[0].U.shape[0] * B, _F32)
 
@@ -442,7 +465,7 @@ def gru_forward(gx, cell, ht, states, caches, work) -> None:
     out = (None, 0, 0) if states is None else (
         states.ctypes.data, *(s // 4 for s in states.strides[:2]))
     blocks = (None,) * 4 if caches is None else [a.ctypes.data for a in caches]
-    status = _kernels[KERNEL][3](
+    status = _kernels[KERNEL]["gru_fwd"](
         gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
         cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks,
         0 if caches is None else caches[0].strides[0] // 4,
@@ -463,14 +486,97 @@ def adam_step(p, m, v, g, scalars) -> bool:
     typed, so numpy would make the step in float64); or arrays that are not
     all float32, C-contiguous, aligned, writeable and of ``p``'s shape."""
     if KERNEL == "einsum" or not all(type(x) in (float, int) for x in scalars) \
-            or not all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned
-                       and a.flags.writeable and a.shape == p.shape
-                       for a in (p, m, v, g)):
+            or not _readable(p, m, v, g) or not all(
+                a.flags.writeable and a.shape == p.shape for a in (p, m, v, g)):
         return False
     s = np.array(scalars, _F32)
-    _kernels[KERNEL][4](p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,
-                        p.size, s.ctypes.data)
+    _kernels[KERNEL]["adam"](p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,
+                             p.size, s.ctypes.data)
     return True
+
+
+def _batch_norm_runs(x, *vectors) -> bool:
+    """Whether BatchNorm's passes over ``x`` run in the kernel: not on
+    einsum, ``x`` an (N, C) array with C >= 2 and each vector a (C,) one, all
+    of them readable. One channel stays in numpy, which sums a lone column
+    pairwise, not row by row."""
+    return (KERNEL != "einsum" and x.ndim == 2 and x.shape[1] >= 2
+            and all(v.shape == x.shape[1:] for v in vectors) and _readable(x, *vectors))
+
+
+def _mean(total, n: int):
+    """A mean from its float32 sum over n rows, in place, as numpy's mean and
+    var divide: by the count as an intp, so in float64, cast back to float32."""
+    return np.true_divide(total, np.intp(n), out=total, casting="unsafe")
+
+
+def batch_norm_stats(x):
+    """``(x.mean(axis=0), x.var(axis=0))`` of a float32 (N, C) ``x`` with
+    numpy's bits: the column sums and the sums of squared deviations are two
+    kernel passes, and each is divided as numpy divides it. None where
+    :func:`_batch_norm_runs` is false, and numpy computes them instead."""
+    if not _batch_norm_runs(x):
+        return None
+    n, c = x.shape
+    sums = _kernels[KERNEL]["bn_sums"]
+    mean, var = np.empty(c, _F32), np.empty(c, _F32)
+    sums(x.ctypes.data, None, n, c, mean.ctypes.data)
+    sums(x.ctypes.data, _mean(mean, n).ctypes.data, n, c, var.ctypes.data)
+    return mean, _mean(var, n)
+
+
+def batch_norm_apply(x, mean, inv_std, gamma, beta):
+    """``gamma * ((x - mean) * inv_std) + beta`` for a float32 (N, C) ``x``
+    and (C,) vectors, with numpy's bits, in one kernel pass; None where
+    :func:`_batch_norm_runs` is false, and numpy computes it instead."""
+    if not _batch_norm_runs(x, mean, inv_std, gamma, beta):
+        return None
+    out = np.empty(x.shape, _F32)
+    _kernels[KERNEL]["bn_out"](*(a.ctypes.data for a in (x, mean, inv_std, gamma, beta)),
+                               *x.shape, out.ctypes.data)
+    return out
+
+
+def batch_norm_backward(d, x, mean, inv_std, gamma, d_gamma, d_beta):
+    """BatchNorm's train-mode backward with the bits of ``layers.BatchNorm``'s
+    numpy expressions, for output gradient ``d`` and input ``x``, both float32
+    (N, C): adds to ``d_gamma`` and ``d_beta`` and returns dx. Two kernel
+    passes make the (N, C) work, the five column sums and then dx; the (C,)
+    work between them stays in numpy, in the numpy expressions' order. None
+    where :func:`_batch_norm_runs` is false or ``x`` is not ``d``'s shape, and
+    the layer computes it in numpy instead."""
+    if x.shape != d.shape or not _batch_norm_runs(
+            d, mean, inv_std, gamma, d_gamma, d_beta) or not _readable(x):
+        return None
+    n, c = d.shape
+    kernel = _kernels[KERNEL]
+    common = [a.ctypes.data for a in (d, x, mean, inv_std, gamma)]
+    s, cube = np.empty((5, c), _F32), inv_std ** 3
+    kernel["bn_back"](*common, cube.ctypes.data, n, c, s.ctypes.data)
+    d_gamma += s[0]
+    d_beta += s[1]
+    dvar = s[2]
+    dmean = s[3] + dvar * _mean(s[4], n)
+    a, b, dx = dvar * 2.0, dmean / n, np.empty((n, c), _F32)
+    kernel["bn_dx"](*common, a.ctypes.data, b.ctypes.data, float(n), n, c, dx.ctypes.data)
+    return dx
+
+
+def scatter_add(table, ids, rows) -> bool:
+    """``np.add.at(table, ids, rows)`` for a float32 (V, E) ``table``, (n,)
+    ``ids`` and (n, E) ``rows``, in one kernel call with numpy's bits: each
+    row is added to its id's row in order. Returns False, touching nothing,
+    where numpy makes it instead: ``KERNEL == "einsum"``, ``ids`` not a
+    C-contiguous intp vector, an array the kernel cannot read, a read-only
+    ``table``, or an id outside [0, V), which numpy wraps or rejects."""
+    if (KERNEL == "einsum" or ids.dtype != np.intp or ids.ndim != 1
+            or not (ids.flags.c_contiguous and ids.flags.aligned) or table.ndim != 2
+            or rows.shape != (ids.size, table.shape[1]) or not table.flags.writeable
+            or not _readable(table, rows)):
+        return False
+    return not _kernels[KERNEL]["embed_back"](
+        table.ctypes.data, ids.ctypes.data, rows.ctypes.data, ids.size, table.shape[1],
+        table.shape[0])
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

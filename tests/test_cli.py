@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sentigru import corpus, serialize, trainer
+import sentigru
+from sentigru import corpus, layers, serialize, trainer
 from sentigru.cli import _OPTIONS, main
 from sentigru.model import MAX_SEQ_LEN, ModelConfig, build_model
 from synth import keyword_corpus, write_csv
@@ -133,6 +138,25 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: non-finite validation loss nan after epoch 1\n"
         assert not out.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("batch_size", [layers.SPLIT_ROWS // 2, layers.SPLIT_ROWS])
+    def test_a_rate_that_blows_up_the_parameters_is_one_line_of_real_stderr(
+            self, tmp_path, batch_size):
+        """The same in a fresh process, whose stderr pytest's warning
+        capture cannot hide: no numpy RuntimeWarning, from this thread or,
+        from batch SPLIT_ROWS on, from the thread a BiGRU layer starts."""
+        data = tmp_path / "d.csv"
+        write_csv(keyword_corpus(per_class=10, seed=2), data)
+        out = tmp_path / "m.bin"
+        env = dict(os.environ, PYTHONPATH=str(Path(sentigru.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-m", "sentigru.cli", "train", "--data", str(data), "--out",
+             str(out), "--lr", "1e39", "--epochs", "1", "--batch-size", str(batch_size),
+             *SMALL_FLAGS], env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 2
+        assert child.stderr.startswith("error: non-finite"), child.stderr
+        assert child.stderr.count("\n") == 1, child.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, target, message", [
         ("--out", "dir", "--out '{}' is a directory"),

@@ -198,6 +198,19 @@ class TestTwoThreads:
     """A bidirectional layer on two threads against the stacked loop, bit for
     bit. The stacked side raises ``layers.SPLIT_ROWS`` above its batch."""
 
+    def test_the_callers_errstate_holds_on_the_second_thread(self):
+        """np.errstate belongs to a context, and a new thread starts in an
+        empty one: the thread _run_each starts runs in a copy of the
+        caller's, so a floating-point error the caller raises on raises on
+        either thread."""
+        def invalid():
+            return np.array([np.inf], np.float32) - np.inf
+
+        with np.errstate(invalid="raise"):
+            for calls in ([invalid, lambda: None], [lambda: None, invalid]):
+                with pytest.raises(FloatingPointError):
+                    layers._run_each(calls)
+
     @staticmethod
     def run(bi, split, x, grad_rng):
         """Infer and train forward, then backward; every output as bytes."""

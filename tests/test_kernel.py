@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import test_bits
 from sentigru import layers, numerics, trainer
-from sentigru.layers import GruCell, GruSequence, softmax_cross_entropy
+from sentigru.layers import (BatchNorm, Embedding, GruCell, GruSequence,
+                             softmax_cross_entropy)
 from sentigru.model import ModelConfig, build_model
 from sentigru.trainer import Adam
 
@@ -438,6 +439,160 @@ def test_adam_writes_no_read_only_parameter():
     assert p.tobytes() == before
 
 
+def counting(name):
+    """A patch of ``layers.<name>`` that counts the calls the kernel made
+    (those that did not return None or False) into the list it returns."""
+    calls, function = [], getattr(layers, name)
+
+    def counted(*args):
+        result = function(*args)
+        if result is not None and result is not False:
+            calls.append(args)
+        return result
+    return calls, mock.patch.object(layers, name, counted)
+
+
+def batch_norm_runs(kernel, N, C, seed, specials="inf", dtype=np.float32, strided=False):
+    """A BatchNorm of C channels over an (N, C) input, with ``numerics.KERNEL``
+    set to ``kernel``: train, infer and train forwards, then a backward. The
+    number of compiled passes, and each forward's output and moving
+    statistics, dx and both parameter gradients. Parameters, statistics,
+    gradients' starting values, input and output gradient come from
+    ``sampler(dtype, seed, specials)``; the input is a view of every second
+    column where ``strided``."""
+    sample = sampler(dtype, seed, specials)
+    bn = BatchNorm(C, dtype)
+    for value in (*bn.params().values(), *bn.grads().values(), bn.moving_mean):
+        value[...] = sample(C)
+    bn.moving_var[...] = np.abs(sample(C))
+    x = sample(N, 2 * C)[:, ::2] if strided else sample(N, C)
+    counts = [counting(name) for name in ("batch_norm_stats", "batch_norm_apply",
+                                          "batch_norm_backward")]
+    with mock.patch.object(numerics, "KERNEL", kernel), \
+            counts[0][1], counts[1][1], counts[2][1]:
+        outs = []
+        for mode in ("train", "infer", "train"):
+            outs += [bn.forward(x, mode), bn.moving_mean.copy(), bn.moving_var.copy()]
+        outs += [bn.backward(sample(N, C)), *bn.grads().values()]
+    return sum(len(calls) for calls, _ in counts), outs
+
+
+def batch_norm_passes(C):
+    """Compiled calls of batch_norm_runs: two stats, three outputs, one
+    backward; none for one channel, which numpy sums pairwise."""
+    return 6 if C >= 2 else 0
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+@settings(deadline=None, max_examples=60)
+@given(N=st.one_of(st.integers(2, 70), st.just(5056)),
+       C=st.sampled_from([*range(1, 41), 128]), seed=st.integers(0, 2**32 - 1),
+       specials=st.sampled_from(["finite", "inf", "nan", "mixed"]))
+@example(N=5056, C=128, seed=0, specials="finite")       # paper size, batch 64
+@example(N=79, C=128, seed=1, specials="inf")            # paper size, batch 1
+@example(N=2, C=33, seed=2, specials="nan")
+@example(N=3, C=1, seed=3, specials="inf")
+def test_batch_norm_has_the_numpy_bits(N, C, seed, specials):
+    """BatchNorm's compiled passes of every variant against its numpy
+    expressions: train and infer outputs, the moving statistics after each
+    forward, dx and both parameter gradients, byte for byte where no NaN
+    meets another."""
+    calls, want = batch_norm_runs("einsum", N, C, seed, specials)
+    assert calls == 0
+    for variant in numerics.variants():
+        calls, got = batch_norm_runs(variant, N, C, seed, specials)
+        assert calls == batch_norm_passes(C)
+        assert_same_bits(got, want)
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+def test_batch_norm_signed_zeros():
+    """Columns of -0.0 with beta -0.0: numpy's sums start at +0.0, so the
+    mean is +0.0, x - mean is -0.0 and so is the output; a sum started from
+    the first row would make the mean -0.0 and the output +0.0. The gradient
+    sums of a -0.0 output gradient are +0.0 too, so the -0.0 parameter
+    gradients they add to become +0.0."""
+    x = np.full((4, 3), -0.0, np.float32)
+    x[:, 2] = [1, -1, 2, -2]
+    grads = []
+    for kernel in ["einsum", *numerics.variants()]:
+        bn = BatchNorm(3)
+        bn.beta[...] = bn.d_gamma[...] = bn.d_beta[...] = -0.0
+        with mock.patch.object(numerics, "KERNEL", kernel):
+            out = bn.forward(x, "train")
+            dx = bn.backward(np.full(x.shape, -0.0, np.float32))
+        assert np.signbit(out[:, :2]).all()
+        assert not np.signbit([*bn.d_gamma, *bn.d_beta]).any()
+        grads.append([a.tobytes() for a in (out, dx, *bn.grads().values(),
+                                              *bn.buffers().values())])
+    assert all(g == grads[0] for g in grads)
+
+
+@pytest.mark.parametrize("dtype, kernel, strided", [(np.float64, numerics.KERNEL, False),
+                                                    (np.float32, "einsum", False),
+                                                    (np.float32, numerics.KERNEL, True)])
+def test_batch_norm_stays_in_numpy_for_float64_einsum_and_a_strided_input(dtype, kernel,
+                                                                          strided):
+    with mock.patch.object(numerics, "_kernels", {}):    # a call into the kernel raises
+        calls, got = batch_norm_runs(kernel, 9, 5, 0, "inf", dtype, strided)
+    assert calls == 0
+    assert_same_bits(got, batch_norm_runs("einsum", 9, 5, 0, "inf", dtype, strided)[1])
+
+
+def embedding_grads(kernel, V, E, B, T, seed, specials="inf", ids_dtype=np.intp):
+    """An Embedding of V rows of E floats, with ``numerics.KERNEL`` set to
+    ``kernel``: a train forward of (B, T) ids drawn from [0, V), so repeated
+    when B T > V, then a backward. The number of compiled scatters, and the
+    table's gradient, which starts at ``sampler(np.float32, seed,
+    specials)`` values, as does the output gradient."""
+    sample = sampler(np.float32, seed, specials)
+    emb = Embedding(V, E, None)
+    emb.d_weight[...] = sample(V, E)
+    ids = np.random.default_rng(seed).integers(0, V, (B, T)).astype(ids_dtype)
+    calls, patch = counting("scatter_add")
+    with mock.patch.object(numerics, "KERNEL", kernel), patch:
+        emb.forward(ids, "train")
+        emb.backward(sample(B, T, E))
+    return len(calls), [emb.d_weight]
+
+
+@pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
+@settings(deadline=None, max_examples=60)
+@given(V=st.one_of(st.integers(1, 8), st.just(2_000)),
+       E=st.sampled_from([*range(1, 41), 50, 128]), B=st.integers(1, 9),
+       T=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       specials=st.sampled_from(["finite", "inf", "nan", "mixed"]))
+@example(V=50_000, E=50, B=64, T=79, seed=0, specials="finite")   # paper size
+@example(V=1, E=33, B=3, T=5, seed=1, specials="inf")             # one id, 15 times
+def test_embedding_scatter_has_the_numpy_bits(V, E, B, T, seed, specials):
+    """The compiled scatter-add of every variant against ``np.add.at``, with
+    repeated ids, byte for byte where no NaN meets another."""
+    calls, want = embedding_grads("einsum", V, E, B, T, seed, specials)
+    assert calls == 0
+    for variant in numerics.variants():
+        calls, got = embedding_grads(variant, V, E, B, T, seed, specials)
+        assert calls == 1
+        assert_same_bits(got, want)
+
+
+def test_embedding_scatter_stays_in_numpy_where_numpy_decides():
+    """int32 ids, a read-only or float64 table, and ids outside the table,
+    which numpy wraps (negative) or rejects (too large): the kernel writes
+    nothing, and numpy makes the scatter or raises."""
+    calls, got = embedding_grads(numerics.KERNEL, 5, 3, 2, 4, 0, ids_dtype=np.int32)
+    assert calls == 0
+    assert_same_bits(got, embedding_grads("einsum", 5, 3, 2, 4, 0)[1])
+    rows = np.ones((2, 3), np.float32)
+    for table, ids in [(np.zeros((5, 3), np.float64), [1, 2]),
+                       (np.zeros((5, 3), np.float32), [1, -1]),
+                       (np.zeros((5, 3), np.float32), [1, 5])]:
+        ids = np.array(ids, np.intp)
+        assert not numerics.scatter_add(table, ids, rows)
+        assert not table.any()
+    table.setflags(write=False)
+    assert not numerics.scatter_add(table, np.array([0, 1], np.intp), rows)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_float64_stays_on_einsum(layout):
     a, b = operands(layout, 16, 40, 30, sampler(np.float64, 0, "inf"))
@@ -758,9 +913,39 @@ def test_sanitized_adam_has_numpy_bits(sanitized):
     assert run_sanitized(SANITIZED_ADAM_CHILD, sanitized) == 33 * len(numerics.variants())
 
 
+# run with the library: widths 1 to 33 reach every variant's masked tail,
+# and one channel BatchNorm's numpy path
+SANITIZED_ROWS_CHILD = """
+import ctypes, sys
+from sentigru import numerics
+from test_kernel import (assert_same_bits, batch_norm_passes, batch_norm_runs,
+                         embedding_grads)
+
+numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
+runs = 0
+for c in range(1, 34):
+    for run, shape, passes in ((batch_norm_runs, (3, c), batch_norm_passes(c)),
+                               (embedding_grads, (4, c, 3, 5), 1)):
+        want = run("einsum", *shape, c)[1]
+        for variant in numerics.variants():
+            calls, got = run(variant, *shape, c)
+            assert calls == passes, (run.__name__, variant, c)
+            assert_same_bits(got, want)
+            runs += 1
+print(" ".join(numerics.variants()), runs)
+"""
+
+
+def test_sanitized_batch_norm_and_embedding_scatter_have_numpy_bits(sanitized):
+    """BatchNorm's compiled passes and the embedding's scatter-add, every
+    variant under the same sanitizers, over widths 1 to 33, against numpy."""
+    assert run_sanitized(SANITIZED_ROWS_CHILD, sanitized) == 66 * len(numerics.variants())
+
+
 def two_step_hash(B):
     """sha256 over two paper-size float32 train steps at batch B: logits,
-    every gradient and every parameter after each Adam update."""
+    every gradient, and every parameter and buffer (BatchNorm's moving
+    statistics) after each Adam update; then an infer forward's logits."""
     model = build_model(ModelConfig(vocab_size=2_000), seed=7)
     rng = np.random.default_rng(B)
     ids = rng.integers(0, 2_000, (B, 79))
@@ -774,8 +959,10 @@ def two_step_hash(B):
         model.backward(dlogits)
         triples = model.trainable()
         adam.step(triples)
-        for part in [logits] + [g for _, _, g in triples] + [p for _, p, _ in triples]:
+        for part in [logits, *(g for _, _, g in triples),
+                     *(a for _, a in model.state_items())]:
             digest.update(part.tobytes())
+    digest.update(model.forward(ids, "infer").tobytes())
     return digest.hexdigest()
 
 
