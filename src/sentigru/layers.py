@@ -25,23 +25,14 @@ laid out [update | reset | candidate] along the 3h axis.
 
 :class:`GruSequence` is the one recurrence: one cell over time, or two cells
 over opposite time directions, which is the bidirectional layer
-(:class:`BidirectionalGru` builds it from a forward and a backward cell). It
-takes the layer input once, starts every state at zero and computes in its
-cells' dtype. On the compiled kernel a float32 cell's whole time loop is one
-call. Where the loop steps in numpy instead, a single time loop steps both
-directions in lockstep, so a bidirectional layer makes one gate operation per
-step for both directions instead of one each. At batch 1 the per-call
-overhead of numpy outweighs the arithmetic, so halving the calls is what
-speeds up that loop; the bits stay those of one direction at a time.
-Input projections are computed in time chunks of about ``ROWS`` rows into
-one buffer per call rather than for the whole sequence at once, so holding
-both directions does not raise peak memory at large batches.
-
-From ``SPLIT_ROWS`` rows up, whatever the CPU count, a two-cell sequence
-instead runs each cell's time loop at once, one of them on a thread started
-for that forward or backward call and joined before it returns. It is the
+(:class:`BidirectionalGru` builds it from a forward and a backward cell).
+Each cell runs its own time loop, in compiled calls on the kernel or
+stepping in numpy. From ``SPLIT_ROWS`` rows up, whatever the CPU count, the
+second of two cells runs on a thread started for that forward or backward
+call and joined before it returns; below it the cells run in turn. It is the
 only thread the package starts, and none outlives the call that started it;
-it makes the same float operations, so no bit depends on the batch choosing it.
+it makes the same float operations, so no bit depends on the batch choosing
+it.
 """
 
 import contextvars
@@ -177,9 +168,9 @@ class Dropout(Layer):
         return grad if mask is None else grad * mask
 
 
-# Input rows projected per time chunk: the projection buffer holds about
-# ROWS * D * 3h values at any batch size, and batch 1 still projects a
-# whole sequence in one call per direction.
+# Input rows projected per time chunk: each cell's projection buffer holds
+# about ROWS * 3h values at any batch size, and batch 1 still projects a
+# whole sequence in one call per cell.
 ROWS = 1024
 
 
@@ -227,68 +218,49 @@ class GruSequence(Layer):
     (B, D*h) final states without ``return_sequences``, the cells'
     concatenated on features: the second cell's states are re-reversed to
     align with time, and its final state is the one aligned with t = 0.
-    ``backward`` takes that output's gradient and returns the gradient at
-    ``x``. Two cells name their parameters ``fwd.*`` and ``bwd.*``. Every
-    state starts at zero, and every step computes in the dtype the cells
-    share; an input of another dtype is rejected.
+    ``backward`` takes that output's gradient, rejecting any other shape, and
+    returns the gradient at ``x``. Two cells name their parameters ``fwd.*``
+    and ``bwd.*``. Every state starts at zero, and every step computes in the
+    dtype the cells share; an input of another dtype is rejected.
 
-    The cells run in parts, each a slice of the cells with its own time loop.
-    A step runs every gate operation once over the part's (n, B, .) arrays;
-    the recurrent product is one stacked matmul, whose [d] slices equal the
-    per-cell products bit for bit. One part holds every cell, except that two
-    cells with at least SPLIT_ROWS rows run as one part each at once: the
-    first on the calling thread, the second on a worker thread, started for
-    the call and joined before it returns, while the kernel calls release the
-    GIL. The plan depends on D and B alone, and no bit depends on it.
+    Each cell runs its own time loop over arrays of its own. Below
+    SPLIT_ROWS rows the cells run one after the other on the calling thread;
+    from SPLIT_ROWS rows two cells run at once, the first on the calling
+    thread and the second on a worker thread, started for the call and
+    joined before it returns, while the kernel calls release the GIL. The
+    plan depends on D and B alone, and no bit depends on it.
 
-    A float32 forward on the compiled kernel, with ``numerics.UFUNC_LOOPS``
-    bound, runs each cell's time loop over a projection chunk (the whole
-    sequence up to ROWS rows) as one call, ``numerics.gru_forward``, with the
-    GIL released, so the parts of a split forward overlap completely. It
-    makes the float32 operations of :meth:`_step` in the same order: ``gh =
-    h_prev U + b_h`` with U's product in matmul's order, the gates
-    ``sigmoid(gx + gh)`` as ``numerics.sigmoid`` composes it, ``c =
-    tanh(gx_c + r hc)`` and ``h = z h_prev + (1 - z) c``, calling numpy's own
-    float32 loops of ``np.exp`` and ``np.tanh``. It writes the states and
-    the cache blocks in place. Called so, those loops raise no numpy
-    floating-point warning. Float64, ``numerics.KERNEL == "einsum"`` and
-    unbound loops step in numpy; its scratch is allocated per call, like
-    every other buffer.
-
-    A float32 backward on the compiled kernel runs each cell's whole time
-    loop as one call, ``numerics.gru_backward``, with the GIL released, so
-    the parts of a split backward overlap completely. It makes the numpy
-    loop's float32 operations in the same order: per step ``dh = carry +
-    grad``, the gate algebra of :meth:`_step_backward`, ``dh_prev = dh z``
-    plus the rounded product ``d_gh U^T``, and each parameter gradient plus
-    the step's rounded product or batch sum, the bias sums taken in order
-    from +0.0. Float64, and ``numerics.KERNEL == "einsum"``, step in numpy.
+    A float32 cell on the compiled kernel runs its forward loop over a
+    projection chunk (the whole sequence up to ROWS rows) as one call,
+    ``numerics.gru_forward``, given bound ``numerics.UFUNC_LOOPS``, and its
+    whole backward loop as one call, ``numerics.gru_backward``, both with the
+    GIL released, so the cells of a split call overlap completely. They make
+    the float32 operations of :meth:`_step` and :meth:`_step_backward` in the
+    same order (``matmul.c`` states it), the forward calling numpy's own
+    float32 loops of ``np.exp`` and ``np.tanh``, which raise no numpy
+    floating-point warning when called so; they write the states, caches and
+    gradients in place. Float64, ``numerics.KERNEL == "einsum"`` and, for the
+    forward, unbound loops step in numpy.
 
     ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
-    (n, B, C, 3h) buffer per part and call, so peak memory does not grow with T
-    or D; ``dx`` is one matmul per cell after the backward loop.
+    (B, C, 3h) buffer per cell and call, so peak memory does not grow with T;
+    ``dx`` is one matmul per cell after its backward loop.
     matmul rows do not depend on which rows share the call, so both give the
     bits of a per-step product. Parameter gradients accumulate per cell in
     step order, from t = T-1 down to 0 in backward.
 
-    A train-mode forward keeps its parts and per-part lists of inputs and
-    caches: ``h_prev``, ``z|r``, ``c`` and the recurrent candidate ``hc``, 5h
-    values per row, in four (T, n, B, .) blocks per part. Each part clears
-    its entries when its backward loop is done, before its ``dx`` products,
-    so the memory is back before the layers below run their backward.
+    A train-mode forward keeps the output's shape and per-cell lists of
+    inputs and caches: ``h_prev``, ``z|r``, ``c`` and the recurrent candidate
+    ``hc``, 5h values per row, in four C-contiguous (T, B, .) blocks per
+    cell. Each cell clears its entries when its backward loop is done, before
+    its ``dx`` product, so the memory is back before the layers below run
+    their backward.
 
-    The calling thread allocates every array a part keeps past one step
-    (projection buffer, states, cache blocks, ``d_gx``, the compiled
-    forward's and backward's workspaces) before it starts the parts, so the
-    worker's malloc arena keeps only per-step temporaries. Each part has blocks of its own:
-    one block sliced between the parts lives until both are done with it, and
-    measured a higher peak RSS in training.
-
-    Between calls the sequence holds only its cells, the state a train
-    forward kept, and ``_U``, the stacked U that every forward stepping in
-    numpy refills from the cells: forwards on several threads at once write
-    the same bytes into it, provided no thread changes the parameters
-    meanwhile. Every other buffer is allocated per call.
+    The calling thread allocates every array a cell keeps past one step
+    (projection buffer, states, cache blocks, the cell's output gradient,
+    ``d_gx``, the workspaces) before it starts the cells, so the worker's
+    malloc arena keeps only per-step temporaries. Between calls the sequence
+    holds only its cells and the state a train forward kept.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -301,9 +273,8 @@ class GruSequence(Layer):
         if len(dtypes) != 1:
             raise ValueError("all cells must share one dtype")
         (self.dtype,) = dtypes
-        self.hidden_size = h = self.cells[0].hidden_size
+        self.hidden_size = self.cells[0].hidden_size
         self.return_sequences = return_sequences
-        self._U = np.empty((len(self.cells), h, 3 * h), self.dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         B, T, _ = x.shape
@@ -314,30 +285,22 @@ class GruSequence(Layer):
             raise ValueError(f"input dtype {x.dtype} differs from the cells' "
                              f"{self.dtype}")
         D, h, dtype = len(self.cells), self.hidden_size, self.dtype
-        xs = (x, x[:, ::-1])[:D]
+        xs = [x, x[:, ::-1]][:D]
         C = max(1, min(T, ROWS // B))
-        parts = ([slice(0, 1), slice(1, 2)] if D == 2 and B >= SPLIT_ROWS
-                 else [slice(0, D)])
+        shape = (B, T, D * h) if self.return_sequences else (B, D * h)
         # kept before the loop fills it, so a kept earlier forward's blocks
         # are freed before this one's are allocated
         caches = []
-        self._keep(mode, parts, [xs[ds] for ds in parts], caches)
+        self._keep(mode, shape, xs, caches)
         calls = []
-        for i, ds in enumerate(parts):
-            n = ds.stop - ds.start
-            gx = np.empty((n, B, C, 3 * h), dtype)
-            states = np.empty((n, B, T, h), dtype) if self.return_sequences else None
-            caches.append(tuple(np.empty((T, n, B, w * h), dtype) for w in (1, 2, 1, 1))
+        for cell, xd in zip(self.cells, xs):
+            caches.append(tuple(np.empty((T, B, w * h), dtype) for w in (1, 2, 1, 1))
                           if mode == "train" else None)
-            work = gru_forward_workspace(self.cells[ds], B)
-            U = b_h = None                       # read by the numpy loop alone
-            if work is None:
-                U = np.stack([cell.U for cell in self.cells[ds]], out=self._U[ds])
-                b_h = np.stack([cell.b_h for cell in self.cells[ds]])[:, None, :]
-            calls.append(partial(self._forward_part, list(zip(self.cells[ds], xs[ds])),
-                                 U, b_h, np.zeros((n, B, h), dtype), gx, states,
-                                 caches[i], work))
-        outs = [out for part in _run_each(calls) for out in part]
+            states = np.empty((B, T, h), dtype) if self.return_sequences else None
+            calls.append(partial(self._forward_cell, cell, xd, np.empty((B, C, 3 * h), dtype),
+                                 np.zeros((B, h), dtype), states, caches[-1],
+                                 gru_forward_workspace(cell, B)))
+        outs = _run_each(calls, B >= SPLIT_ROWS)
         if D == 1:
             return outs[0]
         return np.concatenate([outs[0], self._in_time_order(outs[1])], axis=-1)
@@ -347,123 +310,114 @@ class GruSequence(Layer):
         reversed when they are per step, as is for a final state."""
         return a[:, ::-1] if self.return_sequences else a
 
-    def _forward_part(self, pairs, U, b_h, ht, gx, states, caches, work):
-        """The time loop over one part's (cell, input) pairs; returns its
-        (n, B, T, h) states or (n, B, h) final state. With a ``work`` array
-        each cell's loop over a projection chunk is one compiled call, else
-        the part steps in numpy with the stacked ``U`` and ``b_h``."""
-        B, T, x_dim = pairs[0][1].shape
-        C = gx.shape[2]
+    def _forward_cell(self, cell, x, gx, ht, states, caches, work):
+        """``cell``'s time loop over its input ``x``; returns its (B, T, h)
+        states or (B, h) final state. With a ``work`` array the loop over each
+        projection chunk is one compiled call, else the cell steps in numpy."""
+        B, T, x_dim = x.shape
+        C = gx.shape[1]
         for t0 in range(0, T, C):
             c = min(C, T - t0)
-            for j, (cell, xd) in enumerate(pairs):
-                rows = xd[:, t0:t0 + c].reshape(B * c, x_dim)
-                gx[j, :, :c] = cell.input_projection(rows).reshape(B, c, -1)
+            rows = x[:, t0:t0 + c].reshape(B * c, x_dim)
+            gx[:, :c] = cell.input_projection(rows).reshape(B, c, -1)
             if work is not None:
-                for j, (cell, _) in enumerate(pairs):
-                    gru_forward(gx[j, :, :c], cell, ht[j],
-                                None if states is None else states[j, :, t0:t0 + c],
-                                None if caches is None else
-                                [block[t0:t0 + c, j] for block in caches], work)
+                gru_forward(gx[:, :c], cell, ht,
+                            None if states is None else states[:, t0:t0 + c],
+                            None if caches is None else [block[t0:t0 + c] for block in caches],
+                            work)
                 continue
-            for k in range(c):
-                t = t0 + k
+            for t in range(t0, t0 + c):
                 slots = None if caches is None else [block[t] for block in caches]
-                ht = self._step(gx[:, :, k], ht, U, b_h, slots)
+                ht = self._step(gx[:, t - t0], ht, cell.U, cell.b_h, slots)
                 if states is not None:
-                    states[:, :, t] = ht
+                    states[:, t] = ht
         return ht if states is None else states
 
     @staticmethod
     def _step(gx, h_prev, U, b_h, slots=None):
-        """One timestep of every direction from its input projection ``gx``;
-        all arrays are stacked (n, B, .), ``U`` is (n, h, 3h). Returns h_t;
-        in train mode it also writes what backward reads into ``slots``,
-        the step's (h_prev, z|r, c, hc) cache slices."""
+        """One timestep of a cell from its (B, 3h) input projection ``gx`` and
+        (B, h) state ``h_prev``; returns h_t. In train mode it also writes
+        what backward reads into ``slots``, the step's (h_prev, z|r, c, hc)
+        cache rows."""
         h = h_prev.shape[-1]
         gh = matmul(h_prev, U) + b_h
-        zr = sigmoid(gx[..., :2 * h] + gh[..., :2 * h])
-        z, r = zr[..., :h], zr[..., h:]
-        hc = gh[..., 2 * h:]                     # recurrent candidate, pre reset
-        c = np.tanh(gx[..., 2 * h:] + r * hc)
+        zr = sigmoid(gx[:, :2 * h] + gh[:, :2 * h])
+        z, r = zr[:, :h], zr[:, h:]
+        hc = gh[:, 2 * h:]                       # recurrent candidate, pre reset
+        c = np.tanh(gx[:, 2 * h:] + r * hc)
         if slots is not None:
             for slot, a in zip(slots, (h_prev, zr, c, hc)):
                 slot[...] = a
         return z * h_prev + (1.0 - z) * c
 
     @staticmethod
-    def _step_backward(dh, caches, t, pairs):
-        """Backprop step ``t`` of one part; returns (d_gx, dh_prev).
+    def _step_backward(dh, caches, t, cell, x):
+        """Backprop step ``t`` of ``cell`` over its input ``x``; returns
+        (d_gx, dh_prev).
 
-        The gate algebra runs once over the part's stack. Each cell's
-        parameter gradients and its share of dh_prev are 2-d matmuls. d_gx is
-        the gradient at the input projection; backward turns it into
+        d_gx is the gradient at the input projection; backward turns it into
         dx = d_gx W^T. This is the reference that ``numerics.gru_backward``
         follows operation for operation.
         """
         h_prev, zr, c, hc = (block[t] for block in caches)
         h = dh.shape[-1]
-        z, r = zr[..., :h], zr[..., h:]
+        z, r = zr[:, :h], zr[:, h:]
         dzr = np.empty_like(zr)                  # [dz | dr], laid out as zr
-        np.multiply(dh, h_prev - c, out=dzr[..., :h])
+        np.multiply(dh, h_prev - c, out=dzr[:, :h])
         dc = dh * (1.0 - z)
         ds_c = dc * (1.0 - c * c)                # at tanh input
-        np.multiply(ds_c, hc, out=dzr[..., h:])
+        np.multiply(ds_c, hc, out=dzr[:, h:])
         dhc = ds_c * r
         ds_zr = dzr * zr * (1.0 - zr)            # at the sigmoid input
         d_gx = np.concatenate([ds_zr, ds_c], axis=-1)
         d_gh = np.concatenate([ds_zr, dhc], axis=-1)
-        dh_prev = dh * z
-        for d, (cell, xd) in enumerate(pairs):
-            cell.dW += matmul(xd[:, t].T, d_gx[d])
-            cell.db_x += d_gx[d].sum(axis=0)
-            cell.dU += matmul(h_prev[d].T, d_gh[d])
-            cell.db_h += d_gh[d].sum(axis=0)
-            dh_prev[d] += matmul(d_gh[d], cell.U.T)
-        return d_gx, dh_prev
+        cell.dW += matmul(x[:, t].T, d_gx)
+        cell.db_x += d_gx.sum(axis=0)
+        cell.dU += matmul(h_prev.T, d_gh)
+        cell.db_h += d_gh.sum(axis=0)
+        return d_gx, dh * z + matmul(d_gh, cell.U.T)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad is shaped like the forward output, in the cells' dtype;
-        returns the gradient at the (B, T, x_dim) input."""
+        """grad has the forward output's shape and the cells' dtype; returns
+        the gradient at the (B, T, x_dim) input."""
         if grad.dtype != self.dtype:
             raise ValueError(f"gradient dtype {grad.dtype} differs from the cells' "
                              f"{self.dtype}")
-        parts, xs, caches = self._take()
-        D, h = len(self.cells), self.hidden_size
-        B, T, _ = xs[0][0].shape
-        grad = np.stack([grad[..., :h], self._in_time_order(grad[..., h:])][:D])
-        carry = np.zeros((D, B, h), dtype=grad.dtype)
-        calls = [partial(self._backward_part, self.cells[ds], xs, caches, i, grad[ds],
-                         carry[ds], np.empty((len(xs[i]), B, T, 3 * h), grad.dtype),
-                         gru_workspace(xs[i][0], self.cells[ds]))
-                 for i, ds in enumerate(parts)]
-        dxs = [dx for part in _run_each(calls) for dx in part]
-        if D == 2:
+        if not isinstance(self._kept, str) and grad.shape != self._kept[0]:
+            raise ValueError(f"gradient of shape {grad.shape} for an output of shape "
+                             f"{self._kept[0]}")
+        _, xs, caches = self._take()
+        h = self.hidden_size
+        B, T, _ = xs[0].shape
+        grads = (grad[..., :h], self._in_time_order(grad[..., h:]))
+        calls = [partial(self._backward_cell, cell, xs, caches, j, grads[j].copy(),
+                         np.zeros((B, h), self.dtype), np.empty((B, T, 3 * h), self.dtype),
+                         gru_workspace(xs[j], cell))
+                 for j, cell in enumerate(self.cells)]
+        dxs = _run_each(calls, B >= SPLIT_ROWS)
+        if len(dxs) == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_part(self, cells, xs, caches, i, grad, carry, d_gx, work):
-        """The backward time loop over part ``i``, of ``cells``; clears the
-        part's entries in the kept ``xs`` and ``caches``, then returns its
-        input gradients. With a ``work`` array each cell's loop is one
-        compiled call, else the part steps in numpy."""
-        pairs, blocks = list(zip(cells, xs[i])), caches[i]
-        xs[i] = caches[i] = None
-        B, T, x_dim = pairs[0][1].shape
+    def _backward_cell(self, cell, xs, caches, j, grad, carry, d_gx, work):
+        """The backward time loop of ``cell``, the ``j``-th; clears its
+        entries in the kept ``xs`` and ``caches``, then returns its input
+        gradient. With a ``work`` array the loop is one compiled call, else
+        the cell steps in numpy."""
+        x, blocks = xs[j], caches[j]
+        xs[j] = caches[j] = None
+        B, T, x_dim = x.shape
         if work is not None:
-            for j, (cell, xd) in enumerate(pairs):
-                gru_backward(xd, [block[:, j] for block in blocks], grad[j], carry[j],
-                             d_gx[j], cell, work)
+            gru_backward(x, blocks, grad, carry, d_gx, cell, work)
         else:
             for t in range(T - 1, -1, -1):
                 if self.return_sequences:
-                    dh = carry + grad[:, :, t]
+                    dh = carry + grad[:, t]
                 else:
                     dh = (carry + grad) if t == T - 1 else carry
-                d_gx[:, :, t], carry = self._step_backward(dh, blocks, t, pairs)
-        del pairs, blocks                   # their memory is back before dx
-        return [matmul(d_gx[j].reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
-                for j, cell in enumerate(cells)]
+                d_gx[:, t], carry = self._step_backward(dh, blocks, t, cell, x)
+        del x, blocks                       # their memory is back before dx
+        return matmul(d_gx.reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
 
     def params(self):
         return self._named(GruCell.params)
@@ -489,9 +443,10 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 # Below it, handing a direction to another thread costs more than the thread
 # saves. With the compiled kernel (AVX-512), its one-call GRU forward and its
 # one-call backward on a 2-vCPU Xeon, in-process, paper-size ops (an infer
-# forward; a train forward, loss and backward), two threads against the one
-# loop: median speed ratio and two-thread wins over 10 alternating pairs per
-# batch, each run the median of 3 ops, in each of two processes.
+# forward; a train forward, loss and backward), two threads against one
+# running the cells in turn: median speed ratio and two-thread wins over 10
+# alternating pairs per batch, each run the median of 3 ops, in each of two
+# processes.
 #   B            16          24          32          40          48          64
 #   infer  1  1.57 10/10  1.62 10/10  1.63 10/10  1.56  9/10  1.69 10/10  1.61 10/10
 #          2  1.56 10/10  1.64 10/10  1.62 10/10  1.71 10/10  1.49  9/10  1.72 10/10
@@ -506,19 +461,21 @@ def gru_sequence_forward(cell: GruCell, x: np.ndarray,
 # infer 0.59 (0/6) at batch 16 and 0.74 (0/6) at 32, train 0.81 (2/6) and
 # 1.14 (4/6), over 6 pairs in one process. float64 steps in numpy too but
 # won with two threads there: infer 1.42 (5/6) and 1.80 (6/6), train 1.34
-# and 1.33 (6/6). So the constant does not depend on the loops: CI fails
-# where they do not bind, and float64 keeps its gain.
+# and 1.33 (6/6), against a loop that stepped both cells in lockstep, with
+# half the numpy calls of two cells in turn. So the constant does not depend
+# on the loops: CI fails where they do not bind, and float64 keeps its gain.
 SPLIT_ROWS = 16
 
 
-def _run_each(calls):
-    """Call the first of ``calls`` on this thread and the second, if any, on
-    a thread started for this call and joined before it returns; returns
-    their results in order. An exception from either propagates once both
-    are done. The thread runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds on both."""
-    if len(calls) == 1:
-        return [calls[0]()]
+def _run_each(calls, split: bool):
+    """Call each of ``calls`` in order on this thread and return their
+    results; with ``split``, the second, if any, runs on a thread started
+    for this call and joined before it returns, while the first runs here.
+    An exception from either propagates once both are done. The thread runs
+    in a copy of the caller's context, so the caller's ``np.errstate`` holds
+    on both."""
+    if not split or len(calls) == 1:
+        return [call() for call in calls]
     here, there = calls
     second, error, context = [], [], contextvars.copy_context()
 

@@ -6,8 +6,8 @@
  *
  * Two reduction orders are reproduced:
  *
- * sg_rows: c[d] = a[d] b[d] with b[d] C-contiguous and a of any element
- *   strides. Each output starts at zero and adds the products over k in
+ * sg_rows: c = a b with b C-contiguous and a of any element strides. Each
+ *   output starts at zero and adds the products over k in
  *   order, each product rounded before its add: einsum's stride-0 times
  *   contiguous loop.
  *
@@ -44,11 +44,11 @@
  *   it, e = exp(minimum(s, -s)), then maximum(e, s >= 0) / (1 + e); c =
  *   tanh(gx_c + r hc) with hc the candidate columns of gh; h = z h_prev +
  *   (1 - z) c. It writes every state or only the last, and in train mode the
- *   four cache blocks sg_gru_back reads, in place at their strides. It
- *   computes no exp or tanh of its own: numerics passes numpy's float32
- *   inner loops of np.exp and np.tanh, read from the ufunc objects and
- *   checked at import, and each step calls each once over the batch's
- *   contiguous arguments into a separate output, as numpy's own call does.
+ *   four cache blocks sg_gru_back reads, in place. It computes no exp or
+ *   tanh of its own: numerics passes numpy's float32 inner loops of np.exp
+ *   and np.tanh, read from the ufunc objects and checked at import, and
+ *   each step calls each once over the batch's contiguous arguments into a
+ *   separate output, as numpy's own call does.
  *   Called from here, those loops run outside numpy's error handling: they
  *   raise no numpy floating-point warning, and np.errstate does not apply.
  *   It allocates nothing; ctypes releases the GIL for the call.
@@ -313,16 +313,12 @@ INLINE void FN(rows_product)(const float *a, ptrdiff_t si, ptrdiff_t sk, const f
         FN(rows_cols)(a, si, sk, b, ldb, c, ldc, m, k, j, n - j, 1, 0, add);
 }
 
-/* c = a b over D stacked products: a[d] is m x k at element strides
- * (a_sd, a_si, a_sk), b[d] is k x n C-contiguous at b + d * b_sd, and c is
- * C-contiguous (D, m, n). */
-void FN(sg_rows)(const float *a, const float *b, float *c, ptrdiff_t D, ptrdiff_t m,
-                 ptrdiff_t k, ptrdiff_t n, ptrdiff_t a_sd, ptrdiff_t a_si, ptrdiff_t a_sk,
-                 ptrdiff_t b_sd)
+/* c = a b: a is m x k at element strides (si, sk), b k x n and c m x n
+ * C-contiguous. */
+void FN(sg_rows)(const float *a, const float *b, float *c, ptrdiff_t m, ptrdiff_t k,
+                 ptrdiff_t n, ptrdiff_t si, ptrdiff_t sk)
 {
-    for (ptrdiff_t d = 0; d < D; d++)
-        FN(rows_product)(a + d * a_sd, a_si, a_sk, b + d * b_sd, n, c + d * m * n, n, m, k,
-                         n, 0);
+    FN(rows_product)(a, si, sk, b, n, c, n, m, k, n, 0);
 }
 
 /* c += a b in sg_rows' order, as rows_product: one copy for sg_gru_back's two
@@ -512,8 +508,8 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
 /* One GRU cell's backward time loop over a (B, T, X) input, t = T-1 down to
  * 0, with the bits of numpy's loop (see the header). x is read at element
  * strides (x_sb, x_st, x_si), so a time-reversed view needs no copy. The
- * forward's caches of step t are (B, h) rows at hp, c and hc + t cs and (B,
- * 2h) rows [z | r] at zr + 2 t cs. g, the output's gradient, is C-contiguous
+ * forward's caches are C-contiguous (T, B, h) blocks hp, c and hc and a (T,
+ * B, 2h) block zr of rows [z | r]. g, the output's gradient, is C-contiguous
  * (B, T, h) with `seq`, else (B, h) and added at t = T-1 only. dh, (B, h)
  * zeros on entry, holds dh_prev of t = 0 on return. d_gx, C-contiguous (B,
  * T, 3h), receives the gradient at the input projection. U and dU (h, 3h),
@@ -523,12 +519,13 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
  * -1 when work is smaller. */
 int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_si,
                     const float *hp, const float *zr, const float *c, const float *hc,
-                    ptrdiff_t cs, const float *g, int seq, float *dh, float *dgx,
+                    const float *g, int seq, float *dh, float *dgx,
                     const float *U, float *dW, float *dU, float *dbx, float *dbh,
                     float *work, ptrdiff_t nwork, ptrdiff_t B, ptrdiff_t T, ptrdiff_t X,
                     ptrdiff_t h)
 {
     ptrdiff_t G = 3 * h, np = (h + NC - 1) / NC * NC, npack = (G + CH - 1) / CH * np * CH;
+    ptrdiff_t cs = B * h;                       /* one step of a cache block */
     float *dgh = work, *sum = dgh + B * G, *p = sum + 4 * h;
     if (nwork < B * G + 4 * h + npack)
         return -1;
@@ -616,18 +613,18 @@ INLINE void FN(fwd_state)(float *ht, const float *zr, const float *c, float *o1,
  * (B, T, 3h) at element strides (gx_sb, gx_st) with C-contiguous rows. ht,
  * C-contiguous (B, h), holds h_prev of the first step and receives the last
  * state. Unless out is NULL, the state of step t of row b goes to out + b o_sb
- * + t o_st. Unless hp is NULL the step's caches go where sg_gru_back reads
- * them: (B, h) rows at hp, c and hc + t cs and (B, 2h) rows [z | r] at zr + 2
- * t cs. U (h, 3h) and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's
- * float32 loops of np.exp and np.tanh, with their data. work holds nwork
- * floats, at least 14h B. Returns 0, or -1 when work is smaller. */
+ * + t o_st. Unless hp is NULL the steps' caches go to the blocks sg_gru_back
+ * reads: C-contiguous (T, B, h) hp, c and hc and (T, B, 2h) zr. U (h, 3h)
+ * and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's float32 loops
+ * of np.exp and np.tanh, with their data. work holds nwork floats, at least
+ * 14h B. Returns 0, or -1 when work is smaller. */
 int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const float *U,
                    const float *bh, float *ht, float *out, ptrdiff_t o_sb, ptrdiff_t o_st,
-                   float *hp, float *zr, float *c, float *hc, ptrdiff_t cs, sg_loop exp_f,
+                   float *hp, float *zr, float *c, float *hc, sg_loop exp_f,
                    void *exp_d, sg_loop tanh_f, void *tanh_d, float *work, ptrdiff_t nwork,
                    ptrdiff_t B, ptrdiff_t T, ptrdiff_t h)
 {
-    ptrdiff_t G = 3 * h;
+    ptrdiff_t G = 3 * h, cs = B * h;            /* cs: one step of a cache block */
     /* gh (3h), ng, ge and e (2h each), q (h) and, without caches, the step's
      * [z | r], c and hc (4h), per row */
     float *gh = work, *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
@@ -640,7 +637,7 @@ int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const floa
         const float *gx_t = gx + t * gx_st;
         float *zr_t = hp ? zr + 2 * t * cs : own, *c_t = hp ? c + t * cs : own + 2 * h * B;
         float *hc_t = hp ? hc + t * cs : own + 3 * h * B;
-        FN(sg_rows)(ht, U, gh, 1, B, h, G, 0, h, 1, 0);
+        FN(sg_rows)(ht, U, gh, B, h, G, h, 1);
         for (ptrdiff_t b = 0; b < B; b++)
             FN(fwd_pre)(gx_t + b * gx_sb, gh + b * G, bh, ng + b * 2 * h, ge + b * 2 * h,
                         hc_t + b * h, h);

@@ -8,22 +8,16 @@ product also equals a naive left-to-right triple loop in the same precision.
 A transposed view such as ``W.T``, or a single column, makes einsum pick
 another reduction order: still row-invariant, but not equal to that loop. The
 backward passes multiply by ``W.T`` and ``U.T`` and rely only on row
-invariance.
-
-Operands may also carry one leading stack axis, ``(D, m, k) x (D, k, n)``:
-one call computes D independent products. Each ``[d]`` slice of a stacked
-product of C-contiguous operands equals ``matmul(a[d], b[d])`` bit for bit,
-so the GRU steps both directions of a layer with one call and keeps the bits
-of two separate calls.
+invariance. Both operands are 2-d.
 
 A compiled kernel, ``matmul.c`` beside this file, computes most float32
 products on x86-64 with einsum's two reduction orders:
 
-- ``b`` C-contiguous with n >= 2 columns, ``a`` of any element strides, 2-d
-  or stacked: each output adds its products over k in order, each product
-  rounded before its add (no fused multiply-add);
-- ``b`` the transposed view of a C-contiguous matrix and ``a`` C-contiguous,
-  2-d: numpy's baseline 4-lane dot loop, with its grouping, zero-padded tail
+- ``b`` C-contiguous with n >= 2 columns and ``a`` of any element strides:
+  each output adds its products over k in order, each product rounded before
+  its add (no fused multiply-add);
+- ``b`` the transposed view of a C-contiguous matrix and ``a`` C-contiguous:
+  numpy's baseline 4-lane dot loop, with its grouping, zero-padded tail
   and pairwise lane sum.
 
 Every other product goes to einsum: float64 or any other dtype, one column,
@@ -132,16 +126,15 @@ _kernels = {}
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation; each row's bits depend only on
-    that row of ``a`` and on ``b`` (see the module docstring). Both operands
-    are 2-d, or both 3-d with the same leading stack size."""
+    """Matrix product of two 2-d operands with shape validation; each row's
+    bits depend only on that row of ``a`` and on ``b`` (see the module
+    docstring)."""
     _check_shapes(a, b)
-    if (KERNEL != "einsum" and a.shape[-2] >= MIN_ROWS
-            and a.size * b.shape[-1] >= MIN_MACS):
+    if KERNEL != "einsum" and a.shape[0] >= MIN_ROWS and a.size * b.shape[1] >= MIN_MACS:
         out = _product(a, b, KERNEL, _kernels)
         if out is not None:
             return out
-    return np.einsum("...ik,...kj->...ij", a, b)
+    return np.einsum("ik,kj->ij", a, b)
 
 
 def compiled(a: np.ndarray, b: np.ndarray, variant: str):
@@ -153,26 +146,23 @@ def compiled(a: np.ndarray, b: np.ndarray, variant: str):
 
 
 def _check_shapes(a, b) -> None:
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ValueError("matmul expects two 2-d or two 3-d operands, "
-                         f"got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects two 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
 
 
 def _product(a, b, variant, kernels):
-    n = b.shape[-1]
+    (m, k), n = a.shape, b.shape[1]
     if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
             or any(s % 4 for s in a.strides)):
         return None
-    out = np.empty(a.shape[:-1] + (n,), a.dtype)
-    m, k = a.shape[-2:]
+    out = np.empty((m, n), a.dtype)
     if b.flags.c_contiguous:
-        D, a_sd = (a.shape[0], a.strides[0] // 4) if a.ndim == 3 else (1, 0)
-        kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, D, m, k, n,
-                            a_sd, a.strides[-2] // 4, a.strides[-1] // 4, k * n)
-    elif a.ndim == 2 and a.flags.c_contiguous and b.T.flags.c_contiguous:
+        kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n,
+                                 *(s // 4 for s in a.strides))
+    elif a.flags.c_contiguous and b.T.flags.c_contiguous:
         if kernels[variant]["dot"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
             raise RuntimeError(f"no memory for the {variant} kernel's packing buffer")
     else:
@@ -263,18 +253,16 @@ def _probes():
             yield sample(m, k), sample(k, n)
             yield sample(k, m).T, sample(k, n)
             yield sample(m, k), sample(n, k).T
-        yield sample(2, 10, 19), sample(2, 19, 35)
 
 
 _ptr, _size, _int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
 # each entry's ctypes argument and result types
 _ENTRIES = {
-    "rows": ([_ptr] * 3 + [_size] * 8, None),
+    "rows": ([_ptr] * 3 + [_size] * 5, None),
     "dot": ([_ptr] * 3 + [_size] * 3, _int),
-    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 4, _size, _ptr, _int, *[_ptr] * 8,
-                  *[_size] * 5], _int),
-    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 4, _size,
-                 *[_ptr] * 5, *[_size] * 4], _int),
+    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 5, _int, *[_ptr] * 8, *[_size] * 5], _int),
+    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 9, *[_size] * 4],
+                _int),
     "adam": ([_ptr] * 4 + [_size, _ptr], None),
     "bn_sums": ([_ptr, _ptr, _size, _size, _ptr], None),
     "bn_out": ([_ptr] * 5 + [_size] * 2 + [_ptr], None),
@@ -315,7 +303,7 @@ def _load() -> str:
     variant = next(iter(kernels), "einsum")
     if variant == "einsum" or any(
             _product(a, b, variant, kernels).tobytes()
-            != np.einsum("...ik,...kj->...ij", a, b).tobytes() for a, b in _probes()):
+            != np.einsum("ik,kj->ij", a, b).tobytes() for a, b in _probes()):
         _kernels = {}
         return "einsum"
     _kernels = kernels
@@ -399,17 +387,16 @@ def _readable(*arrays) -> bool:
     return all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned for a in arrays)
 
 
-def gru_workspace(x: np.ndarray, cells):
-    """Scratch for :func:`gru_backward` of GRU ``cells`` over ``x`` or its
-    time-reversed view; None where that backward runs in numpy instead:
-    ``KERNEL == "einsum"``, another dtype than float32, or an ``x`` or cell
-    array the kernel cannot read (unaligned, or a cell array that is not
-    C-contiguous)."""
-    arrays = [a for cell in cells for a in (cell.U, *cell.grads().values())]
+def gru_workspace(x: np.ndarray, cell):
+    """Scratch for :func:`gru_backward` of GRU ``cell`` over its input ``x``;
+    None where that backward runs in numpy instead: ``KERNEL == "einsum"``,
+    another dtype than float32, or an ``x`` or cell array the kernel cannot
+    read (unaligned, or a cell array that is not C-contiguous)."""
     if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
-            or any(s % 4 for s in x.strides) or not _readable(*arrays)):
+            or any(s % 4 for s in x.strides)
+            or not _readable(cell.U, *cell.grads().values())):
         return None
-    h = cells[0].U.shape[0]
+    h = cell.U.shape[0]
     packed = -(-3 * h // 4) * 4 * -(-h // 16) * 16     # U for every variant
     return np.empty(3 * h * x.shape[0] + 4 * h + packed, _F32)
 
@@ -420,33 +407,30 @@ def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
     ``layers.GruSequence`` (``matmul.c`` states the order).
 
     ``x`` is the cell's (B, T, x_dim) input, any strides; ``caches`` its
-    forward's (h_prev, z|r, c, hc) blocks, each (T, B, w*h) with C-contiguous
-    steps, those of z|r twice as far apart as the others'; ``grad`` the
-    (B, T, h) or final (B, h) output gradient; ``carry`` (B, h) zeros. ``d_gx`` (B, T, 3h) receives the gradient at the input
-    projection, and ``cell``'s dW, dU, db_x and db_h accumulate. ``work``
-    comes from :func:`gru_workspace`.
+    forward's (h_prev, z|r, c, hc) blocks, each C-contiguous (T, B, w*h);
+    ``grad`` the C-contiguous (B, T, h) or final (B, h) output gradient;
+    ``carry`` (B, h) zeros. ``d_gx`` (B, T, 3h) receives the gradient at the
+    input projection, and ``cell``'s dW, dU, db_x and db_h accumulate.
+    ``work`` comes from :func:`gru_workspace`.
     """
     B, T, x_dim = x.shape
-    h_prev, zr, c, hc = caches
     status = _kernels[KERNEL]["gru_back"](
-        x.ctypes.data, *(s // 4 for s in x.strides), h_prev.ctypes.data, zr.ctypes.data,
-        c.ctypes.data, hc.ctypes.data, h_prev.strides[0] // 4, grad.ctypes.data,
-        grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
+        x.ctypes.data, *(s // 4 for s in x.strides), *(a.ctypes.data for a in caches),
+        grad.ctypes.data, grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
         *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h, work)),
         work.size, B, T, x_dim, carry.shape[-1])
     if status:
         raise ValueError(f"a workspace of {work.size} floats is too small")
 
 
-def gru_forward_workspace(cells, B: int):
-    """Scratch for :func:`gru_forward` of GRU ``cells`` at batch ``B``; None
+def gru_forward_workspace(cell, B: int):
+    """Scratch for :func:`gru_forward` of GRU ``cell`` at batch ``B``; None
     where that forward steps in numpy instead: ``KERNEL == "einsum"``, no
     bound ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the
     kernel cannot read (unaligned or not C-contiguous)."""
-    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(
-            *(a for cell in cells for a in (cell.U, cell.b_h))):
+    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(cell.U, cell.b_h):
         return None
-    return np.empty(14 * cells[0].U.shape[0] * B, _F32)
+    return np.empty(14 * cell.U.shape[0] * B, _F32)
 
 
 def gru_forward(gx, cell, ht, states, caches, work) -> None:
@@ -458,8 +442,9 @@ def gru_forward(gx, cell, ht, states, caches, work) -> None:
     ``ht`` the C-contiguous (B, h) state before the first step, which
     receives the last. ``states``, a (B, T, h) view with C-contiguous rows,
     receives every step's state unless None. ``caches`` are None or the
-    (h_prev, z|r, c, hc) blocks the backward reads, as for
-    :func:`gru_backward`. ``work`` comes from :func:`gru_forward_workspace`.
+    C-contiguous (T, B, w*h) (h_prev, z|r, c, hc) blocks the backward reads,
+    as for :func:`gru_backward`. ``work`` comes from
+    :func:`gru_forward_workspace`.
     """
     B, T, _ = gx.shape
     out = (None, 0, 0) if states is None else (
@@ -467,9 +452,8 @@ def gru_forward(gx, cell, ht, states, caches, work) -> None:
     blocks = (None,) * 4 if caches is None else [a.ctypes.data for a in caches]
     status = _kernels[KERNEL]["gru_fwd"](
         gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
-        cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks,
-        0 if caches is None else caches[0].strides[0] // 4,
-        *UFUNC_LOOPS[0], *UFUNC_LOOPS[1], work.ctypes.data, work.size, B, T, ht.shape[-1])
+        cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks, *UFUNC_LOOPS[0],
+        *UFUNC_LOOPS[1], work.ctypes.data, work.size, B, T, ht.shape[-1])
     if status:
         raise ValueError(f"a workspace of {work.size} floats is too small")
 

@@ -104,9 +104,9 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         scalars = (b1, 1.0 - b1, b2, 1.0 - b2, self.learning_rate, c1, c2, self.epsilon)
         for name, p, g in triples:
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
+            if name not in self.m:     # np.zeros: no page is written before the step
+                self.m[name] = np.zeros(p.shape, p.dtype)
+                self.v[name] = np.zeros(p.shape, p.dtype)
             m, v = self.m[name], self.v[name]
             if adam_step(p, m, v, g, scalars):
                 continue

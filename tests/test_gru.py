@@ -31,14 +31,15 @@ def random_cell(rng, x_dim, h, dtype):
 
 
 @contextlib.contextmanager
-def part_counts():
-    """The number of parts of every forward and backward run in the block,
-    in call order: the plan, also where an infer forward keeps nothing."""
+def thread_counts():
+    """The number of threads every forward and backward run in the block
+    ran its cells on, in call order: the plan, also where an infer forward
+    keeps nothing."""
     counts, run_each = [], layers._run_each
 
-    def counted(calls):
-        counts.append(len(calls))
-        return run_each(calls)
+    def counted(calls, split):
+        counts.append(len(calls) if split else 1)
+        return run_each(calls, split)
 
     with mock.patch.object(layers, "_run_each", counted):
         yield counts
@@ -136,7 +137,7 @@ class TestBidirectionalOracle:
         assert np.allclose(out[:, 4:], b, atol=1e-15)
 
 
-class TestStackedDirections:
+class TestTwoCells:
     """A two-cell GruSequence against each cell run alone, bit for bit: the
     second over the input reversed in time, its states and its input gradient
     re-reversed."""
@@ -159,7 +160,7 @@ class TestStackedDirections:
         rng = np.random.default_rng(seed)
         cells = (random_cell(rng, x_dim, h, dtype), random_cell(rng, x_dim, h, dtype))
         alone = [GruSequence(copy.deepcopy(cell), return_sequences) for cell in cells]
-        stacked = GruSequence(cells, return_sequences)
+        both = GruSequence(cells, return_sequences)
         x = rng.standard_normal((B, T, x_dim)).astype(dtype)
         reversed_x = np.ascontiguousarray(x[:, ::-1, :])
 
@@ -167,11 +168,11 @@ class TestStackedDirections:
             return a[:, ::-1] if return_sequences else a
 
         for mode in ("infer", "train"):
-            # the one-loop plan at any B
-            one_loop = mock.patch.object(layers, "SPLIT_ROWS", B + 1)
-            with one_loop, part_counts() as parts:
-                out = stacked.forward(x, mode)
-            assert parts == [1]
+            # the one-thread plan at any B
+            one_thread = mock.patch.object(layers, "SPLIT_ROWS", B + 1)
+            with one_thread, thread_counts() as threads:
+                out = both.forward(x, mode)
+            assert threads == [1]
             want = np.concatenate([alone[0].forward(x, mode),
                                    in_time_order(alone[1].forward(reversed_x, mode))],
                                   axis=-1)
@@ -179,7 +180,7 @@ class TestStackedDirections:
             assert out.tobytes() == want.tobytes()
 
         grad = rng.standard_normal(out.shape).astype(dtype)
-        dx = stacked.backward(grad)
+        dx = both.backward(grad)
         want = alone[0].backward(grad[..., :h])
         want += alone[1].backward(in_time_order(grad[..., h:]))[:, ::-1]
         assert dx.tobytes() == want.tobytes()
@@ -195,8 +196,8 @@ def bidirectional(rng, x_dim, h, dtype, return_sequences):
 
 
 class TestTwoThreads:
-    """A bidirectional layer on two threads against the stacked loop, bit for
-    bit. The stacked side raises ``layers.SPLIT_ROWS`` above its batch."""
+    """A bidirectional layer on two threads against one thread, bit for bit.
+    The one-thread side raises ``layers.SPLIT_ROWS`` above its batch."""
 
     def test_the_callers_errstate_holds_on_the_second_thread(self):
         """np.errstate belongs to a context, and a new thread starts in an
@@ -209,20 +210,21 @@ class TestTwoThreads:
         with np.errstate(invalid="raise"):
             for calls in ([invalid, lambda: None], [lambda: None, invalid]):
                 with pytest.raises(FloatingPointError):
-                    layers._run_each(calls)
+                    layers._run_each(calls, True)
 
     @staticmethod
     def run(bi, split, x, grad_rng):
-        """Infer and train forward, then backward; every output as bytes."""
-        one_loop = mock.patch.object(layers, "SPLIT_ROWS", len(x) + 1)
-        with contextlib.nullcontext() if split else one_loop:
+        """Infer and train forward, then backward: the threads each ran on,
+        and every output as bytes."""
+        one_thread = mock.patch.object(layers, "SPLIT_ROWS", len(x) + 1)
+        with contextlib.nullcontext() if split else one_thread, \
+                thread_counts() as threads:
             infer = bi.forward(x, "infer")
             out = bi.forward(x, "train")
-            parts = len(bi._kept[0])              # the plan the forward kept
             grad = grad_rng.standard_normal(out.shape).astype(out.dtype)
             dx = bi.backward(grad)
         grads = {k: g.tobytes() for k, g in bi.grads().items()}
-        return parts, [infer.tobytes(), out.tobytes(), dx.tobytes()], grads
+        return threads, [infer.tobytes(), out.tobytes(), dx.tobytes()], grads
 
     @settings(max_examples=25, deadline=None)
     @given(B=st.sampled_from([layers.SPLIT_ROWS - 1, layers.SPLIT_ROWS,
@@ -236,16 +238,15 @@ class TestTwoThreads:
              return_sequences=True, seed=0)
     @example(B=layers.SPLIT_ROWS, T=79, x_dim=2, h=3, dtype=np.float64,
              return_sequences=False, seed=1)
-    def test_equals_stacked(self, B, T, x_dim, h, dtype, return_sequences, seed):
+    def test_equals_one_thread(self, B, T, x_dim, h, dtype, return_sequences, seed):
         rng = np.random.default_rng(seed)
         bi = bidirectional(rng, x_dim, h, dtype, return_sequences)
         twin = copy.deepcopy(bi)
         x = rng.standard_normal((B, T, x_dim)).astype(dtype)
-        parts, outs, grads = self.run(bi, True, x, np.random.default_rng(seed))
-        assert parts == (2 if B >= layers.SPLIT_ROWS else 1)
-        stacked, want, want_grads = self.run(twin, False, x,
-                                             np.random.default_rng(seed))
-        assert stacked == 1
+        threads, outs, grads = self.run(bi, True, x, np.random.default_rng(seed))
+        assert threads == [2 if B >= layers.SPLIT_ROWS else 1] * 3
+        threads, want, want_grads = self.run(twin, False, x, np.random.default_rng(seed))
+        assert threads == [1] * 3
         assert outs == want
         assert grads == want_grads
 
@@ -284,9 +285,10 @@ class TestTwoThreads:
         rng = np.random.default_rng(4)
         bi = bidirectional(rng, 3, 4, np.float32, return_sequences)
         x = rng.standard_normal((layers.SPLIT_ROWS, 6, 3)).astype(np.float32)
-        out = bi.forward(x, "train")
-        assert len(bi._kept[0]) == 2
-        bi.backward(np.ones_like(out))
+        with thread_counts() as threads:
+            out = bi.forward(x, "train")
+            bi.backward(np.ones_like(out))
+        assert threads == [2, 2]
         with pytest.raises(ValueError, match="earlier backward consumed"):
             bi.backward(np.ones_like(out))
         bi.forward(x, "infer")
@@ -336,11 +338,12 @@ class TestTwoThreads:
             return [t for t in threading.enumerate()
                     if t.name.startswith("sentigru-gru")]
 
-        out = bi.forward(x, "train")
-        assert len(bi._kept[0]) == 2
+        with thread_counts() as threads:
+            out = bi.forward(x, "train")
+            assert workers() == []
+            bi.backward(np.ones_like(out))
         assert workers() == []
-        bi.backward(np.ones_like(out))
-        assert workers() == []
+        assert threads == [2, 2]
 
     def test_concurrent_callers_equal_serial_runs(self):
         """Two threads, each running split train passes on its own layer,
@@ -403,7 +406,7 @@ class TestTwoThreads:
     @pytest.mark.parametrize("B", [1, layers.SPLIT_ROWS])
     def test_shared_model_infers_the_serial_bytes(self, B):
         """Two threads run infer forwards on one model and get the bytes of a
-        serial run: on the one loop at batch 1, and on two threads per layer
+        serial run: on one thread at batch 1, and on two threads per layer
         at SPLIT_ROWS, with T short enough to project in one chunk."""
         config = ModelConfig(vocab_size=300, embed_dim=12, seq_len=20,
                              gru_units=(16, 10, 8))
@@ -415,9 +418,9 @@ class TestTwoThreads:
         def infer(ids):
             return model.forward(ids, "infer").tobytes()
 
-        with part_counts() as parts:
+        with thread_counts() as threads:
             want = [infer(ids) for ids in batches]
-        assert set(parts) == {1 if B < layers.SPLIT_ROWS else 2}
+        assert set(threads) == {1 if B < layers.SPLIT_ROWS else 2}
         assert self.on_two_threads(infer, batches, 5) == [want * 5] * 2
 
     def test_shared_model_predicts_the_serial_probabilities(self):
@@ -437,7 +440,7 @@ class TestTwoThreads:
         assert self.on_two_threads(probabilities, texts, 3) == [want * 3] * 2
 
     def test_train_run_writes_the_same_bytes_on_both_plans(self, tmp_path):
-        """``sentigru train`` at batch SPLIT_ROWS, once on the one loop and
+        """``sentigru train`` at batch SPLIT_ROWS, once on one thread and
         once on two threads: the same model and history bytes."""
         r = random.Random(1)
         words = ["glad", "sad", "fear", "love", "mad", "wow", "calm", "shock"]
@@ -448,16 +451,16 @@ class TestTwoThreads:
         runs, batch = [], layers.SPLIT_ROWS
         for split in (False, True):
             out, history = tmp_path / f"{split}.sgru", tmp_path / f"{split}.json"
-            one_loop = mock.patch.object(layers, "SPLIT_ROWS", batch + 1)
-            with contextlib.nullcontext() if split else one_loop, \
-                    part_counts() as parts:
+            one_thread = mock.patch.object(layers, "SPLIT_ROWS", batch + 1)
+            with contextlib.nullcontext() if split else one_thread, \
+                    thread_counts() as threads:
                 assert cli.main([
                     "train", "--data", str(data), "--out", str(out),
                     "--history", str(history), "--batch-size", str(batch),
                     "--epochs", "2", "--seq-len", "8", "--vocab-size", "50",
                     "--embed-dim", "4", "--gru-units", "4,3,3", "--deterministic",
                     "--seed", "3"]) == 0
-            assert (2 in parts) == split
+            assert (2 in threads) == split
             runs.append((out.read_bytes(), history.read_bytes()))
         assert runs[0] == runs[1]
 
@@ -466,9 +469,9 @@ class TestTwoThreads:
         rng = np.random.default_rng(6)
         bi = bidirectional(rng, 3, 4, np.float32, True)
         x = rng.standard_normal((64, 6, 3)).astype(np.float32)
-        with part_counts() as parts:
+        with thread_counts() as threads:
             want = bi.forward(x, "infer")         # starts and joins a worker
-        assert parts == [2]
+        assert threads == [2]
         with warnings.catch_warnings():           # fork of a threaded process
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()

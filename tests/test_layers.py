@@ -1,3 +1,4 @@
+import re
 
 import numpy as np
 import pytest
@@ -175,10 +176,9 @@ class TestGruCell:
         cell.b_x[:3] = 50.0
         h_prev = np.array([[0.3, -0.2, 0.8]])
         x = np.array([[0.1, 0.2]])
-        # one step from h_prev, on (n = 1, B, .) stacks as the sequence runs it
-        h = GruSequence._step(cell.input_projection(x)[None], h_prev[None],
-                              cell.U[None], cell.b_h[None, None])
-        assert np.allclose(h[0], h_prev, atol=1e-6)
+        # one step from h_prev, as the sequence runs it
+        h = GruSequence._step(cell.input_projection(x), h_prev, cell.U, cell.b_h)
+        assert np.allclose(h, h_prev, atol=1e-6)
 
     def test_single_step_gradient(self):
         rng = np.random.default_rng(4)
@@ -275,28 +275,49 @@ class TestGruSequence:
         T, x_dim, h = 6, 5, 4
         seq = GruSequence([GruCell(x_dim, h, rng, dtype) for _ in range(cells)],
                           return_sequences=True)
-        # two cells run as two parts from SPLIT_ROWS rows
+        # two cells run on two threads from SPLIT_ROWS rows
         for B in (3, layers.SPLIT_ROWS):
             x = rng.standard_normal((B, T, x_dim)).astype(dtype)
             out = seq.forward(x, "train")
-            # the plan, then h_prev, z|r, c and hc per row, each in its own
-            # (T, n, B, .) block per part that owns its memory
-            parts, xs, caches = seq._kept
-            assert len(parts) == (2 if cells == 2 and B >= layers.SPLIT_ROWS else 1)
-            for part, blocks in zip(parts, caches):
-                n = part.stop - part.start
-                assert [b.shape for b in blocks] == [
-                    (T, n, B, w * h) for w in (1, 2, 1, 1)]
+            # the output's shape, then h_prev, z|r, c and hc per row, each in
+            # its own (T, B, .) block per cell that owns its memory
+            shape, xs, caches = seq._kept
+            assert shape == out.shape
+            assert len(caches) == len(xs) == cells
+            for blocks in caches:
+                assert [b.shape for b in blocks] == [(T, B, w * h) for w in (1, 2, 1, 1)]
                 assert all(b.base is None for b in blocks)
             held = sum(b.nbytes for blocks in caches for b in blocks)
             assert held == T * cells * B * 5 * h * np.dtype(dtype).itemsize
             grad = np.ones_like(out)
             seq.backward(grad)
-            # every part cleared its entries, and the layer keeps nothing
-            assert caches == [None] * len(parts) == xs
+            # every cell cleared its entries, and the layer keeps nothing
+            assert caches == [None] * cells == xs
             assert isinstance(seq._kept, str)
             with pytest.raises(ValueError, match="earlier backward consumed"):
                 seq.backward(grad)
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_of_another_shape_rejected(self, return_sequences, dtype):
+        """A gradient of another shape than the output raises naming both,
+        before the kept state or any gradient changes: in float32, on the
+        compiled backward where the kernel builds, and in float64 in numpy."""
+        rng = np.random.default_rng(17)
+        seq = GruSequence((GruCell(3, 4, rng, dtype), GruCell(3, 4, rng, dtype)),
+                          return_sequences)
+        out = seq.forward(rng.standard_normal((4, 5, 3)).astype(dtype), "train")
+        grads = {name: g.tobytes() for name, g in seq.grads().items()}
+        # fewer rows; per-step for a final state, or the reverse; half the width
+        shapes = [(2, *out.shape[1:]), (4, 8) if return_sequences else (4, 5, 8),
+                  (*out.shape[:-1], 4)]
+        for shape in shapes:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gradient of shape {shape} for an output of shape {out.shape}")):
+                seq.backward(np.ones(shape, dtype))
+        assert {name: g.tobytes() for name, g in seq.grads().items()} == grads
+        seq.backward(np.ones_like(out))           # the kept state is still there
+        assert {name: g.tobytes() for name, g in seq.grads().items()} != grads
 
     def test_unknown_mode_rejected(self):
         seq = GruSequence(GruCell(3, 4, np.random.default_rng(0), F64), True)
@@ -617,9 +638,8 @@ def arrays_held(layer):
 @pytest.mark.parametrize("B", [1, layers.SPLIT_ROWS])
 def test_infer_forward_keeps_nothing(B):
     """After an infer forward a layer holds only its parameters, gradients
-    and BatchNorm buffers, and a GRU layer its stacked U, which every forward
-    refills with the same bytes: nothing that threads sharing the model
-    could write under one another."""
+    and BatchNorm buffers: nothing that threads sharing the model could
+    write under one another."""
     model = _tiny_model()
     ids = np.random.default_rng(23).integers(0, 20, (B, 5))
     model.forward(ids, "train")
@@ -627,8 +647,6 @@ def test_infer_forward_keeps_nothing(B):
     for name, layer in model.named_layers:
         allowed = [*layer.params().values(), *layer.grads().values(),
                    *layer.buffers().values()]
-        if isinstance(layer, GruSequence):
-            allowed.append(layer._U)
         extra = [a.shape for a in arrays_held(layer)
                  if not any(a is b for b in allowed)]
         assert extra == [], name

@@ -82,27 +82,13 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(np.zeros(3), np.zeros((3, 2)))
 
-    @given(D=st.integers(1, 3), m=st.integers(1, 80), k=st.integers(1, 130),
-           n=st.integers(1, 370), dtype=st.sampled_from([np.float32, np.float64]),
-           seed=st.integers(0, 2**32 - 1))
-    @example(D=2, m=1, k=120, n=360, dtype=np.float32, seed=0)
-    @example(D=2, m=64, k=64, n=192, dtype=np.float64, seed=0)
-    @example(D=2, m=79, k=50, n=360, dtype=np.float32, seed=0)
-    def test_stacked_slices_equal_2d_products(self, D, m, k, n, dtype, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((D, m, k)).astype(dtype)
-        b = rng.standard_normal((D, k, n)).astype(dtype)
-        got = matmul(a, b)
-        assert got.shape == (D, m, n) and got.dtype == dtype
-        for d in range(D):
-            assert got[d].tobytes() == matmul(a[d], b[d]).tobytes()
-
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((2, 3, 4), (3, 4, 5)),      # stack sizes differ
         ((2, 3, 4), (2, 5, 6)),      # inner dimensions differ
         ((2, 3, 4), (4, 5)),         # stacked times unstacked
         ((3, 4), (2, 4, 5)),
         ((1, 2, 3, 4), (1, 2, 4, 5)),  # two stack axes
+        ((2, 3, 4), (2, 4, 5)),      # one stack axis: 2-d operands only
     ])
     def test_stacked_shape_validation(self, a_shape, b_shape):
         with pytest.raises(ValueError):
