@@ -8,9 +8,10 @@ over these. ``param_count`` is generic: the sizes of params() and buffers().
 
 Constructors draw initial weights from ``rng``. With ``rng=None`` they draw
 nothing and every weight starts at zero: that is how a model is built to be
-loaded. Such parameters, and every gradient buffer, come from ``np.zeros``,
-whose pages stay untouched until written: a model that only infers never
-makes its gradients resident.
+loaded. Every parameter, gradient and BatchNorm buffer comes from
+:func:`numerics.zeros`, so it starts on a 64-byte boundary, and its pages
+stay untouched until written: a model that only infers never makes its
+gradients resident.
 
 One rule in :class:`Layer` says what a forward keeps: a train-mode forward
 keeps what its backward reads, an infer-mode forward keeps nothing, and
@@ -43,14 +44,15 @@ import numpy as np
 
 from .numerics import (batch_norm_apply, batch_norm_backward, batch_norm_stats,
                        gru_backward, gru_forward, gru_forward_workspace, gru_workspace,
-                       matmul, scatter_add, sigmoid)
+                       matmul, scatter_add, sigmoid, zeros)
 
 
 def uniform(rng, limit, shape, dtype) -> np.ndarray:
     """U(-limit, limit) draws cast to ``dtype``; zeros when ``rng`` is None."""
-    if rng is None:
-        return np.zeros(shape, dtype)
-    return rng.uniform(-limit, limit, shape).astype(dtype)
+    out = zeros(shape, dtype)
+    if rng is not None:
+        out[...] = rng.uniform(-limit, limit, shape)
+    return out
 
 
 def glorot_uniform(rng, shape, dtype) -> np.ndarray:
@@ -61,12 +63,11 @@ def glorot_uniform(rng, shape, dtype) -> np.ndarray:
 def orthogonal(rng, n: int, dtype) -> np.ndarray:
     """Orthogonal n x n matrix from QR of a gaussian draw, sign-fixed; zeros
     when ``rng`` is None."""
-    if rng is None:
-        return np.zeros((n, n), dtype)
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    return q.astype(dtype)
+    out = zeros((n, n), dtype)
+    if rng is not None:
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        out[...] = q * np.sign(np.diag(r))
+    return out
 
 
 def check_mode(mode: str) -> None:
@@ -121,7 +122,7 @@ class Embedding(Layer):
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
         self.weight = uniform(rng, 0.05, (vocab_size, embed_dim), dtype)
-        self.d_weight = np.zeros(self.weight.shape, dtype)
+        self.d_weight = zeros(self.weight.shape, dtype)
 
     def forward(self, ids: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
@@ -187,18 +188,17 @@ class GruCell(Layer):
         self.input_dim = input_dim
         self.hidden_size = h
         self.W = glorot_uniform(rng, (input_dim, 3 * h), dtype)
-        self.U = np.hstack([orthogonal(rng, h, dtype) for _ in range(3)])
-        self.b_x = np.zeros(3 * h, dtype=dtype)
-        self.b_h = np.zeros(3 * h, dtype=dtype)
-        self.dW = np.zeros(self.W.shape, dtype)
-        self.dU = np.zeros(self.U.shape, dtype)
-        self.db_x = np.zeros(3 * h, dtype)
-        self.db_h = np.zeros(3 * h, dtype)
+        self.U = np.concatenate([orthogonal(rng, h, dtype) for _ in range(3)], axis=1,
+                                out=zeros((h, 3 * h), dtype))
+        self.b_x, self.b_h, self.db_x, self.db_h = (zeros(3 * h, dtype) for _ in range(4))
+        self.dW = zeros(self.W.shape, dtype)
+        self.dU = zeros(self.U.shape, dtype)
 
-    def input_projection(self, x: np.ndarray) -> np.ndarray:
+    def input_projection(self, x: np.ndarray, out=None) -> np.ndarray:
         """x W + b_x for (rows, x_dim) input: the gate pre-activations that do
-        not depend on the recurrent state, so many timesteps can share one call."""
-        gx = matmul(x, self.W)
+        not depend on the recurrent state, so many timesteps can share one
+        call. Written into ``out`` if given, as :func:`numerics.matmul` takes it."""
+        gx = matmul(x, self.W, out=out)
         gx += self.b_x
         return gx
 
@@ -242,8 +242,9 @@ class GruSequence(Layer):
     gradients in place. Float64, ``numerics.KERNEL == "einsum"`` and, for the
     forward, unbound loops step in numpy.
 
-    ``x W + b_x`` is projected in time chunks of C = ROWS // B steps into one
-    (B, C, 3h) buffer per cell and call, so peak memory does not grow with T;
+    ``x W + b_x`` is projected in time chunks of C = ROWS // B steps, in
+    place, into one (B, C, 3h) buffer per cell and call, a partial last chunk
+    into its first B c 3h values, so peak memory does not grow with T;
     ``dx`` is one matmul per cell after its backward loop.
     matmul rows do not depend on which rows share the call, so both give the
     bits of a per-step product. Parameter gradients accumulate per cell in
@@ -318,17 +319,20 @@ class GruSequence(Layer):
         C = gx.shape[1]
         for t0 in range(0, T, C):
             c = min(C, T - t0)
-            rows = x[:, t0:t0 + c].reshape(B * c, x_dim)
-            gx[:, :c] = cell.input_projection(rows).reshape(B, c, -1)
+            # projected in place into the buffer's first B*c rows, so a
+            # partial last chunk is C-contiguous too
+            rows = gx.reshape(-1)[:B * c * gx.shape[2]].reshape(B * c, -1)
+            cell.input_projection(x[:, t0:t0 + c].reshape(B * c, x_dim), rows)
+            g = rows.reshape(B, c, -1)
             if work is not None:
-                gru_forward(gx[:, :c], cell, ht,
+                gru_forward(g, cell, ht,
                             None if states is None else states[:, t0:t0 + c],
                             None if caches is None else [block[t0:t0 + c] for block in caches],
                             work)
                 continue
             for t in range(t0, t0 + c):
                 slots = None if caches is None else [block[t] for block in caches]
-                ht = self._step(gx[:, t - t0], ht, cell.U, cell.b_h, slots)
+                ht = self._step(g[:, t - t0], ht, cell.U, cell.b_h, slots)
                 if states is not None:
                     states[:, t] = ht
         return ht if states is None else states
@@ -520,12 +524,10 @@ class BatchNorm(Layer):
 
     def __init__(self, channels, dtype=np.float32):
         self.channels = channels
-        self.gamma = np.ones(channels, dtype=dtype)
-        self.beta = np.zeros(channels, dtype=dtype)
-        self.moving_mean = np.zeros(channels, dtype=dtype)
-        self.moving_var = np.ones(channels, dtype=dtype)
-        self.d_gamma = np.zeros(channels, dtype)
-        self.d_beta = np.zeros(channels, dtype)
+        (self.gamma, self.beta, self.moving_mean, self.moving_var, self.d_gamma,
+         self.d_beta) = (zeros(channels, dtype) for _ in range(6))
+        self.gamma += 1
+        self.moving_var += 1
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         if x.shape[-1] != self.channels:
@@ -584,9 +586,8 @@ class Dense(Layer):
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
         self.W = glorot_uniform(rng, (in_dim, out_dim), dtype)
-        self.b = np.zeros(out_dim, dtype=dtype)
-        self.dW = np.zeros(self.W.shape, dtype)
-        self.db = np.zeros(out_dim, dtype)
+        self.b, self.db = zeros(out_dim, dtype), zeros(out_dim, dtype)
+        self.dW = zeros(self.W.shape, dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
         self._keep(mode, x)

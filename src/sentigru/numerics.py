@@ -1,4 +1,5 @@
-"""Dense primitives: matmul, sigmoid, softmax, a finite-difference oracle.
+"""Dense primitives: an aligned allocator, matmul, sigmoid, softmax, a
+finite-difference oracle.
 
 All layer math funnels through :func:`matmul`, whose products have the bits
 of ``np.einsum`` (never BLAS). They are bitwise reproducible run to run, and
@@ -125,16 +126,40 @@ _F32 = np.dtype(np.float32)
 _kernels = {}
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def zeros(shape, dtype) -> np.ndarray:
+    """``np.zeros(shape, dtype)``, C-contiguous, starting on a 64-byte
+    boundary: a view of a zeroed byte buffer, whose untouched pages stay
+    unresident as those of ``np.zeros`` do. A product streams a 64-byte
+    aligned operand in whole cache lines."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    raw = np.zeros(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product of two 2-d operands with shape validation; each row's
     bits depend only on that row of ``a`` and on ``b`` (see the module
-    docstring)."""
+    docstring). With ``out``, a writeable C-contiguous array of the
+    product's shape and dtype that overlaps neither operand, the product is
+    written there and ``out`` returned; an ``out`` of another shape, dtype
+    or layout raises ValueError before anything is written."""
     _check_shapes(a, b)
+    if out is not None:
+        shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, b)
+        if out.shape != shape or out.dtype != dtype or not (
+                out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError(f"out must be a writeable C-contiguous {dtype} array of "
+                             f"shape {shape}, got {out.dtype} {out.shape}")
     if KERNEL != "einsum" and a.shape[0] >= MIN_ROWS and a.size * b.shape[1] >= MIN_MACS:
-        out = _product(a, b, KERNEL, _kernels)
-        if out is not None:
-            return out
-    return np.einsum("ik,kj->ij", a, b)
+        product = _product(a, b, KERNEL, _kernels, out)
+        if product is not None:
+            return product
+    if out is None:
+        return np.einsum("ik,kj->ij", a, b)
+    out[...] = np.einsum("ik,kj->ij", a, b)
+    return out
 
 
 def compiled(a: np.ndarray, b: np.ndarray, variant: str):
@@ -152,13 +177,17 @@ def _check_shapes(a, b) -> None:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
 
 
-def _product(a, b, variant, kernels):
+def _product(a, b, variant, kernels, out=None):
+    """The kernel's product into ``out``, or a new array without it; None,
+    writing nothing, outside the kernel's layouts."""
     (m, k), n = a.shape, b.shape[1]
     if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
-            or any(s % 4 for s in a.strides)):
+            or any(s % 4 for s in a.strides)
+            or not (out is None or out.flags.aligned)):
         return None
-    out = np.empty((m, n), a.dtype)
+    if out is None:
+        out = np.empty((m, n), a.dtype)
     if b.flags.c_contiguous:
         kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n,
                                  *(s // 4 for s in a.strides))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .layers import softmax_cross_entropy
-from .numerics import adam_step
+from .numerics import adam_step, zeros
 
 
 class TrainingError(RuntimeError):
@@ -104,9 +104,9 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         scalars = (b1, 1.0 - b1, b2, 1.0 - b2, self.learning_rate, c1, c2, self.epsilon)
         for name, p, g in triples:
-            if name not in self.m:     # np.zeros: no page is written before the step
-                self.m[name] = np.zeros(p.shape, p.dtype)
-                self.v[name] = np.zeros(p.shape, p.dtype)
+            if name not in self.m:     # zeros: no page is written before the step
+                self.m[name] = zeros(p.shape, p.dtype)
+                self.v[name] = zeros(p.shape, p.dtype)
             m, v = self.m[name], self.v[name]
             if adam_step(p, m, v, g, scalars):
                 continue

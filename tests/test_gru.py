@@ -190,6 +190,43 @@ class TestTwoCells:
                 assert g.tobytes() == want[name].tobytes(), name
 
 
+def stepped(seq, x):
+    """``seq``'s (B, T, D*h) states, each cell stepped with
+    ``GruSequence._step`` from a projection of that step's rows alone."""
+    outs = []
+    for cell, xd in zip(seq.cells, (x, x[:, ::-1])):
+        ht, states = np.zeros((x.shape[0], cell.hidden_size), x.dtype), []
+        for t in range(x.shape[1]):
+            gx = np.einsum("ik,kj->ij", xd[:, t], cell.W) + cell.b_x
+            ht = GruSequence._step(gx, ht, cell.U, cell.b_h)
+            states.append(ht)
+        outs.append(np.stack(states, axis=1))
+    return np.concatenate([outs[0], *(o[:, ::-1] for o in outs[1:])], axis=-1)
+
+
+class TestInPlaceProjection:
+    """Each chunk is projected into the cell's projection buffer, a partial
+    last chunk into the buffer's first rows: the forward's bytes equal a
+    numpy loop that projects every step on its own."""
+
+    # (64, 79) and (100, 79) end in a partial chunk (C = 16 and 10); batch 1
+    # projects the reversed cell's rows as a view with a negative stride, on
+    # the kernel; (2, 3) has fewer than MIN_ROWS rows, so einsum projects it
+    @pytest.mark.parametrize("B, T, x_dim, h", [(64, 79, 3, 4), (100, 79, 3, 4),
+                                                (1, 79, 16, 16), (2, 3, 3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [numerics.KERNEL, "einsum"])
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_equals_the_stepped_loop(self, B, T, x_dim, h, dtype, kernel, cells):
+        rng = np.random.default_rng(B * T + cells)
+        seq = GruSequence([random_cell(rng, x_dim, h, dtype) for _ in range(cells)], True)
+        x = rng.standard_normal((B, T, x_dim)).astype(dtype)
+        with mock.patch.object(numerics, "KERNEL", kernel):
+            want = stepped(seq, x).tobytes()
+            assert seq.forward(x, "infer").tobytes() == want
+            assert seq.forward(x, "train").tobytes() == want
+
+
 def bidirectional(rng, x_dim, h, dtype, return_sequences):
     return BidirectionalGru(random_cell(rng, x_dim, h, dtype),
                             random_cell(rng, x_dim, h, dtype), return_sequences)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,3 +355,51 @@ class TestPredict:
         default = predict(model, vocab, "i am so happy")
         unfiltered = predict(model, vocab, "i am so happy", stopwords=frozenset())
         assert not np.array_equal(default[2], unfiltered[2])
+
+
+def aligned_offsets(model, optimizer):
+    """The byte offset mod 64 of every array a model and its Adam keep."""
+    arrays = {name: a for name, a in model.state_items()}
+    arrays.update({f"{name}.grad": g for name, _, g in model.trainable()})
+    for moments, tag in ((optimizer.m, "m"), (optimizer.v, "v")):
+        arrays.update({f"{name}.{tag}": a for name, a in moments.items()})
+    return {name: a.ctypes.data % 64 for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("loaded", [False, True], ids=["seeded", "loaded"])
+def test_every_long_lived_array_starts_on_64_bytes(dtype, loaded, tmp_path):
+    """Parameters, BatchNorm buffers, gradients and Adam's moments all start
+    on a 64-byte boundary, on a seeded model and on one built to be loaded."""
+    from sentigru import serialize
+    from sentigru.trainer import Adam
+    model = small_model(seed=4, dtype=dtype)
+    if loaded:
+        path = tmp_path / "model.bin"
+        serialize.save(model, build_vocabulary([["a", "b"]]), path)
+        model, _ = serialize.load(path)
+    optimizer = Adam()
+    model.forward(np.random.default_rng(4).integers(0, 30, (3, 6)), "train")
+    model.backward(np.ones((3, model.config.num_classes), model.config.np_dtype))
+    optimizer.step(model.trainable())
+    offsets = aligned_offsets(model, optimizer)
+    assert len(offsets) == len(model.state_items()) + 3 * len(model.trainable())
+    assert {name: at for name, at in offsets.items() if at} == {}
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+def test_a_model_built_to_be_loaded_leaves_its_zeros_unresident():
+    """Parameters and gradients come from zeroed pages that stay untouched:
+    an unseeded model with 200k embedding rows (76 MB of weight and gradient)
+    adds only a few MB of resident memory."""
+    before = resident_bytes()
+    model = build_model(ModelConfig(vocab_size=200_000))
+    grown = resident_bytes() - before
+    weights = 2 * model.named_layers[0][1].weight.nbytes
+    assert weights > 75 * 2**20
+    assert grown < weights / 4, grown

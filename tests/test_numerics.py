@@ -41,9 +41,9 @@ class TestMatmul:
         model = build_model(cfg, seed=3)
         seen = []
 
-        def recorded(a, b):
+        def recorded(a, b, out=None):
             seen.append(b.flags.c_contiguous and b.shape[-1] == 1)
-            return matmul(a, b)
+            return matmul(a, b, out=out)
 
         ids = np.random.default_rng(3).integers(0, 50, (B, 8))
         with mock.patch.object(layers, "matmul", recorded), \
@@ -93,6 +93,34 @@ class TestMatmul:
     def test_stacked_shape_validation(self, a_shape, b_shape):
         with pytest.raises(ValueError):
             matmul(np.zeros(a_shape), np.zeros(b_shape))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [3, 40])
+    def test_out_receives_the_product(self, dtype, m):
+        """With ``out`` the product's bits land there, on einsum and kernel
+        rows alike, and ``out`` itself is returned."""
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((m, 300)).astype(dtype)
+        b = rng.standard_normal((300, 9)).astype(dtype)
+        out = np.full((m, 9), np.nan, dtype)
+        assert matmul(a, b, out=out) is out
+        assert out.tobytes() == matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((40, 8), np.float32),                 # shape
+        np.zeros((40, 9), np.float64),                 # dtype
+        np.zeros((9, 40), np.float32).T,               # not C-contiguous
+        np.zeros((40, 18), np.float32)[:, ::2],        # strided columns
+    ], ids=["shape", "dtype", "fortran", "strided"])
+    def test_a_wrong_out_raises_before_writing(self, bad):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((40, 300)).astype(np.float32)
+        b = rng.standard_normal((300, 9)).astype(np.float32)
+        before = bad.tobytes()
+        with pytest.raises(ValueError, match="out must be"):
+            matmul(a, b, out=bad)
+        assert bad.tobytes() == before
 
 
 class TestActivations:
