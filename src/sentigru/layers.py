@@ -43,8 +43,7 @@ from functools import partial
 import numpy as np
 
 from .numerics import (batch_norm_apply, batch_norm_backward, batch_norm_stats,
-                       gru_backward, gru_forward, gru_forward_workspace, gru_workspace,
-                       matmul, scatter_add, sigmoid, zeros)
+                       gru_backward, gru_forward, matmul, scatter_add, sigmoid, zeros)
 
 
 def uniform(rng, limit, shape, dtype) -> np.ndarray:
@@ -259,9 +258,10 @@ class GruSequence(Layer):
 
     The calling thread allocates every array a cell keeps past one step
     (projection buffer, states, cache blocks, the cell's output gradient,
-    ``d_gx``, the workspaces) before it starts the cells, so the worker's
-    malloc arena keeps only per-step temporaries. Between calls the sequence
-    holds only its cells and the state a train forward kept.
+    ``d_gx``) before it starts the cells, so the worker's malloc arena keeps
+    only per-step temporaries and the compiled calls' scratch, which each
+    call allocates and frees. Between calls the sequence holds only its
+    cells and the state a train forward kept.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -299,8 +299,7 @@ class GruSequence(Layer):
                           if mode == "train" else None)
             states = np.empty((B, T, h), dtype) if self.return_sequences else None
             calls.append(partial(self._forward_cell, cell, xd, np.empty((B, C, 3 * h), dtype),
-                                 np.zeros((B, h), dtype), states, caches[-1],
-                                 gru_forward_workspace(cell, B)))
+                                 np.zeros((B, h), dtype), states, caches[-1]))
         outs = _run_each(calls, B >= SPLIT_ROWS)
         if D == 1:
             return outs[0]
@@ -311,10 +310,11 @@ class GruSequence(Layer):
         reversed when they are per step, as is for a final state."""
         return a[:, ::-1] if self.return_sequences else a
 
-    def _forward_cell(self, cell, x, gx, ht, states, caches, work):
+    def _forward_cell(self, cell, x, gx, ht, states, caches):
         """``cell``'s time loop over its input ``x``; returns its (B, T, h)
-        states or (B, h) final state. With a ``work`` array the loop over each
-        projection chunk is one compiled call, else the cell steps in numpy."""
+        states or (B, h) final state. The loop over each projection chunk is
+        one compiled call where ``numerics.gru_forward`` takes it, else the
+        cell steps in numpy."""
         B, T, x_dim = x.shape
         C = gx.shape[1]
         for t0 in range(0, T, C):
@@ -324,11 +324,8 @@ class GruSequence(Layer):
             rows = gx.reshape(-1)[:B * c * gx.shape[2]].reshape(B * c, -1)
             cell.input_projection(x[:, t0:t0 + c].reshape(B * c, x_dim), rows)
             g = rows.reshape(B, c, -1)
-            if work is not None:
-                gru_forward(g, cell, ht,
-                            None if states is None else states[:, t0:t0 + c],
-                            None if caches is None else [block[t0:t0 + c] for block in caches],
-                            work)
+            if gru_forward(g, cell, ht, None if states is None else states[:, t0:t0 + c],
+                           None if caches is None else [block[t0:t0 + c] for block in caches]):
                 continue
             for t in range(t0, t0 + c):
                 slots = None if caches is None else [block[t] for block in caches]
@@ -395,25 +392,22 @@ class GruSequence(Layer):
         B, T, _ = xs[0].shape
         grads = (grad[..., :h], self._in_time_order(grad[..., h:]))
         calls = [partial(self._backward_cell, cell, xs, caches, j, grads[j].copy(),
-                         np.zeros((B, h), self.dtype), np.empty((B, T, 3 * h), self.dtype),
-                         gru_workspace(xs[j], cell))
+                         np.zeros((B, h), self.dtype), np.empty((B, T, 3 * h), self.dtype))
                  for j, cell in enumerate(self.cells)]
         dxs = _run_each(calls, B >= SPLIT_ROWS)
         if len(dxs) == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_cell(self, cell, xs, caches, j, grad, carry, d_gx, work):
+    def _backward_cell(self, cell, xs, caches, j, grad, carry, d_gx):
         """The backward time loop of ``cell``, the ``j``-th; clears its
         entries in the kept ``xs`` and ``caches``, then returns its input
-        gradient. With a ``work`` array the loop is one compiled call, else
-        the cell steps in numpy."""
+        gradient. The loop is one compiled call where
+        ``numerics.gru_backward`` takes it, else the cell steps in numpy."""
         x, blocks = xs[j], caches[j]
         xs[j] = caches[j] = None
         B, T, x_dim = x.shape
-        if work is not None:
-            gru_backward(x, blocks, grad, carry, d_gx, cell, work)
-        else:
+        if not gru_backward(x, blocks, grad, carry, d_gx, cell):
             for t in range(T - 1, -1, -1):
                 if self.return_sequences:
                     dh = carry + grad[:, t]

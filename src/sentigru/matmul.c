@@ -34,7 +34,8 @@
  *   dW += x_t^T d_gx and dU += h_prev^T d_gh in sg_rows' order, db_x and
  *   db_h += sum over b in order starting from +0.0 (float32 sum(axis=0) for
  *   any width >= 2), and dh_prev += d_gh U^T in sg_dot's order. It runs no
- *   exp or tanh. It allocates nothing; ctypes releases the GIL for the call.
+ *   exp or tanh. It allocates its scratch and frees it before it returns;
+ *   ctypes releases the GIL for the call.
  *
  * sg_gru_fwd: one GRU cell's forward time loop, t = 0 to T-1, with numpy's
  *   bits (GruSequence._step is the reference). Each step makes the numpy
@@ -51,7 +52,8 @@
  *   separate output, as numpy's own call does.
  *   Called from here, those loops run outside numpy's error handling: they
  *   raise no numpy floating-point warning, and np.errstate does not apply.
- *   It allocates nothing; ctypes releases the GIL for the call.
+ *   It allocates its scratch and frees it before it returns; ctypes
+ *   releases the GIL for the call.
  *
  * sg_adam: one Adam step over a parameter's n contiguous floats with the bits
  *   of trainer.Adam's numpy step, in one pass. It makes numpy's float32
@@ -514,22 +516,20 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
  * zeros on entry, holds dh_prev of t = 0 on return. d_gx, C-contiguous (B,
  * T, 3h), receives the gradient at the input projection. U and dU (h, 3h),
  * dW (X, 3h), db_x and db_h (3h) are C-contiguous, and the gradients
- * accumulate. work holds nwork floats, at least 3h B + 4h + 4 ceil(3h / 4)
- * ceil(h / 16) 16, which covers every variant's packing of U. Returns 0, or
- * -1 when work is smaller. */
+ * accumulate. Returns 0, or -1 when its scratch cannot be allocated. */
 int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_si,
                     const float *hp, const float *zr, const float *c, const float *hc,
                     const float *g, int seq, float *dh, float *dgx,
                     const float *U, float *dW, float *dU, float *dbx, float *dbh,
-                    float *work, ptrdiff_t nwork, ptrdiff_t B, ptrdiff_t T, ptrdiff_t X,
-                    ptrdiff_t h)
+                    ptrdiff_t B, ptrdiff_t T, ptrdiff_t X, ptrdiff_t h)
 {
     ptrdiff_t G = 3 * h, np = (h + NC - 1) / NC * NC, npack = (G + CH - 1) / CH * np * CH;
     ptrdiff_t cs = B * h;                       /* one step of a cache block */
-    float *dgh = work, *sum = dgh + B * G, *p = sum + 4 * h;
-    if (nwork < B * G + 4 * h + npack)
+    /* d_gh (B, 3h), the column sums (4h) and U packed, zero-padded */
+    float *dgh = calloc((size_t)(B * G + 4 * h + npack), sizeof *dgh);
+    if (!dgh)
         return -1;
-    memset(p, 0, (size_t)npack * sizeof *p);
+    float *sum = dgh + B * G, *p = sum + 4 * h;
     FN(dot_pack)(U, p, G, h, np);
     for (ptrdiff_t t = T - 1; t >= 0; t--) {
         const float *hp_t = hp + t * cs;
@@ -548,6 +548,7 @@ int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_
         FN(rows_add)(hp_t, 1, h, dgh, G, dU, G, h, B, G);
         FN(dot_rows)(dgh, p, dh, B, G, h, np, 1);
     }
+    free(dgh);
     return 0;
 }
 
@@ -616,21 +617,22 @@ INLINE void FN(fwd_state)(float *ht, const float *zr, const float *c, float *o1,
  * + t o_st. Unless hp is NULL the steps' caches go to the blocks sg_gru_back
  * reads: C-contiguous (T, B, h) hp, c and hc and (T, B, 2h) zr. U (h, 3h)
  * and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's float32 loops
- * of np.exp and np.tanh, with their data. work holds nwork floats, at least
- * 14h B. Returns 0, or -1 when work is smaller. */
+ * of np.exp and np.tanh, with their data. Returns 0, or -1 when its scratch
+ * cannot be allocated. */
 int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const float *U,
                    const float *bh, float *ht, float *out, ptrdiff_t o_sb, ptrdiff_t o_st,
                    float *hp, float *zr, float *c, float *hc, sg_loop exp_f,
-                   void *exp_d, sg_loop tanh_f, void *tanh_d, float *work, ptrdiff_t nwork,
-                   ptrdiff_t B, ptrdiff_t T, ptrdiff_t h)
+                   void *exp_d, sg_loop tanh_f, void *tanh_d, ptrdiff_t B, ptrdiff_t T,
+                   ptrdiff_t h)
 {
     ptrdiff_t G = 3 * h, cs = B * h;            /* cs: one step of a cache block */
     /* gh (3h), ng, ge and e (2h each), q (h) and, without caches, the step's
      * [z | r], c and hc (4h), per row */
-    float *gh = work, *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
-    float *q = e + 2 * h * B, *own = q + h * B;
-    if (nwork < 14 * h * B)
+    float *gh = malloc((size_t)(14 * h * B) * sizeof *gh);
+    if (!gh)
         return -1;
+    float *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
+    float *q = e + 2 * h * B, *own = q + h * B;
     if (hp)
         memcpy(hp, ht, (size_t)(B * h) * sizeof *ht);
     for (ptrdiff_t t = 0; t < T; t++) {
@@ -651,6 +653,7 @@ int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const floa
                           out ? out + b * o_sb + t * o_st : NULL,
                           hp && t + 1 < T ? hp + (t + 1) * cs + b * h : NULL, h);
     }
+    free(gh);
     return 0;
 }
 

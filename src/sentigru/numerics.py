@@ -42,7 +42,10 @@ einsum on fixed probe products. ``KERNEL`` names the path in use: that
 variant ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without a
 compiler, after a failed build or when a probe differs. Setting it to
 "einsum" sends every product to einsum. ctypes releases the GIL for the
-call, so products on two threads run at once.
+call, so products on two threads run at once. An entry that needs scratch
+(the transposed-operand product, the GRU loops) allocates it on the thread
+that calls it and frees it before it returns; a failed allocation raises
+MemoryError.
 
 The kernel's third entry, :func:`gru_backward`, runs a whole GRU cell's
 backward time loop in one call with the GIL released, so the two directions
@@ -144,14 +147,17 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     docstring). With ``out``, a writeable C-contiguous array of the
     product's shape and dtype that overlaps neither operand, the product is
     written there and ``out`` returned; an ``out`` of another shape, dtype
-    or layout raises ValueError before anything is written."""
+    or layout, or one that may share memory with ``a`` or ``b``, raises
+    ValueError before anything is written."""
     _check_shapes(a, b)
     if out is not None:
         shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, b)
         if out.shape != shape or out.dtype != dtype or not (
-                out.flags.c_contiguous and out.flags.writeable):
+                out.flags.c_contiguous and out.flags.writeable) or (
+                np.may_share_memory(out, a) or np.may_share_memory(out, b)):
             raise ValueError(f"out must be a writeable C-contiguous {dtype} array of "
-                             f"shape {shape}, got {out.dtype} {out.shape}")
+                             f"shape {shape} that overlaps neither operand, got "
+                             f"{out.dtype} {out.shape}")
     if KERNEL != "einsum" and a.shape[0] >= MIN_ROWS and a.size * b.shape[1] >= MIN_MACS:
         product = _product(a, b, KERNEL, _kernels, out)
         if product is not None:
@@ -193,7 +199,7 @@ def _product(a, b, variant, kernels, out=None):
                                  *(s // 4 for s in a.strides))
     elif a.flags.c_contiguous and b.T.flags.c_contiguous:
         if kernels[variant]["dot"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
-            raise RuntimeError(f"no memory for the {variant} kernel's packing buffer")
+            raise MemoryError(f"no memory for the {variant} kernel's packing buffer")
     else:
         return None
     return out
@@ -289,8 +295,8 @@ _ptr, _size, _int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
 _ENTRIES = {
     "rows": ([_ptr] * 3 + [_size] * 5, None),
     "dot": ([_ptr] * 3 + [_size] * 3, _int),
-    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 5, _int, *[_ptr] * 8, *[_size] * 5], _int),
-    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 9, *[_size] * 4],
+    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 5, _int, *[_ptr] * 7, *[_size] * 4], _int),
+    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 8, *[_size] * 3],
                 _int),
     "adam": ([_ptr] * 4 + [_size, _ptr], None),
     "bn_sums": ([_ptr, _ptr, _size, _size, _ptr], None),
@@ -416,21 +422,7 @@ def _readable(*arrays) -> bool:
     return all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned for a in arrays)
 
 
-def gru_workspace(x: np.ndarray, cell):
-    """Scratch for :func:`gru_backward` of GRU ``cell`` over its input ``x``;
-    None where that backward runs in numpy instead: ``KERNEL == "einsum"``,
-    another dtype than float32, or an ``x`` or cell array the kernel cannot
-    read (unaligned, or a cell array that is not C-contiguous)."""
-    if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
-            or any(s % 4 for s in x.strides)
-            or not _readable(cell.U, *cell.grads().values())):
-        return None
-    h = cell.U.shape[0]
-    packed = -(-3 * h // 4) * 4 * -(-h // 16) * 16     # U for every variant
-    return np.empty(3 * h * x.shape[0] + 4 * h + packed, _F32)
-
-
-def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
+def gru_backward(x, caches, grad, carry, d_gx, cell) -> bool:
     """A GRU cell's whole backward time loop, t = T-1 down to 0, in one
     kernel call with the GIL released, with the bits of the numpy loop in
     ``layers.GruSequence`` (``matmul.c`` states the order).
@@ -440,29 +432,26 @@ def gru_backward(x, caches, grad, carry, d_gx, cell, work) -> None:
     ``grad`` the C-contiguous (B, T, h) or final (B, h) output gradient;
     ``carry`` (B, h) zeros. ``d_gx`` (B, T, 3h) receives the gradient at the
     input projection, and ``cell``'s dW, dU, db_x and db_h accumulate.
-    ``work`` comes from :func:`gru_workspace`.
+    Returns False, touching nothing, where the loop steps in numpy instead:
+    ``KERNEL == "einsum"``, another dtype than float32, or an ``x`` or cell
+    array the kernel cannot read (unaligned, or a cell array that is not
+    C-contiguous). MemoryError where the kernel cannot allocate its scratch.
     """
+    if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
+            or any(s % 4 for s in x.strides)
+            or not _readable(cell.U, *cell.grads().values())):
+        return False
     B, T, x_dim = x.shape
-    status = _kernels[KERNEL]["gru_back"](
-        x.ctypes.data, *(s // 4 for s in x.strides), *(a.ctypes.data for a in caches),
-        grad.ctypes.data, grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
-        *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h, work)),
-        work.size, B, T, x_dim, carry.shape[-1])
-    if status:
-        raise ValueError(f"a workspace of {work.size} floats is too small")
+    if _kernels[KERNEL]["gru_back"](
+            x.ctypes.data, *(s // 4 for s in x.strides), *(a.ctypes.data for a in caches),
+            grad.ctypes.data, grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
+            *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h)),
+            B, T, x_dim, carry.shape[-1]):
+        raise MemoryError(f"no memory for the {KERNEL} GRU backward's scratch")
+    return True
 
 
-def gru_forward_workspace(cell, B: int):
-    """Scratch for :func:`gru_forward` of GRU ``cell`` at batch ``B``; None
-    where that forward steps in numpy instead: ``KERNEL == "einsum"``, no
-    bound ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the
-    kernel cannot read (unaligned or not C-contiguous)."""
-    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(cell.U, cell.b_h):
-        return None
-    return np.empty(14 * cell.U.shape[0] * B, _F32)
-
-
-def gru_forward(gx, cell, ht, states, caches, work) -> None:
+def gru_forward(gx, cell, ht, states, caches) -> bool:
     """A GRU cell's forward time loop over ``gx``'s steps in one kernel call
     with the GIL released, with the bits of the numpy loop in
     ``layers.GruSequence`` (``matmul.c`` states the order).
@@ -472,19 +461,24 @@ def gru_forward(gx, cell, ht, states, caches, work) -> None:
     receives the last. ``states``, a (B, T, h) view with C-contiguous rows,
     receives every step's state unless None. ``caches`` are None or the
     C-contiguous (T, B, w*h) (h_prev, z|r, c, hc) blocks the backward reads,
-    as for :func:`gru_backward`. ``work`` comes from
-    :func:`gru_forward_workspace`.
+    as for :func:`gru_backward`. Returns False, touching nothing, where the
+    loop steps in numpy instead: ``KERNEL == "einsum"``, no bound
+    ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the kernel
+    cannot read (unaligned or not C-contiguous). MemoryError where the
+    kernel cannot allocate its scratch.
     """
+    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(cell.U, cell.b_h):
+        return False
     B, T, _ = gx.shape
     out = (None, 0, 0) if states is None else (
         states.ctypes.data, *(s // 4 for s in states.strides[:2]))
     blocks = (None,) * 4 if caches is None else [a.ctypes.data for a in caches]
-    status = _kernels[KERNEL]["gru_fwd"](
-        gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
-        cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks, *UFUNC_LOOPS[0],
-        *UFUNC_LOOPS[1], work.ctypes.data, work.size, B, T, ht.shape[-1])
-    if status:
-        raise ValueError(f"a workspace of {work.size} floats is too small")
+    if _kernels[KERNEL]["gru_fwd"](
+            gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
+            cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks, *UFUNC_LOOPS[0],
+            *UFUNC_LOOPS[1], B, T, ht.shape[-1]):
+        raise MemoryError(f"no memory for the {KERNEL} GRU forward's scratch")
+    return True
 
 
 def adam_step(p, m, v, g, scalars) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sentigru
-from sentigru import corpus, layers, serialize, trainer
+from sentigru import corpus, layers, numerics, serialize, trainer
 from sentigru.cli import _OPTIONS, main
 from sentigru.model import MAX_SEQ_LEN, ModelConfig, build_model
 from synth import keyword_corpus, write_csv
@@ -138,6 +138,22 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: non-finite validation loss nan after epoch 1\n"
         assert not out.exists() and not hist.exists()
+
+    @pytest.mark.skipif(numerics.KERNEL == "einsum", reason="no compiled kernel here")
+    def test_a_failed_kernel_allocation_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """The transposed-operand product cannot allocate its packing buffer:
+        a MemoryError, so one line, exit 2, and no model file."""
+        data = tmp_path / "d.csv"
+        write_csv(keyword_corpus(per_class=10, seed=2), data)
+        for entries in numerics._kernels.values():
+            monkeypatch.setitem(entries, "dot", lambda *args: 1)
+        out = tmp_path / "m.bin"
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                     *SMALL_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: no memory for the") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("batch_size", [layers.SPLIT_ROWS // 2, layers.SPLIT_ROWS])
     def test_a_rate_that_blows_up_the_parameters_is_one_line_of_real_stderr(

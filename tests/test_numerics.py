@@ -122,6 +122,22 @@ class TestMatmul:
             matmul(a, b, out=bad)
         assert bad.tobytes() == before
 
+    @pytest.mark.parametrize("kernel", [numerics.KERNEL, "einsum"])
+    @pytest.mark.parametrize("overlap", ["a", "b", "half of a", "b's transpose"])
+    def test_an_out_that_overlaps_an_operand_raises_before_writing(self, kernel, overlap):
+        """An ``out`` that shares memory with an operand would be read while
+        it is written, on the kernel path at least; both paths refuse it."""
+        block = np.random.default_rng(7).standard_normal((80, 40)).astype(np.float32)
+        a, b = block[:40], block[40:]
+        out = {"a": a, "b": b, "half of a": block[20:60], "b's transpose": b}[overlap]
+        if overlap == "b's transpose":
+            b = b.T
+        before = block.tobytes()
+        with mock.patch.object(numerics, "KERNEL", kernel), \
+                pytest.raises(ValueError, match="overlaps neither operand"):
+            matmul(a, b, out=out)
+        assert block.tobytes() == before
+
 
 class TestActivations:
     def test_sigmoid_matches_definition(self):
