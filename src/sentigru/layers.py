@@ -27,8 +27,9 @@ laid out [update | reset | candidate] along the 3h axis.
 :class:`GruSequence` is the one recurrence: one cell over time, or two cells
 over opposite time directions, which is the bidirectional layer
 (:class:`BidirectionalGru` builds it from a forward and a backward cell).
-Each cell runs its own time loop, in compiled calls on the kernel or
-stepping in numpy. From ``SPLIT_ROWS`` rows up, whatever the CPU count, the
+Each cell runs its own time loop, on the kernel as one compiled call each
+way that also projects the input and writes its gradient, else stepping in
+numpy. From ``SPLIT_ROWS`` rows up, whatever the CPU count, the
 second of two cells runs on a thread started for that forward or backward
 call and joined before it returns; below it the cells run in turn. It is the
 only thread the package starts, and none outlives the call that started it;
@@ -168,12 +169,6 @@ class Dropout(Layer):
         return grad if mask is None else grad * mask
 
 
-# Input rows projected per time chunk: each cell's projection buffer holds
-# about ROWS * 3h values at any batch size, and batch 1 still projects a
-# whole sequence in one call per cell.
-ROWS = 1024
-
-
 class GruCell(Layer):
     """One direction's parameters (reset-after, separate biases).
 
@@ -193,11 +188,10 @@ class GruCell(Layer):
         self.dW = zeros(self.W.shape, dtype)
         self.dU = zeros(self.U.shape, dtype)
 
-    def input_projection(self, x: np.ndarray, out=None) -> np.ndarray:
+    def input_projection(self, x: np.ndarray) -> np.ndarray:
         """x W + b_x for (rows, x_dim) input: the gate pre-activations that do
-        not depend on the recurrent state, so many timesteps can share one
-        call. Written into ``out`` if given, as :func:`numerics.matmul` takes it."""
-        gx = matmul(x, self.W, out=out)
+        not depend on the recurrent state."""
+        gx = matmul(x, self.W)
         gx += self.b_x
         return gx
 
@@ -229,39 +223,40 @@ class GruSequence(Layer):
     joined before it returns, while the kernel calls release the GIL. The
     plan depends on D and B alone, and no bit depends on it.
 
-    A float32 cell on the compiled kernel runs its forward loop over a
-    projection chunk (the whole sequence up to ROWS rows) as one call,
-    ``numerics.gru_forward``, given bound ``numerics.UFUNC_LOOPS``, and its
-    whole backward loop as one call, ``numerics.gru_backward``, both with the
-    GIL released, so the cells of a split call overlap completely. They make
-    the float32 operations of :meth:`_step` and :meth:`_step_backward` in the
-    same order (``matmul.c`` states it), the forward calling numpy's own
-    float32 loops of ``np.exp`` and ``np.tanh``, which raise no numpy
-    floating-point warning when called so; they write the states, caches and
-    gradients in place. Float64, ``numerics.KERNEL == "einsum"`` and, for the
-    forward, unbound loops step in numpy.
+    A float32 cell on the compiled kernel runs its whole forward loop as
+    one call, ``numerics.gru_forward``, given bound ``numerics.UFUNC_LOOPS``,
+    and its whole backward loop as one call, ``numerics.gru_backward``, both
+    with the GIL released, so the cells of a split call overlap completely.
+    They make the float32 operations of :meth:`_step` and
+    :meth:`_step_backward` in the same order (``matmul.c`` states it), the
+    forward calling numpy's own float32 loops of ``np.exp`` and ``np.tanh``,
+    which raise no numpy floating-point warning when called so; they write
+    the states, caches, ``dx`` and gradients in place. Float64,
+    ``numerics.KERNEL == "einsum"`` and, for the forward, unbound loops step
+    in numpy, projecting each step's input and making each step's ``dx`` on
+    its own.
 
-    ``x W + b_x`` is projected in time chunks of C = ROWS // B steps, in
-    place, into one (B, C, 3h) buffer per cell and call, a partial last chunk
-    into its first B c 3h values, so peak memory does not grow with T;
-    ``dx`` is one matmul per cell after its backward loop.
-    matmul rows do not depend on which rows share the call, so both give the
-    bits of a per-step product. Parameter gradients accumulate per cell in
-    step order, from t = T-1 down to 0 in backward.
+    The forward call projects ``x W + b_x`` itself, in time chunks of at
+    most 1,024 rows, so its scratch does not grow with T; the backward call
+    writes each step's ``dx``. matmul rows do not depend on which rows share
+    the call, so the chunks give the bits of a per-step product. Parameter
+    gradients accumulate per cell in step order, from t = T-1 down to 0 in
+    backward.
 
     A train-mode forward keeps the output's shape and per-cell lists of
     inputs and caches: ``h_prev``, ``z|r``, ``c`` and the recurrent candidate
     ``hc``, 5h values per row, in four C-contiguous (T, B, .) blocks per
-    cell. Each cell clears its entries when its backward loop is done, before
-    its ``dx`` product, so the memory is back before the layers below run
+    cell. Each cell clears its entries when it starts its backward loop, so
+    the memory is back when its loop returns, before the layers below run
     their backward.
 
-    The calling thread allocates every array a cell keeps past one step
-    (projection buffer, states, cache blocks, the cell's output gradient,
-    ``d_gx``) before it starts the cells, so the worker's malloc arena keeps
-    only per-step temporaries and the compiled calls' scratch, which each
-    call allocates and frees. Between calls the sequence holds only its
-    cells and the state a train forward kept.
+    The calling thread allocates every array that outlives a call (states,
+    cache blocks, the cell's output gradient, ``dx``) before it starts the
+    cells. The compiled calls' scratch (the projection chunk, the step's
+    ``d_gx``, the packed weights) is each call's own, on the thread that
+    runs the cell, freed before the call returns, and the worker's malloc
+    arena keeps at most the numpy loop's per-step temporaries. Between calls
+    the sequence holds only its cells and the state a train forward kept.
     """
 
     def __init__(self, cells, return_sequences: bool):
@@ -278,16 +273,18 @@ class GruSequence(Layer):
         self.return_sequences = return_sequences
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None) -> np.ndarray:
-        B, T, _ = x.shape
+        B, T, x_dim = x.shape
         if B == 0 or T == 0:
             raise ValueError(f"batch size and sequence length must be >= 1, "
                              f"got input of shape {x.shape}")
         if x.dtype != self.dtype:
             raise ValueError(f"input dtype {x.dtype} differs from the cells' "
                              f"{self.dtype}")
+        wrong = [cell.input_dim for cell in self.cells if cell.input_dim != x_dim]
+        if wrong:
+            raise ValueError(f"input width {x_dim} differs from the cells' {wrong[0]}")
         D, h, dtype = len(self.cells), self.hidden_size, self.dtype
         xs = [x, x[:, ::-1]][:D]
-        C = max(1, min(T, ROWS // B))
         shape = (B, T, D * h) if self.return_sequences else (B, D * h)
         # kept before the loop fills it, so a kept earlier forward's blocks
         # are freed before this one's are allocated
@@ -298,8 +295,8 @@ class GruSequence(Layer):
             caches.append(tuple(np.empty((T, B, w * h), dtype) for w in (1, 2, 1, 1))
                           if mode == "train" else None)
             states = np.empty((B, T, h), dtype) if self.return_sequences else None
-            calls.append(partial(self._forward_cell, cell, xd, np.empty((B, C, 3 * h), dtype),
-                                 np.zeros((B, h), dtype), states, caches[-1]))
+            calls.append(partial(self._forward_cell, cell, xd, np.zeros((B, h), dtype),
+                                 states, caches[-1]))
         outs = _run_each(calls, B >= SPLIT_ROWS)
         if D == 1:
             return outs[0]
@@ -310,26 +307,15 @@ class GruSequence(Layer):
         reversed when they are per step, as is for a final state."""
         return a[:, ::-1] if self.return_sequences else a
 
-    def _forward_cell(self, cell, x, gx, ht, states, caches):
+    def _forward_cell(self, cell, x, ht, states, caches):
         """``cell``'s time loop over its input ``x``; returns its (B, T, h)
-        states or (B, h) final state. The loop over each projection chunk is
-        one compiled call where ``numerics.gru_forward`` takes it, else the
-        cell steps in numpy."""
-        B, T, x_dim = x.shape
-        C = gx.shape[1]
-        for t0 in range(0, T, C):
-            c = min(C, T - t0)
-            # projected in place into the buffer's first B*c rows, so a
-            # partial last chunk is C-contiguous too
-            rows = gx.reshape(-1)[:B * c * gx.shape[2]].reshape(B * c, -1)
-            cell.input_projection(x[:, t0:t0 + c].reshape(B * c, x_dim), rows)
-            g = rows.reshape(B, c, -1)
-            if gru_forward(g, cell, ht, None if states is None else states[:, t0:t0 + c],
-                           None if caches is None else [block[t0:t0 + c] for block in caches]):
-                continue
-            for t in range(t0, t0 + c):
+        states or (B, h) final state. The loop is one compiled call, which
+        projects the input itself, where ``numerics.gru_forward`` takes it;
+        else the cell steps in numpy, projecting each step's input."""
+        if not gru_forward(x, cell, ht, states, caches):
+            for t in range(x.shape[1]):
                 slots = None if caches is None else [block[t] for block in caches]
-                ht = self._step(g[:, t - t0], ht, cell.U, cell.b_h, slots)
+                ht = self._step(cell.input_projection(x[:, t]), ht, cell.U, cell.b_h, slots)
                 if states is not None:
                     states[:, t] = ht
         return ht if states is None else states
@@ -388,34 +374,33 @@ class GruSequence(Layer):
             raise ValueError(f"gradient of shape {grad.shape} for an output of shape "
                              f"{self._kept[0]}")
         _, xs, caches = self._take()
-        h = self.hidden_size
-        B, T, _ = xs[0].shape
+        h, B = self.hidden_size, len(grad)
         grads = (grad[..., :h], self._in_time_order(grad[..., h:]))
         calls = [partial(self._backward_cell, cell, xs, caches, j, grads[j].copy(),
-                         np.zeros((B, h), self.dtype), np.empty((B, T, 3 * h), self.dtype))
+                         np.zeros((B, h), self.dtype), np.empty(xs[j].shape, self.dtype))
                  for j, cell in enumerate(self.cells)]
         dxs = _run_each(calls, B >= SPLIT_ROWS)
         if len(dxs) == 2:
             dxs[0] += dxs[1][:, ::-1]
         return dxs[0]
 
-    def _backward_cell(self, cell, xs, caches, j, grad, carry, d_gx):
-        """The backward time loop of ``cell``, the ``j``-th; clears its
-        entries in the kept ``xs`` and ``caches``, then returns its input
-        gradient. The loop is one compiled call where
+    def _backward_cell(self, cell, xs, caches, j, grad, carry, dx):
+        """The backward time loop of ``cell``, the ``j``-th: clears its
+        entries in the kept ``xs`` and ``caches``, writes its input gradient
+        into ``dx`` and returns it. The loop is one compiled call where
         ``numerics.gru_backward`` takes it, else the cell steps in numpy."""
         x, blocks = xs[j], caches[j]
         xs[j] = caches[j] = None
-        B, T, x_dim = x.shape
-        if not gru_backward(x, blocks, grad, carry, d_gx, cell):
+        if not gru_backward(x, blocks, grad, carry, dx, cell):
+            T = x.shape[1]
             for t in range(T - 1, -1, -1):
                 if self.return_sequences:
                     dh = carry + grad[:, t]
                 else:
                     dh = (carry + grad) if t == T - 1 else carry
-                d_gx[:, t], carry = self._step_backward(dh, blocks, t, cell, x)
-        del x, blocks                       # their memory is back before dx
-        return matmul(d_gx.reshape(B * T, -1), cell.W.T).reshape(B, T, x_dim)
+                d_gx, carry = self._step_backward(dh, blocks, t, cell, x)
+                dx[:, t] = matmul(d_gx, cell.W.T)
+        return dx
 
     def params(self):
         return self._named(GruCell.params)

@@ -29,31 +29,37 @@
  *   with numpy's bits (sentigru.layers.GruSequence's loop is the reference).
  *   Each step adds the output gradient to the carry (0 + g at the first
  *   step), runs the gate algebra as the same float32 -, * and + in numpy's
- *   order with 1.0f for the constant 1.0, writes d_gx, and sets dh_prev =
- *   dh z. Then it adds each step's rounded product or sum into a gradient:
- *   dW += x_t^T d_gx and dU += h_prev^T d_gh in sg_rows' order, db_x and
- *   db_h += sum over b in order starting from +0.0 (float32 sum(axis=0) for
- *   any width >= 2), and dh_prev += d_gh U^T in sg_dot's order. It runs no
- *   exp or tanh. It allocates its scratch and frees it before it returns;
- *   ctypes releases the GIL for the call.
+ *   order with 1.0f for the constant 1.0, writes the step's d_gx, and sets
+ *   dh_prev = dh z. Then it adds each step's rounded product or sum into a
+ *   gradient: dW += x_t^T d_gx and dU += h_prev^T d_gh in sg_rows' order,
+ *   db_x and db_h += sum over b in order starting from +0.0 (float32
+ *   sum(axis=0) for any width >= 2), and dh_prev += d_gh U^T in sg_dot's
+ *   order; and it writes the input's gradient dx_t = d_gx W^T in sg_dot's
+ *   order. It runs no exp or tanh. It allocates its scratch (d_gx, d_gh and
+ *   U and W packed once per call) and frees it before it returns; ctypes
+ *   releases the GIL for the call.
  *
  * sg_gru_fwd: one GRU cell's forward time loop, t = 0 to T-1, with numpy's
- *   bits (GruSequence._step is the reference). Each step makes the numpy
- *   step's float32 operations in its order, with 1.0f for the constants:
- *   gh = h_prev U in sg_rows' order at any batch, then + b_h; s = gx + gh
- *   over the z and r columns, and their sigmoid as numerics.sigmoid composes
- *   it, e = exp(minimum(s, -s)), then maximum(e, s >= 0) / (1 + e); c =
- *   tanh(gx_c + r hc) with hc the candidate columns of gh; h = z h_prev +
- *   (1 - z) c. It writes every state or only the last, and in train mode the
- *   four cache blocks sg_gru_back reads, in place. It computes no exp or
- *   tanh of its own: numerics passes numpy's float32 inner loops of np.exp
- *   and np.tanh, read from the ufunc objects and checked at import, and
- *   each step calls each once over the batch's contiguous arguments into a
- *   separate output, as numpy's own call does.
+ *   bits (GruSequence._step is the reference). It projects the input x W in
+ *   sg_rows' order, in time chunks of at most ROWS rows, one product per
+ *   batch row and chunk; a product's row does not depend on the rows that
+ *   share it, so these are a per-step product's bits. Each step makes the
+ *   numpy step's float32 operations in its order, with 1.0f for the
+ *   constants: gx = x W + b_x; gh = h_prev U in sg_rows' order at any
+ *   batch, then + b_h; s = gx + gh over the z and r columns, and their
+ *   sigmoid as numerics.sigmoid composes it, e = exp(minimum(s, -s)), then
+ *   maximum(e, s >= 0) / (1 + e); c = tanh(gx_c + r hc) with hc the
+ *   candidate columns of gh; h = z h_prev + (1 - z) c. It writes every
+ *   state or only the last, and in train mode the four cache blocks
+ *   sg_gru_back reads, in place. It computes no exp or tanh of its own:
+ *   numerics passes numpy's float32 inner loops of np.exp and np.tanh, read
+ *   from the ufunc objects and checked at import, and each step calls each
+ *   once over the batch's contiguous arguments into a separate output, as
+ *   numpy's own call does.
  *   Called from here, those loops run outside numpy's error handling: they
  *   raise no numpy floating-point warning, and np.errstate does not apply.
- *   It allocates its scratch and frees it before it returns; ctypes
- *   releases the GIL for the call.
+ *   It allocates its scratch (the projection chunk among it) and frees it
+ *   before it returns; ctypes releases the GIL for the call.
  *
  * sg_adam: one Adam step over a parameter's n contiguous floats with the bits
  *   of trainer.Adam's numpy step, in one pass. It makes numpy's float32
@@ -98,6 +104,7 @@
 #define FN(name) SG_CAT(name, ISA)
 #define INLINE static inline __attribute__((always_inline))
 #define SG_UNROLL _Pragma("GCC unroll 16")
+#define ROWS 1024               /* input rows per sg_gru_fwd projection chunk */
 
 /* The first n < 4 floats at p, zeros above them, reading nothing past them. */
 INLINE __m128 q_load_n(const float *p, ptrdiff_t n)
@@ -430,20 +437,20 @@ INLINE void FN(dot_pack)(const float *w, float *p, ptrdiff_t k, ptrdiff_t n, ptr
     }
 }
 
-/* c = a w^T, or c += a w^T with `add`, from w packed in p; a (m, k) and c
- * (m, n) C-contiguous. Rows outside, so a tile's rows of a stay in cache
- * across the columns. */
-INLINE void FN(dot_rows)(const float *a, const float *p, float *c, ptrdiff_t m,
-                         ptrdiff_t k, ptrdiff_t n, ptrdiff_t np, const int add)
+/* c = a w^T, or c += a w^T with `add`, from w packed in p; a (m, k)
+ * C-contiguous and c (m, n) with C-contiguous rows ldc floats apart. Rows
+ * outside, so a tile's rows of a stay in cache across the columns. */
+INLINE void FN(dot_rows)(const float *a, const float *p, float *c, ptrdiff_t ldc,
+                         ptrdiff_t m, ptrdiff_t k, ptrdiff_t n, ptrdiff_t np, const int add)
 {
     ptrdiff_t i = 0;
     for (; i + MR <= m; i += MR)
         for (ptrdiff_t j = 0; j < n; j += NC)
-            FN(dot_tile)(a + i * k, p + j * CH, c + i * n + j, k, n, np,
+            FN(dot_tile)(a + i * k, p + j * CH, c + i * ldc + j, k, ldc, np,
                          n - j < NC ? n - j : NC, MR, add);
     for (; i < m; i++)
         for (ptrdiff_t j = 0; j < n; j += NC)
-            FN(dot_tile)(a + i * k, p + j * CH, c + i * n + j, k, n, np,
+            FN(dot_tile)(a + i * k, p + j * CH, c + i * ldc + j, k, ldc, np,
                          n - j < NC ? n - j : NC, 1, add);
 }
 
@@ -457,7 +464,7 @@ int FN(sg_dot)(const float *a, const float *w, float *c, ptrdiff_t m, ptrdiff_t 
     if (!p)
         return -1;
     FN(dot_pack)(w, p, k, n, np);
-    FN(dot_rows)(a, p, c, m, k, n, np, 0);
+    FN(dot_rows)(a, p, c, n, m, k, n, np, 0);
     free(p);
     return 0;
 }
@@ -513,58 +520,62 @@ INLINE void FN(gru_row)(float *dh, const float *g, const float *hp, const float 
  * forward's caches are C-contiguous (T, B, h) blocks hp, c and hc and a (T,
  * B, 2h) block zr of rows [z | r]. g, the output's gradient, is C-contiguous
  * (B, T, h) with `seq`, else (B, h) and added at t = T-1 only. dh, (B, h)
- * zeros on entry, holds dh_prev of t = 0 on return. d_gx, C-contiguous (B,
- * T, 3h), receives the gradient at the input projection. U and dU (h, 3h),
- * dW (X, 3h), db_x and db_h (3h) are C-contiguous, and the gradients
- * accumulate. Returns 0, or -1 when its scratch cannot be allocated. */
+ * zeros on entry, holds dh_prev of t = 0 on return. dx, C-contiguous (B, T,
+ * X), receives the input's gradient. W (X, 3h), U and dU (h, 3h), dW (X,
+ * 3h), db_x and db_h (3h) are C-contiguous, and the gradients accumulate.
+ * Returns 0, or -1 when its scratch cannot be allocated. */
 int FN(sg_gru_back)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_si,
                     const float *hp, const float *zr, const float *c, const float *hc,
-                    const float *g, int seq, float *dh, float *dgx,
+                    const float *g, int seq, float *dh, float *dx, const float *W,
                     const float *U, float *dW, float *dU, float *dbx, float *dbh,
                     ptrdiff_t B, ptrdiff_t T, ptrdiff_t X, ptrdiff_t h)
 {
-    ptrdiff_t G = 3 * h, np = (h + NC - 1) / NC * NC, npack = (G + CH - 1) / CH * np * CH;
+    ptrdiff_t G = 3 * h, kq = (G + CH - 1) / CH * CH;     /* G in whole chunks */
+    ptrdiff_t nu = (h + NC - 1) / NC * NC, nw = (X + NC - 1) / NC * NC;
     ptrdiff_t cs = B * h;                       /* one step of a cache block */
-    /* d_gh (B, 3h), the column sums (4h) and U packed, zero-padded */
-    float *dgh = calloc((size_t)(B * G + 4 * h + npack), sizeof *dgh);
-    if (!dgh)
+    /* the step's d_gx and d_gh (B, 3h each), the column sums (4h), and U and
+     * W packed, zero-padded */
+    float *dgx = calloc((size_t)(2 * B * G + 4 * h + kq * (nu + nw)), sizeof *dgx);
+    if (!dgx)
         return -1;
-    float *sum = dgh + B * G, *p = sum + 4 * h;
-    FN(dot_pack)(U, p, G, h, np);
+    float *dgh = dgx + B * G, *sum = dgh + B * G, *pu = sum + 4 * h, *pw = pu + kq * nu;
+    FN(dot_pack)(U, pu, G, h, nu);
+    FN(dot_pack)(W, pw, G, X, nw);
     for (ptrdiff_t t = T - 1; t >= 0; t--) {
         const float *hp_t = hp + t * cs;
         memset(sum, 0, (size_t)(4 * h) * sizeof *sum);
         for (ptrdiff_t b = 0; b < B; b++)
             FN(gru_row)(dh + b * h, seq ? g + (b * T + t) * h : t == T - 1 ? g + b * h : NULL,
                         hp_t + b * h, zr + 2 * t * cs + b * 2 * h, c + t * cs + b * h,
-                        hc + t * cs + b * h, dgx + (b * T + t) * G, dgh + b * G, sum, h);
+                        hc + t * cs + b * h, dgx + b * G, dgh + b * G, sum, h);
         for (ptrdiff_t j = 0; j < G; j++)
             dbx[j] += sum[j];
         for (ptrdiff_t j = 0; j < 2 * h; j++)
             dbh[j] += sum[j];
         for (ptrdiff_t j = 0; j < h; j++)
             dbh[2 * h + j] += sum[3 * h + j];
-        FN(rows_add)(x + t * x_st, x_si, x_sb, dgx + t * G, T * G, dW, G, X, B, G);
+        FN(rows_add)(x + t * x_st, x_si, x_sb, dgx, G, dW, G, X, B, G);
         FN(rows_add)(hp_t, 1, h, dgh, G, dU, G, h, B, G);
-        FN(dot_rows)(dgh, p, dh, B, G, h, np, 1);
+        FN(dot_rows)(dgh, pu, dh, h, B, G, h, nu, 1);
+        FN(dot_rows)(dgx, pw, dx + t * X, T * X, B, G, X, nw, 0);
     }
-    free(dgh);
+    free(dgx);
     return 0;
 }
 
-/* One row of a forward step up to the exp: s = gx + (gh + b_h) over the 2h
- * columns of z and r, written as sigmoid's exp argument minimum(s, -s) into
- * ng and its numerator floor (s >= 0) into ge; and the recurrent candidate
- * hc = gh + b_h. -s is formed as 0 - s, which differs from numpy's negation
+/* One row of a forward step up to the exp: s = (gx + b_x) + (gh + b_h) over
+ * the 2h columns of z and r, written as sigmoid's exp argument minimum(s,
+ * -s) into ng and its numerator floor (s >= 0) into ge; and the recurrent
+ * candidate hc = gh + b_h. -s is formed as 0 - s, which differs from numpy's negation
  * only where minimum does not pick it: s <= 0, or NaN, which minimum passes
  * through (the second operand, as numpy's minimum keeps its first). */
-INLINE void FN(fwd_pre)(const float *gx, const float *gh, const float *bh, float *ng,
-                        float *ge, float *hc, ptrdiff_t h)
+INLINE void FN(fwd_pre)(const float *gx, const float *bx, const float *gh, const float *bh,
+                        float *ng, float *ge, float *hc, ptrdiff_t h)
 {
     const V zero = V_ZERO(), one = V_SET1(1.0f);
     for (ptrdiff_t j = 0; j < 2 * h; j += L) {
         COLUMNS(2 * h);
-        V s = V_ADD(LD(gx), V_ADD(LD(gh), LD(bh)));
+        V s = V_ADD(V_ADD(LD(gx), LD(bx)), V_ADD(LD(gh), LD(bh)));
         ST(ng, V_MIN(V_SUB(zero, s), s));
         ST(ge, V_GE0(s, one));
     }
@@ -575,10 +586,10 @@ INLINE void FN(fwd_pre)(const float *gx, const float *gh, const float *bh, float
 }
 
 /* One row after the exp e: [z | r] = maximum(e, ge) / (1 + e), and the tanh
- * argument q = gx_c + r hc. The max keeps e where either is NaN or both are
- * equal, as numpy's maximum(e, ge) does. */
-INLINE void FN(fwd_gates)(const float *gx, const float *e, const float *ge, const float *hc,
-                          float *zr, float *q, ptrdiff_t h)
+ * argument q = (gx_c + b_x,c) + r hc. The max keeps e where either is NaN or
+ * both are equal, as numpy's maximum(e, ge) does. */
+INLINE void FN(fwd_gates)(const float *gx, const float *bx, const float *e, const float *ge,
+                          const float *hc, float *zr, float *q, ptrdiff_t h)
 {
     const V one = V_SET1(1.0f);
     for (ptrdiff_t j = 0; j < h; j += L) {
@@ -587,7 +598,7 @@ INLINE void FN(fwd_gates)(const float *gx, const float *e, const float *ge, cons
         V r = V_DIV(V_MAX(LD(ge + h), LD(e + h)), V_ADD(one, LD(e + h)));
         ST(zr, z);
         ST(zr + h, r);
-        ST(q, V_ADD(LD(gx + 2 * h), V_MUL(r, LD(hc))));
+        ST(q, V_ADD(V_ADD(LD(gx + 2 * h), LD(bx + 2 * h)), V_MUL(r, LD(hc))));
     }
 }
 
@@ -609,43 +620,51 @@ INLINE void FN(fwd_state)(float *ht, const float *zr, const float *c, float *o1,
     }
 }
 
-/* One GRU cell's forward time loop over T steps, t = 0 to T-1, with the bits
- * of numpy's loop (see the header). gx, the input projection x W + b_x, is
- * (B, T, 3h) at element strides (gx_sb, gx_st) with C-contiguous rows. ht,
- * C-contiguous (B, h), holds h_prev of the first step and receives the last
- * state. Unless out is NULL, the state of step t of row b goes to out + b o_sb
- * + t o_st. Unless hp is NULL the steps' caches go to the blocks sg_gru_back
- * reads: C-contiguous (T, B, h) hp, c and hc and (T, B, 2h) zr. U (h, 3h)
- * and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's float32 loops
- * of np.exp and np.tanh, with their data. Returns 0, or -1 when its scratch
- * cannot be allocated. */
-int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const float *U,
-                   const float *bh, float *ht, float *out, ptrdiff_t o_sb, ptrdiff_t o_st,
-                   float *hp, float *zr, float *c, float *hc, sg_loop exp_f,
-                   void *exp_d, sg_loop tanh_f, void *tanh_d, ptrdiff_t B, ptrdiff_t T,
+/* One GRU cell's forward time loop over a (B, T, X) input, t = 0 to T-1, with
+ * the bits of numpy's loop (see the header). x is read at element strides
+ * (x_sb, x_st, x_si), so a time-reversed view needs no copy, and projected
+ * x W a chunk of C steps at a time, C = ROWS / B but at least 1 and at most
+ * T: one sg_rows product per batch row of the chunk. ht, C-contiguous (B,
+ * h), holds h_prev of the first step and receives the last state. Unless out
+ * is NULL, the state of step t of row b goes to out + b o_sb + t o_st. Unless
+ * hp is NULL the steps' caches go to the blocks sg_gru_back reads:
+ * C-contiguous (T, B, h) hp, c and hc and (T, B, 2h) zr. W (X, 3h), U (h,
+ * 3h), b_x and b_h (3h) are C-contiguous. exp_f and tanh_f are numpy's
+ * float32 loops of np.exp and np.tanh, with their data. B and T are at least
+ * 1. Returns 0, or -1 when its scratch cannot be allocated. */
+int FN(sg_gru_fwd)(const float *x, ptrdiff_t x_sb, ptrdiff_t x_st, ptrdiff_t x_si,
+                   const float *W, const float *bx, const float *U, const float *bh,
+                   float *ht, float *out, ptrdiff_t o_sb, ptrdiff_t o_st, float *hp,
+                   float *zr, float *c, float *hc, sg_loop exp_f, void *exp_d,
+                   sg_loop tanh_f, void *tanh_d, ptrdiff_t B, ptrdiff_t T, ptrdiff_t X,
                    ptrdiff_t h)
 {
     ptrdiff_t G = 3 * h, cs = B * h;            /* cs: one step of a cache block */
-    /* gh (3h), ng, ge and e (2h each), q (h) and, without caches, the step's
-     * [z | r], c and hc (4h), per row */
-    float *gh = malloc((size_t)(14 * h * B) * sizeof *gh);
-    if (!gh)
+    ptrdiff_t C = B >= ROWS ? 1 : ROWS / B < T ? ROWS / B : T;    /* steps per chunk */
+    /* the chunk's projection (B, C, 3h), then per row gh (3h), ng, ge and e
+     * (2h each), q (h) and, without caches, the step's [z | r], c and hc (4h) */
+    float *gx = malloc((size_t)(B * C * G + 14 * h * B) * sizeof *gx);
+    if (!gx)
         return -1;
-    float *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
+    float *gh = gx + B * C * G, *ng = gh + B * G, *ge = ng + 2 * h * B, *e = ge + 2 * h * B;
     float *q = e + 2 * h * B, *own = q + h * B;
     if (hp)
         memcpy(hp, ht, (size_t)(B * h) * sizeof *ht);
     for (ptrdiff_t t = 0; t < T; t++) {
-        const float *gx_t = gx + t * gx_st;
+        const float *gx_t = gx + t % C * G;     /* row b at gx_t + b C G */
         float *zr_t = hp ? zr + 2 * t * cs : own, *c_t = hp ? c + t * cs : own + 2 * h * B;
         float *hc_t = hp ? hc + t * cs : own + 3 * h * B;
+        if (t % C == 0)
+            for (ptrdiff_t b = 0; b < B; b++)
+                FN(sg_rows)(x + b * x_sb + t * x_st, W, gx + b * C * G, T - t < C ? T - t : C,
+                            X, G, x_st, x_si);
         FN(sg_rows)(ht, U, gh, B, h, G, h, 1);
         for (ptrdiff_t b = 0; b < B; b++)
-            FN(fwd_pre)(gx_t + b * gx_sb, gh + b * G, bh, ng + b * 2 * h, ge + b * 2 * h,
+            FN(fwd_pre)(gx_t + b * C * G, bx, gh + b * G, bh, ng + b * 2 * h, ge + b * 2 * h,
                         hc_t + b * h, h);
         sg_apply(exp_f, exp_d, ng, e, 2 * h * B);
         for (ptrdiff_t b = 0; b < B; b++)
-            FN(fwd_gates)(gx_t + b * gx_sb, e + b * 2 * h, ge + b * 2 * h, hc_t + b * h,
+            FN(fwd_gates)(gx_t + b * C * G, bx, e + b * 2 * h, ge + b * 2 * h, hc_t + b * h,
                           zr_t + b * 2 * h, q + b * h, h);
         sg_apply(tanh_f, tanh_d, q, c_t, h * B);
         for (ptrdiff_t b = 0; b < B; b++)
@@ -653,7 +672,7 @@ int FN(sg_gru_fwd)(const float *gx, ptrdiff_t gx_sb, ptrdiff_t gx_st, const floa
                           out ? out + b * o_sb + t * o_st : NULL,
                           hp && t + 1 < T ? hp + (t + 1) * cs + b * h : NULL, h);
     }
-    free(gh);
+    free(gx);
     return 0;
 }
 

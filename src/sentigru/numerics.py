@@ -51,16 +51,19 @@ The kernel's third entry, :func:`gru_backward`, runs a whole GRU cell's
 backward time loop in one call with the GIL released, so the two directions
 of a layer on two threads overlap completely. Its gate algebra uses only
 float32 ``-``, ``*`` and ``+``, in numpy's order and with numpy's rounded
-constants; each step's products are the two orders above, and each bias
-gradient adds a sum over the batch taken in order from +0.0, which is
-numpy's ``sum(axis=0)`` for rows at least two wide. Each step's product or
-sum is rounded, then added into the gradient. So it has the numpy loop's
-bits by construction; float64 and ``KERNEL == "einsum"`` run that loop. It is
-bound and dropped with its variant's products, whose probes cover its orders.
+constants; each step's products are the two orders above, the input's
+gradient ``d_gx W^T`` among them, and each bias gradient adds a sum over the
+batch taken in order from +0.0, which is numpy's ``sum(axis=0)`` for rows at
+least two wide. Each step's product or sum is rounded, then added into the
+gradient. So it has the numpy loop's bits by construction; float64 and
+``KERNEL == "einsum"`` run that loop. It is bound and dropped with its
+variant's products, whose probes cover its orders.
 
-The fourth entry, :func:`gru_forward`, runs a GRU cell's forward time loop
-over a projection chunk in one call with the GIL released, making the numpy
-step's float32 operations in its order (``matmul.c`` states it). Its exp and
+The fourth entry, :func:`gru_forward`, runs a GRU cell's whole forward time
+loop in one call with the GIL released, projecting ``x W + b_x`` itself in
+time chunks and making the numpy step's float32 operations in its order
+(``matmul.c`` states it). A product's rows do not depend on the rows that
+share it, so the chunks give the bits of a per-step projection. Its exp and
 tanh are numpy's own: at import this module reads the float32 inner loops of
 ``np.exp`` and ``np.tanh`` from numpy's public ``PyUFuncObject`` layout
 (``functions`` at byte 32, ``data`` at 40, ``ntypes`` at 48; the loop is
@@ -141,31 +144,16 @@ def zeros(shape, dtype) -> np.ndarray:
     return raw[start:start + size].view(dtype).reshape(shape)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-d operands with shape validation; each row's
     bits depend only on that row of ``a`` and on ``b`` (see the module
-    docstring). With ``out``, a writeable C-contiguous array of the
-    product's shape and dtype that overlaps neither operand, the product is
-    written there and ``out`` returned; an ``out`` of another shape, dtype
-    or layout, or one that may share memory with ``a`` or ``b``, raises
-    ValueError before anything is written."""
+    docstring)."""
     _check_shapes(a, b)
-    if out is not None:
-        shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, b)
-        if out.shape != shape or out.dtype != dtype or not (
-                out.flags.c_contiguous and out.flags.writeable) or (
-                np.may_share_memory(out, a) or np.may_share_memory(out, b)):
-            raise ValueError(f"out must be a writeable C-contiguous {dtype} array of "
-                             f"shape {shape} that overlaps neither operand, got "
-                             f"{out.dtype} {out.shape}")
     if KERNEL != "einsum" and a.shape[0] >= MIN_ROWS and a.size * b.shape[1] >= MIN_MACS:
-        product = _product(a, b, KERNEL, _kernels, out)
+        product = _product(a, b, KERNEL, _kernels)
         if product is not None:
             return product
-    if out is None:
-        return np.einsum("ik,kj->ij", a, b)
-    out[...] = np.einsum("ik,kj->ij", a, b)
-    return out
+    return np.einsum("ik,kj->ij", a, b)
 
 
 def compiled(a: np.ndarray, b: np.ndarray, variant: str):
@@ -183,17 +171,14 @@ def _check_shapes(a, b) -> None:
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
 
 
-def _product(a, b, variant, kernels, out=None):
-    """The kernel's product into ``out``, or a new array without it; None,
-    writing nothing, outside the kernel's layouts."""
+def _product(a, b, variant, kernels):
+    """The kernel's product as a new array; None outside the kernel's layouts."""
     (m, k), n = a.shape, b.shape[1]
     if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
-            or any(s % 4 for s in a.strides)
-            or not (out is None or out.flags.aligned)):
+            or any(s % 4 for s in a.strides)):
         return None
-    if out is None:
-        out = np.empty((m, n), a.dtype)
+    out = np.empty((m, n), a.dtype)
     if b.flags.c_contiguous:
         kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n,
                                  *(s // 4 for s in a.strides))
@@ -295,8 +280,8 @@ _ptr, _size, _int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
 _ENTRIES = {
     "rows": ([_ptr] * 3 + [_size] * 5, None),
     "dot": ([_ptr] * 3 + [_size] * 3, _int),
-    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 5, _int, *[_ptr] * 7, *[_size] * 4], _int),
-    "gru_fwd": ([_ptr, _size, _size, *[_ptr] * 4, _size, _size, *[_ptr] * 8, *[_size] * 3],
+    "gru_back": ([_ptr, *[_size] * 3, *[_ptr] * 5, _int, *[_ptr] * 8, *[_size] * 4], _int),
+    "gru_fwd": ([_ptr, *[_size] * 3, *[_ptr] * 6, _size, _size, *[_ptr] * 8, *[_size] * 4],
                 _int),
     "adam": ([_ptr] * 4 + [_size, _ptr], None),
     "bn_sums": ([_ptr, _ptr, _size, _size, _ptr], None),
@@ -422,7 +407,14 @@ def _readable(*arrays) -> bool:
     return all(a.dtype == _F32 and a.flags.c_contiguous and a.flags.aligned for a in arrays)
 
 
-def gru_backward(x, caches, grad, carry, d_gx, cell) -> bool:
+def _gru_runs(x, *arrays) -> bool:
+    """Whether a compiled GRU loop can run: not on einsum, ``x`` float32 and
+    aligned at whole-element strides, and every cell array readable."""
+    return (KERNEL != "einsum" and x.dtype == _F32 and x.flags.aligned
+            and not any(s % 4 for s in x.strides) and _readable(*arrays))
+
+
+def gru_backward(x, caches, grad, carry, dx, cell) -> bool:
     """A GRU cell's whole backward time loop, t = T-1 down to 0, in one
     kernel call with the GIL released, with the bits of the numpy loop in
     ``layers.GruSequence`` (``matmul.c`` states the order).
@@ -430,53 +422,53 @@ def gru_backward(x, caches, grad, carry, d_gx, cell) -> bool:
     ``x`` is the cell's (B, T, x_dim) input, any strides; ``caches`` its
     forward's (h_prev, z|r, c, hc) blocks, each C-contiguous (T, B, w*h);
     ``grad`` the C-contiguous (B, T, h) or final (B, h) output gradient;
-    ``carry`` (B, h) zeros. ``d_gx`` (B, T, 3h) receives the gradient at the
-    input projection, and ``cell``'s dW, dU, db_x and db_h accumulate.
+    ``carry`` (B, h) zeros. ``dx``, C-contiguous (B, T, x_dim), receives the
+    gradient at ``x``, and ``cell``'s dW, dU, db_x and db_h accumulate.
     Returns False, touching nothing, where the loop steps in numpy instead:
     ``KERNEL == "einsum"``, another dtype than float32, or an ``x`` or cell
     array the kernel cannot read (unaligned, or a cell array that is not
     C-contiguous). MemoryError where the kernel cannot allocate its scratch.
     """
-    if (KERNEL == "einsum" or x.dtype != _F32 or not x.flags.aligned
-            or any(s % 4 for s in x.strides)
-            or not _readable(cell.U, *cell.grads().values())):
+    if not _gru_runs(x, cell.W, cell.U, *cell.grads().values()):
         return False
     B, T, x_dim = x.shape
     if _kernels[KERNEL]["gru_back"](
             x.ctypes.data, *(s // 4 for s in x.strides), *(a.ctypes.data for a in caches),
-            grad.ctypes.data, grad.ndim == 3, carry.ctypes.data, d_gx.ctypes.data,
-            *(a.ctypes.data for a in (cell.U, cell.dW, cell.dU, cell.db_x, cell.db_h)),
+            grad.ctypes.data, grad.ndim == 3, carry.ctypes.data, dx.ctypes.data,
+            *(a.ctypes.data for a in (cell.W, cell.U, cell.dW, cell.dU, cell.db_x,
+                                      cell.db_h)),
             B, T, x_dim, carry.shape[-1]):
         raise MemoryError(f"no memory for the {KERNEL} GRU backward's scratch")
     return True
 
 
-def gru_forward(gx, cell, ht, states, caches) -> bool:
-    """A GRU cell's forward time loop over ``gx``'s steps in one kernel call
-    with the GIL released, with the bits of the numpy loop in
-    ``layers.GruSequence`` (``matmul.c`` states the order).
+def gru_forward(x, cell, ht, states, caches) -> bool:
+    """A GRU cell's whole forward time loop in one kernel call with the GIL
+    released, with the bits of the numpy loop in ``layers.GruSequence``
+    (``matmul.c`` states the order). The call projects ``x W + b_x`` itself,
+    in time chunks of at most 1,024 rows.
 
-    ``gx`` is the cell's (B, T, 3h) input projection with C-contiguous rows;
-    ``ht`` the C-contiguous (B, h) state before the first step, which
-    receives the last. ``states``, a (B, T, h) view with C-contiguous rows,
+    ``x`` is the cell's (B, T, x_dim) input, any strides, B and T at least
+    1; ``ht`` the C-contiguous (B, h) state before the first step, which
+    receives the last. ``states``, a (B, T, h) array with C-contiguous rows,
     receives every step's state unless None. ``caches`` are None or the
     C-contiguous (T, B, w*h) (h_prev, z|r, c, hc) blocks the backward reads,
     as for :func:`gru_backward`. Returns False, touching nothing, where the
     loop steps in numpy instead: ``KERNEL == "einsum"``, no bound
-    ``UFUNC_LOOPS``, another dtype than float32, or a U or b_h the kernel
-    cannot read (unaligned or not C-contiguous). MemoryError where the
-    kernel cannot allocate its scratch.
+    ``UFUNC_LOOPS``, another dtype than float32, or an ``x`` or cell array
+    the kernel cannot read (unaligned, or a W, U, b_x or b_h that is not
+    C-contiguous). MemoryError where the kernel cannot allocate its scratch.
     """
-    if KERNEL == "einsum" or UFUNC_LOOPS is None or not _readable(cell.U, cell.b_h):
+    if UFUNC_LOOPS is None or not _gru_runs(x, cell.W, cell.b_x, cell.U, cell.b_h):
         return False
-    B, T, _ = gx.shape
+    B, T, x_dim = x.shape
     out = (None, 0, 0) if states is None else (
         states.ctypes.data, *(s // 4 for s in states.strides[:2]))
     blocks = (None,) * 4 if caches is None else [a.ctypes.data for a in caches]
     if _kernels[KERNEL]["gru_fwd"](
-            gx.ctypes.data, *(s // 4 for s in gx.strides[:2]), cell.U.ctypes.data,
-            cell.b_h.ctypes.data, ht.ctypes.data, *out, *blocks, *UFUNC_LOOPS[0],
-            *UFUNC_LOOPS[1], B, T, ht.shape[-1]):
+            x.ctypes.data, *(s // 4 for s in x.strides),
+            *(a.ctypes.data for a in (cell.W, cell.b_x, cell.U, cell.b_h)), ht.ctypes.data,
+            *out, *blocks, *UFUNC_LOOPS[0], *UFUNC_LOOPS[1], B, T, x_dim, ht.shape[-1]):
         raise MemoryError(f"no memory for the {KERNEL} GRU forward's scratch")
     return True
 

@@ -141,12 +141,13 @@ class TestExitCodes:
 
     @pytest.mark.skipif(numerics.KERNEL == "einsum", reason="no compiled kernel here")
     def test_a_failed_kernel_allocation_is_one_line(self, tmp_path, capsys, monkeypatch):
-        """The transposed-operand product cannot allocate its packing buffer:
-        a MemoryError, so one line, exit 2, and no model file."""
+        """The transposed-operand product and the GRU loops cannot allocate
+        their scratch: a MemoryError, so one line, exit 2, and no model file."""
         data = tmp_path / "d.csv"
         write_csv(keyword_corpus(per_class=10, seed=2), data)
         for entries in numerics._kernels.values():
-            monkeypatch.setitem(entries, "dot", lambda *args: 1)
+            for entry in ("dot", "gru_fwd", "gru_back"):
+                monkeypatch.setitem(entries, entry, lambda *args: -1)
         out = tmp_path / "m.bin"
         code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
                      *SMALL_FLAGS])

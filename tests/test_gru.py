@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -142,8 +143,8 @@ class TestTwoCells:
     second over the input reversed in time, its states and its input gradient
     re-reversed."""
 
-    # B up to 70 makes the projection chunk C = ROWS // B shorter than T, with
-    # a ragged last chunk, at T = 20 and T = 79
+    # B up to 70 makes the compiled forward's projection chunk (1,024 rows)
+    # shorter than T, with a ragged last chunk, at T = 20 and T = 79
     @settings(max_examples=40, deadline=None)
     @given(B=st.integers(1, 70),
            T=st.one_of(st.integers(1, 20), st.just(79)),
@@ -205,13 +206,14 @@ def stepped(seq, x):
 
 
 class TestInPlaceProjection:
-    """Each chunk is projected into the cell's projection buffer, a partial
-    last chunk into the buffer's first rows: the forward's bytes equal a
-    numpy loop that projects every step on its own."""
+    """The compiled forward projects its input in time chunks of at most
+    1,024 rows into its own scratch, one product per batch row and chunk, a
+    partial last chunk included: the forward's bytes equal a numpy loop that
+    projects every step on its own."""
 
-    # (64, 79) and (100, 79) end in a partial chunk (C = 16 and 10); batch 1
-    # projects the reversed cell's rows as a view with a negative stride, on
-    # the kernel; (2, 3) has fewer than MIN_ROWS rows, so einsum projects it
+    # (64, 79) and (100, 79) end in a partial chunk (16 and 10 steps); batch
+    # 1 projects the reversed cell's rows through a negative time stride; on
+    # the numpy loop (2, 3) has fewer than MIN_ROWS rows, so einsum projects it
     @pytest.mark.parametrize("B, T, x_dim, h", [(64, 79, 3, 4), (100, 79, 3, 4),
                                                 (1, 79, 16, 16), (2, 3, 3, 4)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -230,6 +232,26 @@ class TestInPlaceProjection:
 def bidirectional(rng, x_dim, h, dtype, return_sequences):
     return BidirectionalGru(random_cell(rng, x_dim, h, dtype),
                             random_cell(rng, x_dim, h, dtype), return_sequences)
+
+
+def test_a_train_backward_allocates_no_projection_sized_block():
+    """One paper-size layer-1 BiGRU train backward, as tracemalloc sees
+    numpy's allocations: two copies of the output gradient and two dx
+    arrays, about 6.6 MiB, and no (B, T, 3h) block per cell, two of which
+    alone are 13.9 MiB. The compiled calls' scratch, a step's d_gx and the
+    packed weights, comes from C's malloc, which tracemalloc does not see."""
+    B, T, x_dim, h = 64, 79, 50, 120
+    rng = np.random.default_rng(9)
+    bi = bidirectional(rng, x_dim, h, np.float32, True)
+    out = bi.forward(rng.standard_normal((B, T, x_dim)).astype(np.float32), "train")
+    grad = np.ones_like(out)
+    tracemalloc.start()
+    try:
+        bi.backward(grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * B * T * 3 * h * 4
 
 
 class TestTwoThreads:
@@ -334,12 +356,12 @@ class TestTwoThreads:
 
     def test_calling_thread_allocates_every_kept_array(self):
         """The worker allocates nothing through np.empty or np.zeros: the
-        arrays a part keeps past one step come from the calling thread."""
+        arrays that outlive a call, dx included, come from the calling thread."""
         rng = np.random.default_rng(5)
         bi = bidirectional(rng, 3, 4, np.float32, True)
-        # T above ROWS // B, so the projection runs in two chunks
+        # B T above 1,024 rows, so the compiled forward projects two chunks
         x = rng.standard_normal((layers.SPLIT_ROWS, 70, 3)).astype(np.float32)
-        allocating, multiplying = [], set()
+        allocating = []
 
         class RecordingNumpy:
             def __getattr__(self, name):
@@ -353,16 +375,11 @@ class TestTwoThreads:
                 allocating.append(threading.current_thread())
                 return np.zeros(*args, **kwargs)
 
-        def matmul(*args, **kwargs):
-            multiplying.add(threading.current_thread())
-            return numerics.matmul(*args, **kwargs)
-
-        with mock.patch.multiple(layers, np=RecordingNumpy(), matmul=matmul):
+        with mock.patch.object(layers, "np", RecordingNumpy()), thread_counts() as threads:
             out = bi.forward(x, "train")
             bi.backward(np.ones_like(out))
-        # the directions did split: this thread and at least one other
-        assert threading.current_thread() in multiplying
-        assert len(multiplying) >= 2
+        # the directions did split: each call ran a cell on a worker thread
+        assert threads == [2, 2]
         assert allocating
         assert set(allocating) == {threading.current_thread()}
 
@@ -444,10 +461,9 @@ class TestTwoThreads:
     def test_shared_model_infers_the_serial_bytes(self, B):
         """Two threads run infer forwards on one model and get the bytes of a
         serial run: on one thread at batch 1, and on two threads per layer
-        at SPLIT_ROWS, with T short enough to project in one chunk."""
+        at SPLIT_ROWS."""
         config = ModelConfig(vocab_size=300, embed_dim=12, seq_len=20,
                              gru_units=(16, 10, 8))
-        assert config.seq_len <= layers.ROWS // B
         model = build_model(config, seed=5)
         rng = np.random.default_rng(5)
         batches = [rng.integers(0, 300, (B, 20)) for _ in range(max(40 // B, 8))]

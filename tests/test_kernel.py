@@ -269,7 +269,9 @@ def test_gru_backward_of_a_cell_array_the_kernel_cannot_read_is_numpys():
     ("einsum", True, True),
     ("no ufunc loops", True, False),
     ("F-ordered dU", False, True),
+    ("F-ordered W", True, True),
     ("x stride of 6 bytes", False, True),
+    ("x stride of 6 bytes", True, False),
 ])
 def test_gru_calls_decline_touching_nothing(case, forward, backward):
     """Where a compiled GRU loop cannot run, ``gru_forward`` and
@@ -283,14 +285,16 @@ def test_gru_calls_decline_touching_nothing(case, forward, backward):
         value[...] = sample(*value.shape)
     if case == "F-ordered dU":
         cell.dU = np.asfortranarray(cell.dU)
+    if case == "F-ordered W":
+        cell.W = np.asfortranarray(cell.W)
     x = sample(B, T, x_dim)
     if case == "x stride of 6 bytes":
         raw = np.zeros(6 * x.size, np.uint8)
         x = np.ndarray(x.shape, x.dtype, raw, 0, (6 * T * x_dim, 6 * x_dim, 6))
-    gx, ht, states = sample(B, T, 3 * h), sample(B, h), sample(B, T, h)
+    ht, states = sample(B, h), sample(B, T, h)
     caches = [sample(T, B, w * h) for w in (1, 2, 1, 1)]
-    grad, carry, d_gx = sample(B, T, h), sample(B, h), sample(B, T, 3 * h)
-    arrays = [x, gx, ht, states, *caches, grad, carry, d_gx, *cell.params().values(),
+    grad, carry, dx = sample(B, T, h), sample(B, h), sample(B, T, x_dim)
+    arrays = [x, ht, states, *caches, grad, carry, dx, *cell.params().values(),
               *cell.grads().values()]
     before = [a.tobytes() for a in arrays]
     kernel = "einsum" if case == "einsum" else numerics.KERNEL
@@ -300,9 +304,9 @@ def test_gru_calls_decline_touching_nothing(case, forward, backward):
             mock.patch.object(numerics, "KERNEL", kernel), \
             mock.patch.object(numerics, "UFUNC_LOOPS", loops):
         if forward:
-            assert numerics.gru_forward(gx, cell, ht, states, caches) is False
+            assert numerics.gru_forward(x, cell, ht, states, caches) is False
         if backward:
-            assert numerics.gru_backward(x, caches, grad, carry, d_gx, cell) is False
+            assert numerics.gru_backward(x, caches, grad, carry, dx, cell) is False
     assert [a.tobytes() for a in arrays] == before
 
 
@@ -328,10 +332,6 @@ def gru_forwards(kernel, B, T, x_dim, h, cells, split, return_sequences, seed,
     return len(calls), [infer, train, *(block for blocks in seq._kept[2] for block in blocks)]
 
 
-def projection_chunks(B, T):
-    return -(-T // max(1, min(T, layers.ROWS // B)))
-
-
 @pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
 @settings(deadline=None, max_examples=40)
 @given(B=st.integers(1, 70), T=st.one_of(st.integers(1, 20), st.just(79)),
@@ -353,13 +353,13 @@ def test_gru_forward_has_the_numpy_loops_bits(B, T, x_dim, h, cells, split,
                                               return_sequences, seed, specials):
     """The compiled forward of every variant against the numpy loop: the
     infer and train outputs and every cache block, on both plans. One call
-    per cell and projection chunk in each of the two forwards."""
+    per cell in each of the two forwards, at every B and T."""
     args = B, T, x_dim, h, cells, split, return_sequences, seed, specials
     calls, want = gru_forwards("einsum", *args)
     assert calls == 0
     for variant in numerics.variants():
         calls, got = gru_forwards(variant, *args)
-        assert calls == 2 * cells * projection_chunks(B, T)
+        assert calls == 2 * cells
         assert_same_bits(got, want)
 
 
@@ -830,20 +830,24 @@ for seed, (layout, m, k, n) in enumerate(itertools.product(LAYOUTS, *SANITIZED_S
         products += 1
 print(" ".join(numerics.variants()), products)
 """
-# B, T, x_dim, h, cells, split, return_sequences: tile and vector tails of every variant
-SANITIZED_GRU_SHAPES = ((1, 9), (1, 3), (1, 19), (1, 5, 17), (1, 2), (False, True),
+# B, T, x_dim, h, cells, split, return_sequences: tile and vector tails of every
+# variant, x_dim among them for dx = d_gx W^T, whose rows are T x_dim apart
+SANITIZED_GRU_SHAPES = ((1, 9), (1, 3), (1, 5, 17, 50), (1, 5, 17), (1, 2), (False, True),
                         (False, True))
+# B T above 1,024 rows: the forward projects a chunk of 14 steps, then one of 6
+SANITIZED_GRU_CHUNKED = (70, 20, 50, 5, 2, True, True)
 # run with the library, then gru_grads or gru_forwards and its calls per cell
 SANITIZED_GRU_CHILD = """
 import ctypes, itertools, sys
 from sentigru import numerics
 import test_kernel
-from test_kernel import SANITIZED_GRU_SHAPES, assert_same_bits
+from test_kernel import SANITIZED_GRU_CHUNKED, SANITIZED_GRU_SHAPES, assert_same_bits
 
 numerics._kernels = numerics._bind(ctypes.CDLL(sys.argv[1]))
 run, per_cell = getattr(test_kernel, sys.argv[2]), int(sys.argv[3])
 runs = 0
-for seed, shape in enumerate(itertools.product(*SANITIZED_GRU_SHAPES)):
+shapes = [*itertools.product(*SANITIZED_GRU_SHAPES), SANITIZED_GRU_CHUNKED]
+for seed, shape in enumerate(shapes):
     want = run("einsum", *shape, seed)[1]
     for variant in numerics.variants():
         calls, got = run(variant, *shape, seed)
@@ -903,7 +907,7 @@ def test_sanitized_kernel_has_einsum_bits(sanitized):
 def test_sanitized_gru_backward_has_numpy_bits(sanitized):
     """The compiled GRU backward of every variant under the same sanitizers,
     over batch, width and time edges on both plans, against the numpy loop."""
-    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
+    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES])) + 1
     runs = run_sanitized(SANITIZED_GRU_CHILD, sanitized, "gru_grads", "1")
     assert runs == cases * len(numerics.variants())
 
@@ -911,8 +915,8 @@ def test_sanitized_gru_backward_has_numpy_bits(sanitized):
 def test_sanitized_gru_forward_has_numpy_bits(sanitized):
     """The compiled GRU forward of every variant, calling numpy's exp and
     tanh loops, under the same sanitizers and over the same edges, in both
-    modes, against the numpy loop."""
-    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES]))
+    modes, against the numpy loop; one input spans two projection chunks."""
+    cases = int(np.prod([len(sizes) for sizes in SANITIZED_GRU_SHAPES])) + 1
     runs = run_sanitized(SANITIZED_GRU_CHILD, sanitized, "gru_forwards", "2")
     assert runs == cases * len(numerics.variants())
 
@@ -983,21 +987,21 @@ def test_the_kernels_own_scratch_is_freed():
     """The compiled GRU forward and backward and the transposed-operand
     product allocate their scratch and free it before they return; the
     sanitized child runs with the leak check off, so this checks it. 200
-    rounds at batch 64 and h 120 would leak about 180 MB, 0.9 MB a round."""
+    rounds at batch 64 and h 120 would leak about 375 MB, 1.9 MB a round."""
     B, T, x_dim, h = 64, 2, 64, 120
     sample = sampler(np.float32, 0, "finite")
     cell = GruCell(x_dim, h, np.random.default_rng(0))
-    x, gx, ht = sample(B, T, x_dim), sample(B, T, 3 * h), sample(B, h)
+    x, ht = sample(B, T, x_dim), sample(B, h)
     caches = [sample(T, B, w * h) for w in (1, 2, 1, 1)]
-    grad, carry, d_gx = sample(B, T, h), sample(B, h), np.empty((B, T, 3 * h), np.float32)
-    a, w, product = sample(B, 3 * h), sample(h, 3 * h), np.empty((B, h), np.float32)
+    grad, carry, dx = sample(B, T, h), sample(B, h), np.empty((B, T, x_dim), np.float32)
+    a, w = sample(B, 3 * h), sample(h, 3 * h)
 
     def rounds(n):
         for _ in range(n):
-            assert numerics.gru_forward(gx, cell, ht, None, None)
-            assert numerics.gru_forward(gx, cell, ht, None, caches)
-            assert numerics.gru_backward(x, caches, grad, carry, d_gx, cell)
-            assert numerics.matmul(a, w.T, out=product) is product
+            assert numerics.gru_forward(x, cell, ht, None, None)
+            assert numerics.gru_forward(x, cell, ht, None, caches)
+            assert numerics.gru_backward(x, caches, grad, carry, dx, cell)
+            numerics.matmul(a, w.T)
 
     rounds(5)
     before = resident_bytes()

@@ -169,6 +169,10 @@ class TestGruCell:
         x = np.zeros((2, 5), dtype=np.float32)
         with pytest.raises(ValueError):
             gru_sequence_forward(cell, x[:, None, :], False)
+        # a batch the compiled loops take: rejected before any of them reads x
+        for cells in ([cell], [cell, GruCell(3, 4, np.random.default_rng(1))]):
+            with pytest.raises(ValueError, match="input width 5 differs from the cells' 3"):
+                GruSequence(cells, True).forward(np.zeros((8, 2, 5), np.float32), "train")
 
     def test_update_gate_interpolates(self):
         # saturate z high via huge input bias: state barely moves
@@ -223,7 +227,7 @@ class TestGruSequence:
         assert np.array_equal(seq.forward(xa, "infer"), fresh)
 
     def test_empty_sequence_rejected(self):
-        # no steps, and no rows: the projection chunk ROWS // B has no size
+        # no steps, and no rows: the compiled loops take neither
         rng = np.random.default_rng(0)
         for cells in ([GruCell(3, 4, rng)], [GruCell(3, 4, rng), GruCell(3, 4, rng)]):
             for shape in ((2, 0, 3), (0, 5, 3)):
