@@ -1,8 +1,11 @@
-/* float32 matrix products with the exact bits of numpy's einsum, for
+/* float32 matrix products with the exact bits of numpy's einsum, and the
+ * GRU, Adam, BatchNorm and scatter-add loops built on them, for
  * sentigru.numerics. Plain C with x86-64 intrinsics and no numpy headers;
  * numerics builds it with the C compiler on PATH on x86-64 hosts only, loads
- * it with ctypes and checks it against einsum before using it. Float64 and
- * every other dtype stay on einsum, which gives them the same bits.
+ * it with ctypes and checks its products against einsum before using it.
+ * The products run inside the entries below and numerics' import probe;
+ * numerics.matmul itself is einsum. Float64 and every other dtype stay in
+ * numpy, which gives them the same bits.
  *
  * Two reduction orders are reproduced:
  *

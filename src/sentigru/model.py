@@ -1,5 +1,6 @@
 """Model assembly: the embedding + 3x bidirectional-GRU + dense stack."""
 
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -41,8 +42,9 @@ class ModelConfig:
         if self.vocab_size < 3:
             raise ValueError("vocab_size must be >= 3: the reserved pad/oov ids "
                              "and at least one token")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 <= rate < 1:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {rate!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.dtype not in _DTYPES:

@@ -1,8 +1,8 @@
 """Dense primitives: an aligned allocator, matmul, sigmoid, softmax, a
 finite-difference oracle.
 
-All layer math funnels through :func:`matmul`, whose products have the bits
-of ``np.einsum`` (never BLAS). They are bitwise reproducible run to run, and
+Every product has the bits of ``np.einsum`` (never BLAS), and :func:`matmul`
+is einsum itself. Products are bitwise reproducible run to run, and
 for every operand layout a row of the product does not depend on which other
 rows share the call. When ``b`` is C-contiguous with at least two columns the
 product also equals a naive left-to-right triple loop in the same precision.
@@ -11,8 +11,8 @@ another reduction order: still row-invariant, but not equal to that loop. The
 backward passes multiply by ``W.T`` and ``U.T`` and rely only on row
 invariance. Both operands are 2-d.
 
-A compiled kernel, ``matmul.c`` beside this file, computes most float32
-products on x86-64 with einsum's two reduction orders:
+A compiled kernel, ``matmul.c`` beside this file, reproduces einsum's two
+float32 reduction orders on x86-64:
 
 - ``b`` C-contiguous with n >= 2 columns and ``a`` of any element strides:
   each output adds its products over k in order, each product rounded before
@@ -21,11 +21,8 @@ products on x86-64 with einsum's two reduction orders:
   numpy's baseline 4-lane dot loop, with its grouping, zero-padded tail
   and pairwise lane sum.
 
-Every other product goes to einsum: float64 or any other dtype, one column,
-fewer than ``MIN_ROWS`` rows (a batch-1 step, where the ctypes call would
-cost more than it saves), fewer than ``MIN_MACS`` multiply-adds, an empty
-dimension or another layout. Both paths give the same bits, so which one
-runs changes only the speed.
+They run inside the kernel's entries below and in the import probe, and
+:func:`compiled` calls them on their own; no ``matmul`` call reaches them.
 
 On x86-64 the first import compiles the kernel with the ``cc`` on PATH
 (``CC``) into a library named by the sha256 of its source and flags, in the
@@ -41,11 +38,11 @@ the entries of every variant that runs, once, then checks the widest against
 einsum on fixed probe products. ``KERNEL`` names the path in use: that
 variant ("avx512", "avx2" or "sse3"), or "einsum" on another CPU, without a
 compiler, after a failed build or when a probe differs. Setting it to
-"einsum" sends every product to einsum. ctypes releases the GIL for the
-call, so products on two threads run at once. An entry that needs scratch
-(the transposed-operand product, the GRU loops) allocates it on the thread
-that calls it and frees it before it returns; a failed allocation raises
-MemoryError.
+"einsum" sends every compiled entry's work back to numpy. ctypes releases
+the GIL for the call, so calls on two threads run at once. An entry that
+needs scratch (the transposed-operand product, the GRU loops) allocates it
+on the thread that calls it and frees it before it returns; a failed
+allocation raises MemoryError.
 
 The kernel's third entry, :func:`gru_backward`, runs a whole GRU cell's
 backward time loop in one call with the GIL released, so the two directions
@@ -120,8 +117,6 @@ except ImportError:     # Python before 3.12
     except ImportError:
         from hashlib import sha256
 
-MIN_ROWS = 8
-MIN_MACS = 8192
 CC = "cc"
 
 _SOURCE = Path(__file__).with_name("matmul.c")
@@ -145,34 +140,19 @@ def zeros(shape, dtype) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-d operands with shape validation; each row's
-    bits depend only on that row of ``a`` and on ``b`` (see the module
-    docstring)."""
+    """``np.einsum`` matrix product of two 2-d operands with shape
+    validation; each row's bits depend only on that row of ``a`` and on
+    ``b`` (see the module docstring)."""
     _check_shapes(a, b)
-    if KERNEL != "einsum" and a.shape[0] >= MIN_ROWS and a.size * b.shape[1] >= MIN_MACS:
-        product = _product(a, b, KERNEL, _kernels)
-        if product is not None:
-            return product
     return np.einsum("ik,kj->ij", a, b)
 
 
 def compiled(a: np.ndarray, b: np.ndarray, variant: str):
-    """The kernel's product of two operands :func:`matmul` accepts, with the
-    named variant of :func:`variants`, however small; None when they are
-    outside the kernel's layouts or not both float32."""
+    """The named variant's product, a new array with einsum's bits, of two
+    operands :func:`matmul` accepts, however small: the one Python entry to
+    the kernel's two orders. None when they are outside its layouts or not
+    both float32."""
     _check_shapes(a, b)
-    return _product(a, b, variant, _kernels)
-
-
-def _check_shapes(a, b) -> None:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects two 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-
-
-def _product(a, b, variant, kernels):
-    """The kernel's product as a new array; None outside the kernel's layouts."""
     (m, k), n = a.shape, b.shape[1]
     if (a.dtype != _F32 or b.dtype != _F32 or n < 2 or a.size == 0
             or not (a.flags.aligned and b.flags.aligned)
@@ -180,14 +160,21 @@ def _product(a, b, variant, kernels):
         return None
     out = np.empty((m, n), a.dtype)
     if b.flags.c_contiguous:
-        kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n,
-                                 *(s // 4 for s in a.strides))
+        _kernels[variant]["rows"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n,
+                                  *(s // 4 for s in a.strides))
     elif a.flags.c_contiguous and b.T.flags.c_contiguous:
-        if kernels[variant]["dot"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
+        if _kernels[variant]["dot"](a.ctypes.data, b.ctypes.data, out.ctypes.data, m, k, n):
             raise MemoryError(f"no memory for the {variant} kernel's packing buffer")
     else:
         return None
     return out
+
+
+def _check_shapes(a, b) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects two 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
 
 
 def _library_dirs():
@@ -308,8 +295,9 @@ def _bind(lib: ctypes.CDLL) -> dict:
 
 
 def _load() -> str:
-    """Build, load and bind the kernel; returns its widest variant, installed if
-    that passes every probe, else "einsum" (a probe that differs empties the table)."""
+    """Build, load and bind the kernel, and install the bound table; returns
+    its widest variant if that passes every probe through :func:`compiled`,
+    else "einsum" (a probe that differs empties the table)."""
     global _kernels
     if os.name != "posix" or os.uname().machine not in ("x86_64", "amd64"):
         return "einsum"
@@ -317,16 +305,15 @@ def _load() -> str:
         path = _library()
         if path is None:
             return "einsum"
-        kernels = _bind(ctypes.CDLL(str(path)))
+        _kernels = _bind(ctypes.CDLL(str(path)))
     except OSError:
         return "einsum"
-    variant = next(iter(kernels), "einsum")
+    variant = next(iter(_kernels), "einsum")
     if variant == "einsum" or any(
-            _product(a, b, variant, kernels).tobytes()
+            compiled(a, b, variant).tobytes()
             != np.einsum("ik,kj->ij", a, b).tobytes() for a, b in _probes()):
         _kernels = {}
         return "einsum"
-    _kernels = kernels
     return variant
 
 

@@ -44,7 +44,8 @@ class TrainConfig:
             _check_integer(name, getattr(self, name), low)
         lr, fraction = self.learning_rate, self.train_fraction
         # rate 0 is allowed: it must leave parameters bitwise unchanged
-        if not isinstance(lr, numbers.Real) or not 0 <= lr < float("inf"):
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) \
+                or not 0 <= lr < float("inf"):
             raise ValueError("learning_rate must be finite and not negative, "
                              f"got {lr!r}")
         if not isinstance(fraction, numbers.Real) or not 0 < fraction < 1:

@@ -212,8 +212,8 @@ class TestInPlaceProjection:
     projects every step on its own."""
 
     # (64, 79) and (100, 79) end in a partial chunk (16 and 10 steps); batch
-    # 1 projects the reversed cell's rows through a negative time stride; on
-    # the numpy loop (2, 3) has fewer than MIN_ROWS rows, so einsum projects it
+    # 1 projects the reversed cell's rows through a negative time stride; (2,
+    # 3) is a single short chunk
     @pytest.mark.parametrize("B, T, x_dim, h", [(64, 79, 3, 4), (100, 79, 3, 4),
                                                 (1, 79, 16, 16), (2, 3, 3, 4)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

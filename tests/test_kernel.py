@@ -649,17 +649,19 @@ def test_outside_the_proven_set_is_einsum():
         numerics.compiled(a, b[::2], variant)
     assert numerics.compiled(a.T.copy().T, b.T.copy().T, variant) is None
     assert numerics.compiled(a[:, :0], b[:0], variant) is None        # k = 0
-    calls = []
-    with mock.patch.object(numerics, "_product",
-                           lambda *args: calls.append(args) or einsum(*args[:2])):
-        numerics.matmul(a[:numerics.MIN_ROWS - 1], b)                 # too few rows
-        numerics.matmul(a[:, :2], b[:2, :2])                          # too few MACs
-        assert not calls
-        numerics.matmul(a, b)
-        assert len(calls) == 1
-        with mock.patch.object(numerics, "KERNEL", "einsum"):
-            numerics.matmul(a, b)
-        assert len(calls) == 1
+    # matmul calls no entry of the kernel: not for the dense head's forward
+    # x W, dW's x^T g or dx's g W^T, nor for 64 rows and 2.9M multiply-adds
+    x = rng.standard_normal((64, 128)).astype(np.float32)
+    w = rng.standard_normal((128, 6)).astype(np.float32)
+    g = rng.standard_normal((64, 6)).astype(np.float32)
+    big = rng.standard_normal((128, 360)).astype(np.float32)
+
+    def raises(*args):
+        raise AssertionError("matmul called the kernel")
+    table = {entry: raises for entry in numerics._kernels[variant]}
+    with mock.patch.object(numerics, "_kernels", {variant: table}):
+        for p, q in [(x, w), (x.T, g), (g, w.T), (x, big)]:
+            assert numerics.matmul(p, q).tobytes() == einsum(p, q).tobytes()
 
 
 @pytest.mark.skipif(not BUILDS, reason="the kernel builds only on x86-64 with a C compiler")
@@ -808,7 +810,7 @@ def test_another_cpu_never_compiles(tmp_path):
 
 def test_a_probe_that_differs_means_einsum():
     with mock.patch.object(numerics, "_kernels", numerics._kernels), \
-            mock.patch.object(numerics, "_product", lambda a, b, *_: einsum(a, b) + 1):
+            mock.patch.object(numerics, "compiled", lambda a, b, _: einsum(a, b) + 1):
         assert numerics._load() == "einsum"
         assert numerics.variants() == []
 
@@ -1001,7 +1003,7 @@ def test_the_kernels_own_scratch_is_freed():
             assert numerics.gru_forward(x, cell, ht, None, None)
             assert numerics.gru_forward(x, cell, ht, None, caches)
             assert numerics.gru_backward(x, caches, grad, carry, dx, cell)
-            numerics.matmul(a, w.T)
+            numerics.compiled(a, w.T, numerics.KERNEL)
 
     rounds(5)
     before = resident_bytes()

@@ -42,7 +42,7 @@ class TestModelConfig:
             ModelConfig(vocab_size=1)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=2)   # only the reserved pad/oov ids
-        for rate in (-0.1, 1.0, 2.0, float("nan")):
+        for rate in (-0.1, 1.0, 2.0, float("nan"), False, "0.3"):
             with pytest.raises(ValueError, match="dropout_rate"):
                 ModelConfig(dropout_rate=rate)
         with pytest.raises(ValueError):

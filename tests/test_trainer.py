@@ -53,6 +53,7 @@ class TestTrainConfig:
         {"seed": -1},
         {"batch_size": 2.5}, {"epochs": 1.5}, {"seed": 1.5}, {"epochs": "2"},
         {"learning_rate": "x"}, {"train_fraction": "0.5"}, {"batch_size": True},
+        {"learning_rate": True},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
